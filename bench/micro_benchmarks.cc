@@ -2,8 +2,10 @@
  * @file
  * Microbenchmarks for the simulator's hot paths: the KiBaM
  * closed-form step, the Algorithm-1 vDEB assignment, the breaker
- * thermal update, event-queue throughput, workload fine sampling, and
- * the server power model.
+ * thermal update, event-queue throughput, workload fine sampling, the
+ * server power model, and the telemetry push path's number codec
+ * (shortest round-trip double formatting, pad-rw-v1 batch render and
+ * parse, all per sample).
  *
  * Built on the perfbench timing utilities (perf_timing.h): each
  * benchmark warms up untimed, then reports the median and minimum of
@@ -23,8 +25,11 @@
 #include "power/circuit_breaker.h"
 #include "power/server_power_model.h"
 #include "sim/event_queue.h"
+#include "telemetry/remote_write.h"
 #include "trace/synthetic_trace.h"
 #include "trace/workload.h"
+#include "util/json_writer.h"
+#include "util/random.h"
 
 #include "perf_timing.h"
 
@@ -201,6 +206,84 @@ benchServerPowerModel()
     report("server_power_model", t, n);
 }
 
+/**
+ * Telemetry-like values: rack powers around 50 kW carrying full
+ * double precision, so most need 15-17 significant digits.
+ */
+std::vector<double>
+telemetryValues(std::size_t n)
+{
+    const CounterRng rng(0x7e1e);
+    std::vector<double> values(n);
+    for (std::size_t i = 0; i < n; ++i)
+        values[i] = 40000.0 + 20000.0 * rng.unitAt(i);
+    return values;
+}
+
+void
+benchFormatDouble()
+{
+    const int n = ops(200000);
+    const std::vector<double> values = telemetryValues(4096);
+    const TimingResult t = timeIt(
+        [&] {
+            std::size_t chars = 0;
+            for (int i = 0; i < n; ++i)
+                chars += JsonWriter::formatDouble(values[i % 4096]).size();
+            keep(static_cast<double>(chars));
+        },
+        1, 5);
+    report("format_double", t, n);
+}
+
+/** One 22-series pad-rw-v1 batch of @p perSeries samples each. */
+telemetry::RwBatch
+rwBenchBatch(int perSeries)
+{
+    const std::vector<double> values =
+        telemetryValues(static_cast<std::size_t>(22 * perSeries));
+    telemetry::RwBatch b;
+    b.source = "bench";
+    for (int r = 0; r < 22; ++r) {
+        telemetry::RwSeriesChunk chunk;
+        chunk.name = "rack" + std::to_string(r) + ".power";
+        for (int k = 0; k < perSeries; ++k)
+            chunk.samples.push_back(
+                {Tick{k} * 100, values[r * perSeries + k]});
+        b.series.push_back(std::move(chunk));
+    }
+    return b;
+}
+
+void
+benchRwRender()
+{
+    const telemetry::RwBatch b = rwBenchBatch(ops(20000) / 22 + 1);
+    const int samples = static_cast<int>(b.sampleCount());
+    const TimingResult t = timeIt(
+        [&] {
+            keep(static_cast<double>(
+                telemetry::renderRwBatchLine(b).size()));
+        },
+        1, 5);
+    report("rw_render", t, samples);
+}
+
+void
+benchRwParse()
+{
+    const telemetry::RwBatch b = rwBenchBatch(ops(20000) / 22 + 1);
+    const int samples = static_cast<int>(b.sampleCount());
+    const std::string line = telemetry::renderRwBatchLine(b);
+    const TimingResult t = timeIt(
+        [&] {
+            const auto back = telemetry::parseRwBatchLine(line);
+            keep(back ? static_cast<double>(back->sampleCount()) : 0.0);
+        },
+        1, 5);
+    report("rw_parse", t, samples);
+}
+
 } // namespace
 
 int
@@ -226,5 +309,8 @@ main(int argc, char **argv)
     benchEventQueue();
     benchWorkloadFineSample();
     benchServerPowerModel();
+    benchFormatDouble();
+    benchRwRender();
+    benchRwParse();
     return 0;
 }

@@ -4,9 +4,9 @@ namespace pad::obs {
 
 namespace detail {
 
-thread_local TraceSink *tlsSink = nullptr;
-thread_local Tick tlsClock = 0;
-thread_local int tlsJob = -1;
+constinit thread_local TraceSink *tlsSink = nullptr;
+constinit thread_local Tick tlsClock = 0;
+constinit thread_local int tlsJob = -1;
 
 } // namespace detail
 

@@ -30,9 +30,13 @@ namespace pad::obs {
 
 namespace detail {
 
-extern thread_local TraceSink *tlsSink;
-extern thread_local Tick tlsClock;
-extern thread_local int tlsJob;
+// constinit tells every includer the variables need no dynamic
+// initialization, so they are read directly rather than through a TLS
+// wrapper. GCC 12 with -fsanitize=undefined miscompiles the wrapper's
+// null check (it branches on stale flags) and reports a null load.
+extern thread_local constinit TraceSink *tlsSink;
+extern thread_local constinit Tick tlsClock;
+extern thread_local constinit int tlsJob;
 
 } // namespace detail
 

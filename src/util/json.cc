@@ -1,7 +1,10 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
+#include <string>
+#include <system_error>
 
 namespace pad {
 
@@ -324,9 +327,16 @@ class Parser
                    std::isdigit(static_cast<unsigned char>(text_[pos_])))
                 ++pos_;
         }
-        const std::string token(text_.substr(start, pos_ - start));
+        const char *first = text_.data() + start;
+        const char *last = text_.data() + pos_;
         out.kind = JsonValue::Kind::Number;
-        out.number = std::strtod(token.c_str(), nullptr);
+        if (std::from_chars(first, last, out.number).ec ==
+            std::errc::result_out_of_range) {
+            // strtod saturates where from_chars refuses: 1e999 -> inf,
+            // 1e-400 -> 0.
+            out.number = std::strtod(std::string(first, last).c_str(),
+                                     nullptr);
+        }
         return true;
     }
 

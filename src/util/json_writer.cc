@@ -1,9 +1,12 @@
 #include "util/json_writer.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <ostream>
+#include <system_error>
 
 #include "util/logging.h"
 
@@ -58,18 +61,109 @@ JsonWriter::escape(std::string_view s)
     return out;
 }
 
+namespace {
+
+/** Room for the longest "%.17g" output: "-1.2345678901234567e-308". */
+constexpr std::size_t kDoubleChars = 32;
+
+/**
+ * Lay out the scientific digits in [sci, end) ("-d.ddde+XX", as
+ * std::to_chars prints them) exactly as printf's "%g" would for a
+ * precision equal to their digit count: fixed notation when the
+ * exponent X satisfies -4 <= X < digits, exponent notation
+ * otherwise, and an exponent of at least two digits. "%g" also
+ * strips trailing zeros, but at the smallest round-tripping
+ * precision the last digit is never 0 (one digit fewer would then
+ * round-trip too), so there are none to strip. Returns the length
+ * written to @p out.
+ */
+std::size_t
+layoutLikePrintfG(const char *sci, const char *end, char *out)
+{
+    char *o = out;
+    const char *c = sci;
+    if (*c == '-')
+        *o++ = *c++;
+    char digits[kDoubleChars];
+    int n = 0;
+    for (; *c != 'e'; ++c)
+        if (*c != '.')
+            digits[n++] = *c;
+    int exp = 0;
+    std::from_chars(c + (c[1] == '+' ? 2 : 1), end, exp);
+
+    const bool fixed = exp >= -4 && exp < n;
+    if (fixed && exp < 0) {
+        *o++ = '0';
+        *o++ = '.';
+        o = std::fill_n(o, -exp - 1, '0');
+        return static_cast<std::size_t>(
+            std::copy(digits, digits + n, o) - out);
+    }
+    const int intDigits = fixed ? exp + 1 : 1;
+    o = std::copy(digits, digits + intDigits, o);
+    if (n > intDigits) {
+        *o++ = '.';
+        o = std::copy(digits + intDigits, digits + n, o);
+    }
+    if (!fixed) {
+        *o++ = 'e';
+        *o++ = exp < 0 ? '-' : '+';
+        const int mag = exp < 0 ? -exp : exp;
+        if (mag < 10)
+            *o++ = '0';
+        o = std::to_chars(o, o + 4, mag).ptr;
+    }
+    return static_cast<std::size_t>(o - out);
+}
+
+/**
+ * JsonWriter::formatDouble() into @p out (at least kDoubleChars
+ * bytes); returns the length written.
+ */
+std::size_t
+formatDoubleInto(double v, char *out)
+{
+    if (!std::isfinite(v)) {
+        std::memcpy(out, "null", 4);
+        return 4;
+    }
+    // The shortest round-trip form's digit count is a lower bound on
+    // p: no shorter string parses back to v.
+    char shortest[kDoubleChars];
+    char *shortestEnd =
+        std::to_chars(shortest, shortest + sizeof(shortest), v,
+                      std::chars_format::scientific)
+            .ptr;
+    int p = static_cast<int>(std::count_if(
+        shortest, std::find(shortest, shortestEnd, 'e'),
+        [](char c) { return c >= '0' && c <= '9'; }));
+    // "%.{p}g" prints the correctly rounded p-digit value. At p = P
+    // that is usually the shortest form itself, which round-trips by
+    // construction; otherwise (next to a power of two) it can miss v,
+    // so check it and step p up until it parses back.
+    char sci[kDoubleChars];
+    for (;; ++p) {
+        char *sciEnd =
+            std::to_chars(sci, sci + sizeof(sci), v,
+                          std::chars_format::scientific, p - 1)
+                .ptr;
+        if (std::equal(sci, sciEnd, shortest, shortestEnd))
+            return layoutLikePrintfG(sci, sciEnd, out);
+        double back = 0.0;
+        const auto parsed = std::from_chars(sci, sciEnd, back);
+        if (p >= 17 || (parsed.ec == std::errc() && back == v))
+            return layoutLikePrintfG(sci, sciEnd, out);
+    }
+}
+
+} // namespace
+
 std::string
 JsonWriter::formatDouble(double v)
 {
-    if (!std::isfinite(v))
-        return "null";
-    char buf[40];
-    for (int precision = 1; precision <= 17; ++precision) {
-        std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    return buf;
+    char buf[kDoubleChars];
+    return std::string(buf, formatDoubleInto(v, buf));
 }
 
 void
@@ -179,7 +273,8 @@ JsonWriter &
 JsonWriter::value(double v)
 {
     beforeValue();
-    os_ << formatDouble(v);
+    char buf[kDoubleChars];
+    os_.write(buf, static_cast<std::streamsize>(formatDoubleInto(v, buf)));
     return *this;
 }
 

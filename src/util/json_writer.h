@@ -71,8 +71,19 @@ class JsonWriter
 
     /**
      * Deterministic decimal rendering of a finite double: the
-     * shortest "%.{p}g" form that parses back to the same bits.
-     * Non-finite values render as null (JSON has no Inf/NaN).
+     * "%.{p}g" form for the smallest precision p in 1..17 that
+     * parses back to the same bits. Non-finite values render as null
+     * (JSON has no Inf/NaN).
+     *
+     * Computed without printf: the digit count of the shortest
+     * round-trip form (std::to_chars) is a lower bound on p, since no
+     * shorter string parses back. From there, std::to_chars with
+     * precision p-1 gives the correctly rounded p-digit value that
+     * "%.{p}g" prints, and std::from_chars checks it; p only steps
+     * up when that value misses, which happens next to powers of
+     * two. The digits are then laid out as "%g" does (fixed or
+     * exponent form, two-digit minimum exponent), so the output is
+     * byte-identical to a printf loop over p.
      */
     static std::string formatDouble(double v);
 

@@ -8,7 +8,6 @@
  * refactors of the binary's plumbing.
  */
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -16,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scoped_temp_dir.h"
 #include "util/json.h"
 
 using namespace pad;
@@ -39,9 +39,15 @@ runPadsim(const std::string &args)
     return std::system(cmd.c_str());
 }
 
-// Every test uses its own file names so the cases stay independent
-// when ctest runs them concurrently.
-using CliTraceTest = ::testing::Test;
+// Every test works in its own temporary directory so the cases stay
+// independent when ctest runs them concurrently.
+class CliTraceTest : public ::testing::Test
+{
+  protected:
+    void SetUp() override { ASSERT_TRUE(tmp_.enter()); }
+
+    test::ScopedTempDir tmp_;
+};
 
 TEST_F(CliTraceTest, ChromeTraceStatsAndManifest)
 {
@@ -138,8 +144,6 @@ TEST_F(CliTraceTest, TracingDoesNotChangeTableOutput)
                               .c_str()),
               0);
     EXPECT_EQ(slurp("cli_out_a.txt"), slurp("cli_out_b.txt"));
-    std::remove("cli_out_a.txt");
-    std::remove("cli_out_b.txt");
 }
 
 } // namespace

@@ -8,10 +8,7 @@
  */
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,43 +16,16 @@
 
 #include <gtest/gtest.h>
 
+#include "counting_new.h"
 #include "obs/manifest.h"
 #include "obs/trace_sink.h"
 #include "obs/tracer.h"
 #include "obs/version.h"
+#include "scoped_temp_dir.h"
 #include "sim/stats_registry.h"
 #include "util/json.h"
 
 using namespace pad;
-
-// ---------------------------------------------------------------------
-// Allocation counting for the zero-cost-when-disabled contract.
-// ---------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> gAllocations{0};
-}
-
-void *
-operator new(std::size_t size)
-{
-    gAllocations.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace {
 
@@ -282,7 +252,9 @@ TEST(ChromeSink, PerJobProcessesAndStableThreadIds)
 
 TEST(FileSink, WritesAndCompletesChromeFile)
 {
-    const std::string path = "obs_test_trace.json";
+    const test::ScopedTempDir tmp;
+    ASSERT_TRUE(tmp.ok());
+    const std::string path = tmp.path("trace.json");
     {
         auto sink = obs::FileTraceSink::open(
             path, obs::FileTraceSink::Format::Chrome);
@@ -297,7 +269,6 @@ TEST(FileSink, WritesAndCompletesChromeFile)
     const auto doc = parseJson(buf.str());
     ASSERT_TRUE(doc.has_value());
     EXPECT_EQ(doc->find("traceEvents")->array.size(), 2u);
-    std::remove(path.c_str());
 }
 
 TEST(FileSink, FormatNames)

@@ -14,11 +14,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "scoped_temp_dir.h"
 #include "telemetry/prom.h"
 #include "util/json.h"
 
@@ -62,10 +64,11 @@ scalarOf(const JsonValue &stats, const std::string &name)
 }
 
 /**
- * The fixture runs one traced 22-rack attack through padsim once and
- * shares the artifacts across tests (SetUpTestSuite keeps the suite
- * fast; every file is suite-unique so concurrent ctest binaries
- * cannot collide).
+ * The fixture runs one traced 22-rack attack through padsim once per
+ * test process and shares the artifacts across that process's tests
+ * (SetUpTestSuite keeps the suite fast). ctest runs every TEST in
+ * its own process, concurrently under -j, so each process works in
+ * its own temporary directory.
  */
 class PadtraceForensics : public ::testing::Test
 {
@@ -73,6 +76,9 @@ class PadtraceForensics : public ::testing::Test
     static void
     SetUpTestSuite()
     {
+        dir_ = std::make_unique<test::ScopedTempDir>();
+        if (!dir_->enter())
+            return;
         ran_ = runCmd(PADSIM_BIN,
                       "--scheme PAD --racks 22 --duration 120"
                       " --detector --quiet"
@@ -81,10 +87,11 @@ class PadtraceForensics : public ::testing::Test
                       " --prom ptr_metrics.prom");
     }
 
-    static int ran_;
-};
+    static void TearDownTestSuite() { dir_.reset(); }
 
-int PadtraceForensics::ran_ = -1;
+    static inline std::unique_ptr<test::ScopedTempDir> dir_;
+    static inline int ran_ = -1;
+};
 
 } // namespace
 
@@ -255,6 +262,8 @@ TEST(PadtraceCli, MissingTraceIsAOneLineErrorOnStderr)
     // Regression (hard error contract): a missing or unreadable
     // input produces exactly one explanatory line on stderr and a
     // nonzero exit — never a stack trace, never silence.
+    test::ScopedTempDir tmp;
+    ASSERT_TRUE(tmp.enter());
     ASSERT_EQ(WEXITSTATUS(runCmdErr(PADTRACE_BIN,
                                     "report /does/not/exist.jsonl",
                                     "ptr_missing_err.txt")),
@@ -272,6 +281,8 @@ TEST(PadtraceCli, IncidentsSubcommandRendersArtifacts)
     // End-to-end: padsim evaluates the shipped default rules online
     // and streams incidents; padtrace re-renders them as a table,
     // JSONL and the standalone HTML dashboard.
+    test::ScopedTempDir tmp;
+    ASSERT_TRUE(tmp.enter());
     ASSERT_EQ(runCmd(PADSIM_BIN,
                      "--scheme PAD --racks 22 --duration 120"
                      " --detector --quiet"

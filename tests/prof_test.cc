@@ -11,14 +11,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "counting_new.h"
 #include "engine/prof_stats.h"
 #include "obs/prof.h"
 #include "obs/trace_sink.h"
@@ -30,36 +29,6 @@
 #include "util/json.h"
 
 using namespace pad;
-
-// ---------------------------------------------------------------------
-// Allocation counting for the zero-cost-when-disabled contract
-// (same global-new idiom as obs_test).
-// ---------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> gAllocations{0};
-}
-
-void *
-operator new(std::size_t size)
-{
-    gAllocations.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace {
 

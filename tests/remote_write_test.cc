@@ -9,8 +9,10 @@
  */
 
 #include <atomic>
+#include <bit>
+#include <cfloat>
 #include <chrono>
-#include <cstdio>
+#include <cmath>
 #include <dirent.h>
 #include <fstream>
 #include <sstream>
@@ -26,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scoped_temp_dir.h"
 #include "service/daemon.h"
 #include "service/session.h"
 #include "sim/stats_registry.h"
@@ -67,14 +70,6 @@ spoolListing(const std::string &dir)
     return names;
 }
 
-void
-removeSpoolDir(const std::string &dir)
-{
-    for (const auto &name : spoolListing(dir))
-        std::remove((dir + "/" + name).c_str());
-    ::rmdir(dir.c_str());
-}
-
 /** Poll @p pred at 1 ms until true or ~5 s elapsed. */
 bool
 eventually(const std::function<bool()> &pred)
@@ -104,6 +99,92 @@ sampleBatch(const std::string &source, std::uint64_t seq, Tick tick)
     second.samples.push_back({tick, 49000.25});
     b.series.push_back(second);
     return b;
+}
+
+/** Connect a raw client socket to a loopback receiver; -1 on error. */
+int
+connectLoopback(int port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/** Send one wire frame and read back its ack line ("" on error). */
+std::string
+sendFrameForAck(int fd, const std::string &frame)
+{
+    if (::send(fd, frame.data(), frame.size(), 0) !=
+        static_cast<ssize_t>(frame.size()))
+        return "";
+    std::string ack;
+    char c = 0;
+    while (ack.find('\n') == std::string::npos &&
+           ::recv(fd, &c, 1, 0) == 1)
+        ack.push_back(c);
+    return ack;
+}
+
+/**
+ * The pinned pad-rw-v1 pair: a batch whose samples cover the number
+ * formatter's edge cases (both signs of zero, fixed/exponent form
+ * switches, subnormals, the extremes, and a power of two whose
+ * shortest digits do not round-trip at their own precision) and a
+ * stats dump.
+ */
+std::vector<RwBatch>
+goldenBatches()
+{
+    RwBatch batch;
+    batch.source = "golden";
+    batch.seq = 0;
+    batch.tick = 86400000;
+    RwSeriesChunk power;
+    power.name = "pdu.power";
+    const double values[] = {
+        50125.5,         0.0,
+        -0.0,            0.1,
+        1.0 / 3.0,       0.1 + 0.2,
+        1e-5,            1.25e-4,
+        123456.0,        1e16,
+        1e17,            9007199254740993.0,
+        -2.5e-300,       DBL_MAX,
+        -DBL_MAX,        DBL_MIN,
+        DBL_TRUE_MIN,    std::ldexp(1.0, -1017),
+        740.0625,        100.0,
+    };
+    Tick when = 86399000;
+    for (const double v : values)
+        power.samples.push_back({when += 50, v});
+    batch.series.push_back(power);
+    RwSeriesChunk soc;
+    soc.name = "rack0.soc";
+    soc.samples.push_back({86399500, 0.87654321});
+    soc.samples.push_back({86400000, 0.8765432099999999});
+    batch.series.push_back(soc);
+
+    RwBatch stats;
+    stats.type = "stats";
+    stats.source = "golden";
+    stats.seq = 1;
+    stats.tick = 86400000;
+    stats.scalars.emplace_back("attack.survival_sec", 1600.0);
+    stats.scalars.emplace_back("deb.min_soc", 0.123456789012345678);
+    stats.scalars.emplace_back("edge.neg_zero", -0.0);
+    stats.scalars.emplace_back("edge.tiny", DBL_TRUE_MIN);
+    stats.counters.emplace_back("attack.spikes_launched", 17);
+    stats.counters.emplace_back("edge.two_pow_53", 9007199254740992ULL);
+    return {batch, stats};
 }
 
 } // namespace
@@ -183,6 +264,99 @@ TEST(RwCodec, ParserRejectsMalformedLines)
             << bad;
         EXPECT_FALSE(error.empty()) << bad;
     }
+}
+
+// Pinned pad-rw-v1 bytes for goldenBatches(): any change to them is
+// a wire format change, which receivers and spool files depend on.
+constexpr const char *kGoldenBatchLine =
+    "{\"v\":1,\"type\":\"batch\",\"source\":\"golden\","
+    "\"seq\":0,\"tick\":86400000,"
+    "\"series\":[{\"name\":\"pdu.power\",\"samples\":[[86399050,50125.5],"
+    "[86399100,0],[86399150,-0],[86399200,0.1],[86399250,"
+    "0.3333333333333333],[86399300,0.30000000000000004],[86399350,"
+    "1e-05],[86399400,0.000125],[86399450,123456],[86399500,1e+16],"
+    "[86399550,1e+17],[86399600,9007199254740992],[86399650,"
+    "-2.5e-300],[86399700,1.7976931348623157e+308],[86399750,"
+    "-1.7976931348623157e+308],[86399800,2.2250738585072014e-308],"
+    "[86399850,5e-324],[86399900,7.1202363472230444e-307],[86399950,"
+    "740.0625],[86400000,1e+02]]},{\"name\":\"rack0.soc\","
+    "\"samples\":[[86399500,0.87654321],[86400000,"
+    "0.8765432099999999]]}]}";
+constexpr const char *kGoldenStatsLine =
+    "{\"v\":1,\"type\":\"stats\",\"source\":\"golden\","
+    "\"seq\":1,\"tick\":86400000,"
+    "\"scalars\":{\"attack.survival_sec\":1.6e+03,"
+    "\"deb.min_soc\":0.12345678901234568,\"edge.neg_zero\":-0,"
+    "\"edge.tiny\":5e-324},\"counters\":{\"attack.spikes_launched\":17,"
+    "\"edge.two_pow_53\":9007199254740992}}";
+constexpr const char *kGoldenDump =
+    "pad-rx-dump v1\n"
+    "source golden last_seq 1\n"
+    "series fleet.golden.pdu.power count 20 min "
+    "-1.7976931348623157e+308 max 1.7976931348623157e+308 mean "
+    "42.003125 last_tick 86400000 last_value 1e+02\n"
+    "series fleet.golden.rack0.soc count 2 min 0.8765432099999999 "
+    "max 0.87654321 mean 0.8765432099999999 last_tick 86400000 "
+    "last_value 0.8765432099999999\n"
+    "scalar fleet.golden.attack.survival_sec 1.6e+03\n"
+    "scalar fleet.golden.deb.min_soc 0.12345678901234568\n"
+    "scalar fleet.golden.edge.neg_zero -0\n"
+    "scalar fleet.golden.edge.tiny 5e-324\n"
+    "counter fleet.golden.attack.spikes_launched 17\n"
+    "counter fleet.golden.edge.two_pow_53 9007199254740992\n";
+
+TEST(RwCodec, GoldenWireBytesAndBitExactRoundTrip)
+{
+    const std::vector<RwBatch> batches = goldenBatches();
+    const std::string golden[] = {kGoldenBatchLine, kGoldenStatsLine};
+    for (std::size_t i = 0; i < batches.size(); ++i) {
+        const std::string line = renderRwBatchLine(batches[i]);
+        EXPECT_EQ(line, golden[i]);
+
+        std::string error;
+        const auto back = parseRwBatchLine(line, &error);
+        ASSERT_TRUE(back.has_value()) << error;
+        ASSERT_EQ(back->series.size(), batches[i].series.size());
+        for (std::size_t c = 0; c < back->series.size(); ++c) {
+            const auto &want = batches[i].series[c].samples;
+            const auto &got = back->series[c].samples;
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t k = 0; k < got.size(); ++k) {
+                EXPECT_EQ(got[k].when, want[k].when);
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k].value),
+                          std::bit_cast<std::uint64_t>(want[k].value))
+                    << batches[i].series[c].name << "[" << k << "]";
+            }
+        }
+        ASSERT_EQ(back->scalars.size(), batches[i].scalars.size());
+        for (std::size_t k = 0; k < back->scalars.size(); ++k)
+            EXPECT_EQ(
+                std::bit_cast<std::uint64_t>(back->scalars[k].second),
+                std::bit_cast<std::uint64_t>(
+                    batches[i].scalars[k].second))
+                << back->scalars[k].first;
+        EXPECT_EQ(back->counters, batches[i].counters);
+        EXPECT_EQ(renderRwBatchLine(*back), line);
+    }
+}
+
+TEST(RemoteWrite, GoldenReceiverDump)
+{
+    ReceiverServer rx(0);
+    std::string error;
+    ASSERT_TRUE(rx.start(&error)) << error;
+    const int fd = connectLoopback(rx.port());
+    ASSERT_GE(fd, 0);
+    for (const RwBatch &b : goldenBatches()) {
+        const std::string ack =
+            sendFrameForAck(fd, frameRwLine(renderRwBatchLine(b)));
+        EXPECT_NE(ack.find("\"ok\":true"), std::string::npos) << ack;
+    }
+    ::close(fd);
+    EXPECT_TRUE(
+        eventually([&] { return rx.counters().statsBatches == 1; }));
+    rx.stop();
+    EXPECT_EQ(rx.dumpMerged(), kGoldenDump);
 }
 
 TEST(RwCodec, ValidatesFramedAndBareStreams)
@@ -346,28 +520,15 @@ TEST(RemoteWrite, ReceiverSkipsButAcksDuplicateSeq)
     std::string error;
     ASSERT_TRUE(rx.start(&error)) << error;
 
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = connectLoopback(rx.port());
     ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(rx.port()));
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                        sizeof(addr)),
-              0);
 
     // The same frame twice — a resend after a lost ack. Both must be
     // acked, the second skipped.
     const std::string frame =
         frameRwLine(renderRwBatchLine(sampleBatch("dup", 0, 5000)));
     for (int round = 0; round < 2; ++round) {
-        ASSERT_EQ(::send(fd, frame.data(), frame.size(), 0),
-                  static_cast<ssize_t>(frame.size()));
-        std::string ack;
-        char c = 0;
-        while (ack.find('\n') == std::string::npos &&
-               ::recv(fd, &c, 1, 0) == 1)
-            ack.push_back(c);
+        const std::string ack = sendFrameForAck(fd, frame);
         EXPECT_NE(ack.find("\"ok\":true"), std::string::npos) << ack;
         EXPECT_NE(ack.find("\"seq\":0"), std::string::npos) << ack;
     }
@@ -437,8 +598,9 @@ TEST(RemoteWrite, ReceiverNeverUpStaysBoundedAndCountsDrops)
 
 TEST(RemoteWrite, SpoolsAcrossOutageAndReplaysInOrder)
 {
-    const std::string spool = "rw_outage_spool";
-    removeSpoolDir(spool);
+    const test::ScopedTempDir tmp;
+    ASSERT_TRUE(tmp.ok());
+    const std::string spool = tmp.path("spool");
 
     // Phase 1: receiver up; first batch delivered live.
     auto rx = std::make_unique<ReceiverServer>(0);
@@ -510,13 +672,13 @@ TEST(RemoteWrite, SpoolsAcrossOutageAndReplaysInOrder)
     EXPECT_TRUE(spoolListing(spool).empty());
 
     rx2.stop();
-    removeSpoolDir(spool);
 }
 
 TEST(RemoteWrite, CrashCutSpoolReplaysCompleteRecords)
 {
-    const std::string spool = "rw_crashcut_spool";
-    removeSpoolDir(spool);
+    const test::ScopedTempDir tmp;
+    ASSERT_TRUE(tmp.ok());
+    const std::string spool = tmp.path("spool");
     ASSERT_EQ(::mkdir(spool.c_str(), 0755), 0);
 
     // A spool left behind by a crashed run: two whole batches and a
@@ -565,7 +727,6 @@ TEST(RemoteWrite, CrashCutSpoolReplaysCompleteRecords)
     EXPECT_TRUE(spoolListing(spool).empty());
 
     rx.stop();
-    removeSpoolDir(spool);
 }
 
 // ---------------------------------------------------------------------
@@ -643,7 +804,9 @@ TEST(RemoteWrite, ReplayedSessionShipsIdenticalStream)
     opts.speed = 0.0;
     opts.metricsPort = -1;
     opts.controlPort = -1;
-    opts.sessionPath = "rw_replay_session.jsonl";
+    const test::ScopedTempDir tmp;
+    ASSERT_TRUE(tmp.ok());
+    opts.sessionPath = tmp.path("session.jsonl");
     opts.pushTo = "127.0.0.1:" + std::to_string(liveRx.port());
     opts.pushIntervalS = 120.0;
     ServiceDaemon daemon(std::move(opts));
@@ -651,7 +814,7 @@ TEST(RemoteWrite, ReplayedSessionShipsIdenticalStream)
     daemon.run();
     EXPECT_EQ(daemon.result().commands, 0u);
 
-    const auto log = readSessionFile("rw_replay_session.jsonl", &error);
+    const auto log = readSessionFile(tmp.path("session.jsonl"), &error);
     ASSERT_TRUE(log.has_value()) << error;
 
     // Replay the session twice, each into its own fresh receiver.
@@ -678,6 +841,4 @@ TEST(RemoteWrite, ReplayedSessionShipsIdenticalStream)
     liveRx.stop();
     EXPECT_EQ(a, liveRx.dumpMerged());
     EXPECT_EQ(rxA.counters().samples, liveRx.counters().samples);
-
-    std::remove("rw_replay_session.jsonl");
 }

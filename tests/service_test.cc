@@ -8,7 +8,6 @@
  */
 
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -22,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scoped_temp_dir.h"
 #include "service/control.h"
 #include "service/daemon.h"
 #include "service/session.h"
@@ -95,6 +95,8 @@ responseOk(const std::string &line)
 
 TEST(SessionCodec, WriterParserRoundTrip)
 {
+    test::ScopedTempDir tmp;
+    ASSERT_TRUE(tmp.enter());
     const std::string path = "svc_roundtrip_session.jsonl";
     ServiceConfig config;
     config.scheme = core::SchemeKind::Conv;
@@ -163,7 +165,6 @@ TEST(SessionCodec, WriterParserRoundTrip)
     EXPECT_EQ(log->commands[1].spec->seed, 99u);
     EXPECT_DOUBLE_EQ(log->commands[2].speed, 120.0);
     EXPECT_EQ(log->endTick, 5000);
-    std::remove(path.c_str());
 }
 
 TEST(SessionCodec, ParserRejectsMalformedSessions)
@@ -311,6 +312,8 @@ TEST(ControlChannel, BindFailureIsAOneLineError)
 
 TEST(ServiceDaemon, LiveSessionReplaysByteIdentically)
 {
+    test::ScopedTempDir tmp;
+    ASSERT_TRUE(tmp.enter());
     DaemonOptions opts;
     opts.config.durationSec = 0.0; // run until shutdown
     opts.speed = 0.0;              // max
@@ -434,17 +437,12 @@ TEST(ServiceDaemon, LiveSessionReplaysByteIdentically)
     EXPECT_EQ(cutLog->endTick, log->commands.back().tick);
     ASSERT_TRUE(replaySession(*cutLog, ReplayArtifacts{}, &error))
         << error;
-
-    for (const char *path :
-         {"svc_e2e_session.jsonl", "svc_e2e_live_incidents.jsonl",
-          "svc_e2e_live_stats.json", "svc_e2e_live.prom",
-          "svc_e2e_replay_incidents.jsonl",
-          "svc_e2e_replay_stats.json", "svc_e2e_replay.prom"})
-        std::remove(path);
 }
 
 TEST(ServiceDaemon, DurationLimitStopsWithoutEndpoints)
 {
+    test::ScopedTempDir tmp;
+    ASSERT_TRUE(tmp.enter());
     DaemonOptions opts;
     opts.config.durationSec = 1800.0;
     opts.speed = 0.0;
@@ -478,12 +476,12 @@ TEST(ServiceDaemon, DurationLimitStopsWithoutEndpoints)
     twin.run();
     EXPECT_EQ(slurp("svc_duration_a.json"),
               slurp("svc_duration_b.json"));
-    std::remove("svc_duration_a.json");
-    std::remove("svc_duration_b.json");
 }
 
 TEST(ServiceDaemon, StartFailsCleanlyOnBadInputs)
 {
+    test::ScopedTempDir tmp;
+    ASSERT_TRUE(tmp.enter());
     // Occupied control port.
     ControlServer squatter(0, [](const std::string &) {
         return std::string("{}");

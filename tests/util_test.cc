@@ -4,8 +4,14 @@
  * tables and unit conversions.
  */
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -314,6 +320,181 @@ TEST(Json, WriterOutputRoundTripsThroughParser)
     ASSERT_EQ(doc->find("flags")->array.size(), 3u);
     EXPECT_TRUE(doc->find("flags")->array[2].isNull());
     EXPECT_EQ(doc->find("nested")->find("unicode")->str, "é€");
+}
+
+// ---------------------------------------------------------------------
+// Number conversions: formatDouble and parseJson numbers must agree
+// string for string (and bit for bit) with the printf/strtod loop
+// they replaced, so every writer's output stays byte-identical.
+// ---------------------------------------------------------------------
+
+/** The historical formatDouble: smallest "%.{p}g" that round-trips. */
+std::string
+referenceFormatDouble(double v)
+{
+    if (!std::isfinite(v))
+        return "null";
+    char buf[40];
+    for (int precision = 1; precision <= 17; ++precision) {
+        std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+        if (std::strtod(buf, nullptr) == v)
+            break;
+    }
+    return buf;
+}
+
+/** @p v and its neighbours one ulp away on either side. */
+void
+pushWithNeighbours(std::vector<double> &out, double v)
+{
+    out.push_back(v);
+    out.push_back(std::nextafter(v, -HUGE_VAL));
+    out.push_back(std::nextafter(v, HUGE_VAL));
+}
+
+TEST(NumberFormat, FormatDoubleMatchesPrintfLoopOnEdgeValues)
+{
+    std::vector<double> values;
+    for (int e = -1074; e <= 1023; ++e)
+        pushWithNeighbours(values, std::ldexp(1.0, e));
+    for (int e = -323; e <= 308; ++e)
+        pushWithNeighbours(values, std::strtod(
+            ("1e" + std::to_string(e)).c_str(), nullptr));
+    // Subnormals: the smallest few, and a sweep up to DBL_MIN.
+    for (std::uint64_t m = 1; m <= 4096; ++m)
+        values.push_back(std::bit_cast<double>(m));
+    for (std::uint64_t m = 1; m < (1ULL << 52); m = m * 3 + 7)
+        values.push_back(std::bit_cast<double>(m));
+    pushWithNeighbours(values, DBL_MAX);
+    pushWithNeighbours(values, DBL_MIN);
+    pushWithNeighbours(values, DBL_TRUE_MIN);
+    // Short decimals straddling the %g fixed/exponent switch.
+    for (const double v : {0.0, 0.1, 0.5, 1.5, 100.0, 1e-5, 1.25e-4,
+                           123456.0, 1e16, 1e17, 12345678901234567.0,
+                           740.0625, 50125.5, 0.30000000000000004})
+        pushWithNeighbours(values, v);
+
+    std::size_t checked = 0;
+    for (const double v : values) {
+        for (const double s : {v, -v}) {
+            ASSERT_EQ(JsonWriter::formatDouble(s),
+                      referenceFormatDouble(s))
+                << "bits 0x" << std::hex
+                << std::bit_cast<std::uint64_t>(s);
+            ++checked;
+        }
+    }
+    EXPECT_GT(checked, 10000u);
+
+    EXPECT_EQ(JsonWriter::formatDouble(0.0), "0");
+    EXPECT_EQ(JsonWriter::formatDouble(-0.0), "-0");
+    EXPECT_EQ(JsonWriter::formatDouble(100.0), "1e+02");
+    EXPECT_EQ(JsonWriter::formatDouble(DBL_TRUE_MIN), "5e-324");
+    EXPECT_EQ(JsonWriter::formatDouble(0.1 + 0.2), "0.30000000000000004");
+    EXPECT_EQ(JsonWriter::formatDouble(
+                  std::numeric_limits<double>::infinity()),
+              "null");
+    EXPECT_EQ(JsonWriter::formatDouble(
+                  -std::numeric_limits<double>::infinity()),
+              "null");
+    EXPECT_EQ(JsonWriter::formatDouble(
+                  std::numeric_limits<double>::quiet_NaN()),
+              "null");
+}
+
+/**
+ * 2^20 seeded bit patterns, split over eight cases so ctest -j
+ * spreads the reference loop's cost. Half are raw 64-bit patterns
+ * (every exponent, NaN and infinity included); half keep the
+ * exponent within 2^-30..2^70, where telemetry values live and %g
+ * switches between fixed and exponent form. A failure names the
+ * (seed, draw) pair that replays it.
+ */
+class FormatDoubleRandom : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(FormatDoubleRandom, MatchesPrintfLoopOnSeededBitPatterns)
+{
+    constexpr std::uint64_t kDraws = 1u << 17;
+    const std::uint64_t seed = 0x9ad0f00d + GetParam();
+    const CounterRng rng(seed);
+    for (std::uint64_t n = 0; n < kDraws; ++n) {
+        std::uint64_t bits = rng.at(n);
+        if (n & 1) {
+            const std::uint64_t exponent = 1023 - 30 + (bits >> 52) % 100;
+            bits = (bits & 0x800fffffffffffffULL) | (exponent << 52);
+        }
+        const double v = std::bit_cast<double>(bits);
+        ASSERT_EQ(JsonWriter::formatDouble(v), referenceFormatDouble(v))
+            << "seed " << seed << " draw " << n;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, FormatDoubleRandom,
+                         ::testing::Range(0, 8));
+
+/** Bit-exact equality (distinguishes -0 from 0, matches NaN payloads). */
+::testing::AssertionResult
+sameBits(double a, double b)
+{
+    if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b))
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << a << " (0x" << std::hex << std::bit_cast<std::uint64_t>(a)
+           << ") vs " << b << " (0x" << std::bit_cast<std::uint64_t>(b)
+           << ")";
+}
+
+TEST(NumberParse, ParseJsonNumbersMatchStrtod)
+{
+    const char *numbers[] = {
+        "0", "-0", "1", "-1", "0.1", "1e5", "1E5", "1e+5", "1.5e-7",
+        "123456789012345678901234567890",
+        "3.14159265358979323846264338327950288419716939937510",
+        "0.30000000000000000555111512312578270211815834045410156250001",
+        "1e999", "-1e999", "1e-400", "-1e-400", "4.9e-324",
+        "2.4703282292062327e-324", "2.4703282292062328e-324",
+        "2.2250738585072011e-308", "2.2250738585072014e-308",
+        "1.7976931348623157e308", "1.7976931348623158e308",
+        "1.7976931348623159e308",
+    };
+    for (const char *text : numbers) {
+        const auto doc = parseJson(text);
+        ASSERT_TRUE(doc.has_value()) << text;
+        ASSERT_TRUE(doc->isNumber()) << text;
+        EXPECT_TRUE(sameBits(doc->number, std::strtod(text, nullptr)))
+            << text;
+    }
+    EXPECT_EQ(parseJson("1e999")->number, HUGE_VAL);
+    EXPECT_TRUE(std::signbit(parseJson("-0")->number));
+    EXPECT_EQ(parseJson("1e-400")->number, 0.0);
+
+    // formatDouble's output parses back bit for bit.
+    const CounterRng rng(0x5eed);
+    for (std::uint64_t n = 0; n < 100000; ++n) {
+        const double v = std::bit_cast<double>(rng.at(n));
+        if (!std::isfinite(v))
+            continue;
+        const std::string text = JsonWriter::formatDouble(v);
+        const auto doc = parseJson(text);
+        ASSERT_TRUE(doc.has_value()) << text;
+        ASSERT_TRUE(sameBits(doc->number, v)) << text;
+        ASSERT_TRUE(
+            sameBits(doc->number, std::strtod(text.c_str(), nullptr)))
+            << text;
+    }
+}
+
+TEST(NumberParse, GrammarRejectionsSurvive)
+{
+    for (const char *bad : {"01", "-01", "00", ".5", "-.5", "1.", "1.e5",
+                            "1e", "1e+", "1E-", "-", "+1", "--1",
+                            "0x10", "1e5.0", "Infinity", "NaN"}) {
+        std::string error;
+        EXPECT_FALSE(parseJson(bad, &error).has_value()) << bad;
+        EXPECT_FALSE(error.empty()) << bad;
+    }
 }
 
 } // namespace
