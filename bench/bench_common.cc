@@ -27,18 +27,17 @@ usage(const char *argv0)
         << "       [--stats-json FILE] [--prom FILE] [--manifest FILE]\n"
         << "       [--alerts RULES] [--incidents FILE]\n"
         << "       [--incident-html FILE]\n"
-        << "       [--backend baseline|optimized|soa]\n"
+        << "       [--backend optimized|soa]\n"
         << "       [--log-level silent|error|warn|info|debug]\n"
         << "  --jobs N  worker threads for the sweep (0 = all cores);\n"
         << "            results are bit-identical for every N\n"
         << "  --backend NAME  engine backend for every cluster job\n"
-        << "                  (default optimized; baseline is\n"
-        << "                  bit-identical, soa is the opt-in batch\n"
-        << "                  engine)\n";
+        << "                  (default optimized; soa is the opt-in\n"
+        << "                  batch engine)\n";
     std::exit(2);
 }
 
-/** Parse --backend/--profile values; exits with usage on junk. */
+/** Parse --backend values; exits with usage on junk. */
 engine::BackendKind
 parseBackend(const char *argv0, const std::string &name)
 {
@@ -89,16 +88,6 @@ parseBenchArgs(int argc, char **argv)
         } else if (arg == "--incident-html") {
             opts.incidentHtml = need(i);
         } else if (arg == "--backend") {
-            opts.backend = parseBackend(argv[0], need(i));
-        } else if (arg == "--profile") {
-            // Historical spelling from the EngineTuning era; the
-            // profile names map 1:1 onto the scalar backends.
-            static bool warned = false;
-            if (!warned) {
-                warned = true;
-                warn("--profile is deprecated; use --backend "
-                     "baseline|optimized|soa");
-            }
             opts.backend = parseBackend(argv[0], need(i));
         } else if (arg == "--log-level") {
             const std::string name = need(i);

@@ -112,10 +112,9 @@ struct BenchOptions {
     /** --incident-html FILE: HTML dashboard (needs --alerts). */
     std::string incidentHtml;
     /**
-     * --backend baseline|optimized|soa: engine backend stamped onto
-     * every cluster experiment in the sweep. The default (Optimized)
-     * and Baseline are bit-identical, so figure outputs only move
-     * when soa is explicitly requested — and then only within the
+     * --backend optimized|soa: engine backend stamped onto every
+     * cluster experiment in the sweep. Figure outputs only move when
+     * soa is explicitly requested — and then only within the
      * documented physical tolerances.
      */
     engine::BackendKind backend = engine::BackendKind::Optimized;
@@ -135,8 +134,7 @@ struct BenchOptions {
  * `--trace-format jsonl|chrome`, `--stats-json FILE`, `--prom FILE`,
  * `--manifest FILE`, `--alerts RULES`, `--incidents FILE`,
  * `--incident-html FILE`, `--backend NAME`, `--log-level L`); exits
- * with usage on anything unrecognized. `--profile NAME` is accepted
- * as a deprecated warn-once alias for `--backend`. Also applies the
+ * with usage on anything unrecognized. Also applies the
  * PAD_LOG_LEVEL environment fallback.
  * Sweep output is independent of --jobs by the SweepRunner
  * determinism contract — the flag only changes wall-clock time, and

@@ -5,19 +5,16 @@
  * Times the simulator's hot paths at three granularities — component
  * microbenchmarks (KiBaM step, event queue), the fine-grained attack
  * loop (ns/tick), and whole experiments (single-run and sweep
- * throughput) — under every engine backend, so each optimization is
- * measured against the exact pre-PR code path in one binary:
+ * throughput) — under every engine backend:
  *
- *   perfbench --backend all --json BENCH_PR6.json
+ *   perfbench --backend all --json BENCH_PR15.json
  *
  * The engine-level rows (fine_tick, single_run*, sweep*) run through
  * the explicit engine::EngineBackend API, one column per backend:
- * baseline and optimized are the scalar engine with the tuning
- * switches off/on, soa is the structure-of-arrays batch engine. The
- * component micro-rows (kibam_step, event_queue, alert_eval) measure
- * the scalar tuning switches in isolation — the SoA engine has no
- * equivalent standalone objects — so they report baseline/optimized
- * only, via the deprecated-but-still-measurable ScopedEngineProfile.
+ * optimized is the scalar engine, soa is the structure-of-arrays
+ * batch engine. The component micro-rows (kibam_step, event_queue,
+ * alert_eval) time standalone objects the SoA engine has no
+ * equivalent of, so they report an optimized column only.
  *
  * Results are wall-clock medians over repeated runs (see
  * perf_timing.h). Benchmark only Release builds (see README); the
@@ -25,9 +22,8 @@
  * uses --quick to shrink repetitions and only asserts the harness
  * runs.
  *
- * Speedup is reported as baseline-time / optimized-time and soa
- * speedup as optimized-time / soa-time (equivalently the throughput
- * ratios), so > 1 always means the later engine is faster.
+ * SoA speedup is reported as optimized-time / soa-time (equivalently
+ * the throughput ratio), so > 1 means the SoA engine is faster.
  *
  * Schema v3 adds engine self-profiling: the single_run_profiled row
  * re-times the standard attack with the EngineProfiler attached
@@ -59,7 +55,6 @@
 #include "sim/stats_registry.h"
 #include "telemetry/receiver.h"
 #include "telemetry/remote_write.h"
-#include "util/engine_tuning.h"
 #include "util/json_writer.h"
 #include "util/logging.h"
 
@@ -71,8 +66,7 @@ using namespace pad::bench;
 namespace {
 
 struct PerfOptions {
-    bool runBaseline = true;
-    bool runOptimized = true;
+    /** The optimized column always runs; soa is optional. */
     bool runSoa = true;
     bool quick = false;
     std::string jsonPath;
@@ -101,44 +95,24 @@ struct BenchRow {
     std::string unit;
     /** True when larger values are better (throughput units). */
     bool higherIsBetter = false;
-    std::optional<ProfileMeasure> baseline;
     std::optional<ProfileMeasure> optimized;
     std::optional<ProfileMeasure> soa;
-
-    /** baseline-time / optimized-time; 0 when a column is missing. */
-    double
-    speedup() const
-    {
-        return ratio(baseline, optimized);
-    }
 
     /** optimized-time / soa-time; 0 when a column is missing. */
     double
     speedupSoa() const
     {
-        return ratio(optimized, soa);
-    }
-
-  private:
-    double
-    ratio(const std::optional<ProfileMeasure> &before,
-          const std::optional<ProfileMeasure> &after) const
-    {
-        if (!before || !after || before->value <= 0.0 ||
-            after->value <= 0.0)
+        if (!optimized || !soa || optimized->value <= 0.0 ||
+            soa->value <= 0.0)
             return 0.0;
-        return higherIsBetter ? after->value / before->value
-                              : before->value / after->value;
+        return higherIsBetter ? soa->value / optimized->value
+                              : optimized->value / soa->value;
     }
 };
 
 // ---------------------------------------------------------------------
-// Benchmark bodies. The component micro-rows return the measurement
-// for the *current* thread's engine profile; their caller sets the
-// profile first, and all state that latches tuning flags at
-// construction (EventQueue pools) is built inside the body, after
-// the profile switch. The engine-level rows instead take an explicit
-// engine::BackendKind and never touch the thread profile.
+// Benchmark bodies. The component micro-rows time standalone objects;
+// the engine-level rows take an explicit engine::BackendKind.
 // ---------------------------------------------------------------------
 
 ProfileMeasure
@@ -511,12 +485,8 @@ printRow(const BenchRow &row)
                         static_cast<unsigned long long>(p.laps));
     };
     std::printf("%s\n", row.name.c_str());
-    print("baseline", row.baseline);
     print("optimized", row.optimized);
     print("soa", row.soa);
-    if (row.speedup() > 0.0)
-        std::printf("  %-9s %12.2fx (optimized vs baseline)\n",
-                    "speedup", row.speedup());
     if (row.speedupSoa() > 0.0)
         std::printf("  %-9s %12.2fx (soa vs optimized)\n",
                     "soa_gain", row.speedupSoa());
@@ -524,28 +494,19 @@ printRow(const BenchRow &row)
 }
 
 /**
- * Component micro-row: measures the scalar tuning switches in
- * isolation by flipping the calling thread's profile around the
- * body. The SoA engine has no standalone equivalent of these
- * components, so no soa column is produced.
+ * Component micro-row: the SoA engine has no standalone equivalent
+ * of these components, so only the optimized column is produced.
  */
 template <typename Fn>
 BenchRow
-runScalarRow(const PerfOptions &opt, const std::string &name,
-             const std::string &unit, bool higherIsBetter, Fn &&body)
+runScalarRow(const std::string &name, const std::string &unit,
+             bool higherIsBetter, Fn &&body)
 {
     BenchRow row;
     row.name = name;
     row.unit = unit;
     row.higherIsBetter = higherIsBetter;
-    if (opt.runBaseline) {
-        ScopedEngineProfile scope(EngineProfile::Baseline);
-        row.baseline = body();
-    }
-    if (opt.runOptimized) {
-        ScopedEngineProfile scope(EngineProfile::Optimized);
-        row.optimized = body();
-    }
+    row.optimized = body();
     printRow(row);
     return row;
 }
@@ -553,8 +514,7 @@ runScalarRow(const PerfOptions &opt, const std::string &name,
 /**
  * Engine-level row: the body receives an explicit BackendKind and
  * runs once per enabled backend through the engine::EngineBackend
- * API. The thread profile is never touched — each engine pins its
- * own tuning for the run.
+ * API.
  */
 template <typename Fn>
 BenchRow
@@ -565,10 +525,7 @@ runEngineRow(const PerfOptions &opt, const std::string &name,
     row.name = name;
     row.unit = unit;
     row.higherIsBetter = higherIsBetter;
-    if (opt.runBaseline)
-        row.baseline = body(engine::BackendKind::Baseline);
-    if (opt.runOptimized)
-        row.optimized = body(engine::BackendKind::Optimized);
+    row.optimized = body(engine::BackendKind::Optimized);
     if (opt.runSoa)
         row.soa = body(engine::BackendKind::Soa);
     printRow(row);
@@ -614,11 +571,8 @@ writeJson(const std::string &path, const PerfOptions &opt,
             }
             w.endObject();
         };
-        profile("baseline", row.baseline);
         profile("optimized", row.optimized);
         profile("soa", row.soa);
-        if (row.speedup() > 0.0)
-            w.key("speedup").value(row.speedup());
         if (row.speedupSoa() > 0.0)
             w.key("speedup_soa").value(row.speedupSoa());
         w.endObject();
@@ -634,42 +588,22 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--backend baseline|optimized|soa|all] "
-        "[--json FILE] [--quick]\n"
-        "  --profile NAME is a deprecated alias for --backend\n"
-        "  (accepts the historical value \"both\" = the two scalar\n"
-        "  backends)\n",
+        "usage: %s [--backend optimized|soa|all] "
+        "[--json FILE] [--quick]\n",
         argv0);
     std::exit(2);
 }
 
-/** Map a --backend/--profile value onto the enabled-column set. */
+/** Map a --backend value onto the enabled-column set. */
 void
 selectBackends(PerfOptions &opt, const std::string &name,
                const char *argv0)
 {
-    opt.runBaseline = false;
-    opt.runOptimized = false;
-    opt.runSoa = false;
-    if (name == "baseline") {
-        opt.runBaseline = true;
-    } else if (name == "optimized") {
-        opt.runOptimized = true;
-    } else if (name == "soa") {
-        // SoA speedup is reported against optimized, so asking for
-        // the soa column alone still measures the scalar reference.
-        opt.runOptimized = true;
-        opt.runSoa = true;
-    } else if (name == "both") {
-        opt.runBaseline = true;
-        opt.runOptimized = true;
-    } else if (name == "all") {
-        opt.runBaseline = true;
-        opt.runOptimized = true;
-        opt.runSoa = true;
-    } else {
+    // SoA speedup is reported against optimized, so asking for the
+    // soa column alone still measures the scalar reference.
+    if (name != "optimized" && name != "soa" && name != "all")
         usage(argv0);
-    }
+    opt.runSoa = name != "optimized";
 }
 
 } // namespace
@@ -681,10 +615,6 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--backend" && i + 1 < argc) {
-            selectBackends(opt, argv[++i], argv[0]);
-        } else if (arg == "--profile" && i + 1 < argc) {
-            pad::warn("--profile is deprecated; use --backend "
-                      "baseline|optimized|soa|all");
             selectBackends(opt, argv[++i], argv[0]);
         } else if (arg == "--json" && i + 1 < argc) {
             opt.jsonPath = argv[++i];
@@ -704,17 +634,17 @@ main(int argc, char **argv)
         runner::makeClusterWorkload(3.0);
 
     std::vector<BenchRow> rows;
-    rows.push_back(runScalarRow(opt, "kibam_step", "ns_per_op", false,
+    rows.push_back(runScalarRow("kibam_step", "ns_per_op", false,
                                 [&] { return benchKibamStep(opt); }));
     rows.push_back(
-        runScalarRow(opt, "event_queue", "ns_per_event", false,
+        runScalarRow("event_queue", "ns_per_event", false,
                      [&] { return benchEventQueue(opt); }));
     rows.push_back(
         runEngineRow(opt, "fine_tick", "ns_per_tick", false,
                      [&](engine::BackendKind backend) {
                          return benchFineTick(opt, cw, backend);
                      }));
-    rows.push_back(runScalarRow(opt, "alert_eval", "ns_per_op", false,
+    rows.push_back(runScalarRow("alert_eval", "ns_per_op", false,
                                 [&] { return benchAlertEval(opt); }));
     rows.push_back(
         runEngineRow(opt, "single_run", "runs_per_sec", true,

@@ -13,7 +13,7 @@
  * Daemon mode:
  *
  *   padd [--scheme Conv|PS|PSPC|uDEB|vDEB|PAD]
- *        [--backend baseline|optimized|soa]
+ *        [--backend optimized|soa]
  *        [--budget FRAC] [--cluster-budget FRAC]
  *        [--hour H] [--days D] [--duration SEC] [--seed S]
  *        [--detector] [--speed X|max]
@@ -97,7 +97,7 @@ usage()
 {
     std::cerr
         << "usage: padd [--scheme Conv|PS|PSPC|uDEB|vDEB|PAD]\n"
-           "            [--backend baseline|optimized|soa]\n"
+           "            [--backend optimized|soa]\n"
            "            [--budget FRAC] [--cluster-budget FRAC]\n"
            "            [--hour H] [--days D] [--duration SEC]\n"
            "            [--seed S] [--detector] [--speed X|max]\n"

@@ -9,7 +9,7 @@
  *
  *   padsim [--config FILE]
  *          [--scheme Conv|PS|PSPC|uDEB|vDEB|PAD]
- *          [--backend baseline|optimized|soa]
+ *          [--backend optimized|soa]
  *          [--virus cpu|mem|io] [--style dense|sparse]
  *          [--nodes N] [--racks K] [--duration SEC]
  *          [--budget FRAC] [--cluster-budget FRAC]
@@ -30,11 +30,10 @@
  * metrics_port, metrics_linger, alerts, incidents, incident_html,
  * profile_engine); command-line flags override it.
  *
- * --backend selects the simulation engine (src/engine): baseline and
- * optimized are the scalar engine with the hot-path switches off/on
- * (bit-identical outputs; optimized is the default), soa is the
- * opt-in structure-of-arrays batch engine (physically equivalent,
- * not bit-identical). --profile is a deprecated alias.
+ * --backend selects the simulation engine (src/engine): optimized is
+ * the scalar engine (the default), soa is the opt-in
+ * structure-of-arrays batch engine (physically equivalent, not
+ * bit-identical).
  *
  * Observability: --prom dumps the final stats registry plus telemetry
  * time-series in Prometheus text exposition format; --metrics-port
@@ -143,7 +142,7 @@ usage()
     std::cerr
         << "usage: padsim [--config FILE]\n"
            "              [--scheme Conv|PS|PSPC|uDEB|vDEB|PAD]\n"
-           "              [--backend baseline|optimized|soa]\n"
+           "              [--backend optimized|soa]\n"
            "              [--virus cpu|mem|io] [--style dense|sparse]\n"
            "              [--nodes N] [--racks K] [--duration SEC]\n"
            "              [--budget FRAC] [--cluster-budget FRAC]\n"
@@ -269,11 +268,6 @@ parseArgs(int argc, char **argv)
             opt.scheme = requireScheme(need(i));
         else if (arg == "--backend")
             opt.backend = requireBackend(need(i));
-        else if (arg == "--profile") {
-            warn("--profile is deprecated; use --backend "
-                 "baseline|optimized|soa");
-            opt.backend = requireBackend(need(i));
-        }
         else if (arg == "--virus")
             opt.virus = parseVirus(need(i));
         else if (arg == "--style")

@@ -1,9 +1,9 @@
 #include "battery/charge_policy.h"
 
 #include <algorithm>
-#include <numeric>
+#include <functional>
 
-#include "util/engine_tuning.h"
+#include "util/index_sort.h"
 #include "util/logging.h"
 
 namespace pad::battery {
@@ -37,8 +37,6 @@ ChargeController::wantsCharge(const BatteryUnit &unit,
     if (config_.kind == ChargePolicyKind::Online)
         return unit.soc() < 0.999;
 
-    if (recharging_.size() <= index)
-        recharging_.resize(index + 1, false);
     const double soc = unit.soc();
     if (recharging_[index]) {
         if (soc >= config_.offlineStopSoc)
@@ -59,19 +57,14 @@ ChargeController::recharge(std::vector<BatteryUnit *> &units,
 
     // Collect candidates ordered lowest SOC first so that the most
     // vulnerable units recover first when headroom is scarce. This
-    // runs per rack per step; the Optimized profile reuses a sort
-    // scratch and skips the (identity) sort of single-unit fleets.
-    const bool scratch = engineTuning().stepScratchReuse;
-    std::vector<std::size_t> localOrder;
-    std::vector<std::size_t> &order =
-        scratch ? orderScratch_ : localOrder;
-    order.resize(units.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    if (!scratch || units.size() > 1)
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             return units[a]->soc() < units[b]->soc();
-                         });
+    // runs per rack per step, so it reuses a sort scratch and sizes
+    // the offline latch up front.
+    if (recharging_.size() < units.size())
+        recharging_.resize(units.size(), false);
+    std::vector<std::size_t> &order = orderScratch_;
+    stableIndexSort(
+        order, units.size(),
+        [&](std::size_t i) { return units[i]->soc(); }, std::less<>());
 
     Joules absorbed = 0.0;
     Watts remaining = headroom;

@@ -76,7 +76,7 @@ class ChargeController
     ChargeControllerConfig config_;
     /** Offline policy latch: unit index -> currently recharging. */
     mutable std::vector<bool> recharging_;
-    /** Hot-path sort scratch (Optimized engine profile). */
+    /** Hot-path sort scratch, reused across calls. */
     std::vector<std::size_t> orderScratch_;
 };
 

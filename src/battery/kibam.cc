@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/engine_tuning.h"
 #include "util/logging.h"
 
 namespace pad::battery {
@@ -12,15 +11,6 @@ namespace {
 
 /** Numerical slack for well-boundary comparisons, in joules. */
 constexpr Joules kEps = 1e-9;
-
-/**
- * Golden tolerance on the depletion-crossing time, in seconds. A
- * crossing error of t changes the delivered energy by power*t joules;
- * at 1 ns and kilowatt draws that is microjoules, far below anything
- * the figure pipelines print. The Newton solver must agree with the
- * reference bisection to this tolerance or fall back to it.
- */
-constexpr double kCrossTolSec = 1e-9;
 
 } // namespace
 
@@ -91,15 +81,9 @@ Kibam::advance(Watts power, double dt)
     const double k = params_.k;
     const double c = params_.c;
     const double y0 = y1_ + y2_;
-    double r, kt;
-    if (engineTuning().kibamCoeffCache) {
-        const KibamCoeffs &cc = coeffsFor(dt);
-        r = cc.r;
-        kt = cc.kt;
-    } else {
-        r = std::exp(-k * dt);
-        kt = k * dt;
-    }
+    const KibamCoeffs &cc = coeffsFor(dt);
+    const double r = cc.r;
+    const double kt = cc.kt;
     const double y1n = y1_ * r + (y0 * k * c - power) * (1.0 - r) / k -
                        power * c * (kt - 1.0 + r) / k;
     const double y2n = y2_ * r + y0 * (1.0 - c) * (1.0 - r) -
@@ -124,9 +108,9 @@ double
 Kibam::crossingTimeBisect(Watts power, double dt) const
 {
     // The same 60 dyadic midpoints, the same y1 arithmetic, the same
-    // sign test as the historical whole-object probe loop — only the
-    // Kibam copies and the (unused) y2 update are gone, so the
-    // returned crossing is bit-identical to the original's.
+    // sign test as the historical whole-object probe loop (kept as the
+    // reference in kibam_property_test) — only the Kibam copies and
+    // the unused y2 update are gone, so the crossing is bit-identical.
     double lo = 0.0, hi = dt;
     for (int iter = 0; iter < 60; ++iter) {
         const double mid = 0.5 * (lo + hi);
@@ -136,44 +120,6 @@ Kibam::crossingTimeBisect(Watts power, double dt) const
             hi = mid;
     }
     return 0.5 * (lo + hi);
-}
-
-double
-Kibam::crossingTimeNewton(Watts power, double dt) const
-{
-    // y1(t) is smooth and strictly decreasing at the crossing when
-    // the draw exceeds the sustainable power, so Newton from the
-    // interval midpoint converges quadratically; every evaluation
-    // also tightens a [lo, hi] bracket, and an iterate that escapes
-    // the bracket is replaced by its midpoint (rtsafe-style guard).
-    const double k = params_.k;
-    const double c = params_.c;
-    const double y0 = y1_ + y2_;
-    double lo = 0.0, hi = dt;
-    double t = 0.5 * dt;
-    for (int iter = 0; iter < 30; ++iter) {
-        const double r = std::exp(-k * t);
-        const double kt = k * t;
-        const double f = y1_ * r +
-                         (y0 * k * c - power) * (1.0 - r) / k -
-                         power * c * (kt - 1.0 + r) / k;
-        if (f > 0.0)
-            lo = t;
-        else
-            hi = t;
-        if (hi - lo <= kCrossTolSec)
-            return 0.5 * (lo + hi);
-        const double df = -k * y1_ * r + (y0 * k * c - power) * r -
-                          power * c * (1.0 - r);
-        double next =
-            df != 0.0 ? t - f / df : 0.5 * (lo + hi);
-        if (!(next > lo && next < hi))
-            next = 0.5 * (lo + hi);
-        t = next;
-    }
-    // No convergence within budget: yield to the reference bisection
-    // so the result can never drift beyond the golden tolerance.
-    return crossingTimeBisect(power, dt);
 }
 
 void
@@ -188,19 +134,11 @@ Kibam::maxSustainablePower(double dt) const
 {
     PAD_ASSERT(dt > 0.0);
     // y1(dt) is affine in the power draw I; solve y1(dt) = 0 for I.
-    const double k = params_.k;
     const double c = params_.c;
     const double y0 = y1_ + y2_;
-    double r, denom;
-    if (engineTuning().kibamCoeffCache) {
-        const KibamCoeffs &cc = coeffsFor(dt);
-        r = cc.r;
-        denom = cc.mspDenom;
-    } else {
-        r = std::exp(-k * dt);
-        const double kt = k * dt;
-        denom = ((1.0 - r) + c * (kt - 1.0 + r)) / k;
-    }
+    const KibamCoeffs &cc = coeffsFor(dt);
+    const double r = cc.r;
+    const double denom = cc.mspDenom;
     const double numer = y1_ * r + y0 * c * (1.0 - r);
     if (denom <= 0.0)
         return 0.0;
@@ -236,28 +174,7 @@ Kibam::step(Watts power, double dt)
         }
         // Deliver the requested power until y1 empties, then nothing.
         // Find the crossing time on the closed form.
-        const EngineTuning &tuning = engineTuning();
-        double tcross;
-        if (tuning.kibamNewtonCrossing) {
-            tcross = crossingTimeNewton(power, dt);
-        } else if (tuning.kibamScalarCrossing) {
-            tcross = crossingTimeBisect(power, dt);
-        } else {
-            // Historical reference path: bisection probing a full
-            // copy of the model each iteration.
-            double lo = 0.0, hi = dt;
-            Kibam probe = *this;
-            for (int iter = 0; iter < 60; ++iter) {
-                const double mid = 0.5 * (lo + hi);
-                probe = *this;
-                probe.advance(power, mid);
-                if (probe.y1_ > 0.0)
-                    lo = mid;
-                else
-                    hi = mid;
-            }
-            tcross = 0.5 * (lo + hi);
-        }
+        const double tcross = crossingTimeBisect(power, dt);
         advance(power, tcross);
         clampWells();
         y1_ = 0.0;

@@ -40,8 +40,9 @@ struct KibamParams {
  * coarse, 100 ms fine), so exp(-k*dt) and the derived sustainable-
  * power denominator are loop invariants. The cache stores exactly
  * the values the uncached formulas produce — the same exp() result
- * and the denominator as one unrefactored expression — so cached and
- * uncached paths are bit-identical.
+ * and the denominator as one unrefactored expression — so caching
+ * changes no bit of any result (kibam_property_test keeps the
+ * uncached arithmetic as its reference).
  */
 struct KibamCoeffs {
     /** The dt the coefficients were computed for; <0 = invalid. */
@@ -129,13 +130,6 @@ class Kibam
 
     /** Depletion crossing by 60-step dyadic bisection (copy-free). */
     double crossingTimeBisect(Watts power, double dt) const;
-
-    /**
-     * Depletion crossing by Newton with a bisection guard; falls back
-     * to crossingTimeBisect() when the bracket has not collapsed to
-     * the golden tolerance within the iteration budget.
-     */
-    double crossingTimeNewton(Watts power, double dt) const;
 
     KibamParams params_;
     Joules y1_; ///< available well charge

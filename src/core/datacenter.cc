@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "obs/tracer.h"
-#include "util/engine_tuning.h"
 #include "util/logging.h"
 
 namespace pad::core {
@@ -97,15 +96,7 @@ DataCenter::RackState::rest(double dtSec)
 void
 DataCenter::RackState::recharge(Watts headroom, double dtSec)
 {
-    if (!unitCache.empty()) {
-        charger->recharge(unitCache, headroom, dtSec);
-        return;
-    }
-    std::vector<battery::BatteryUnit *> units;
-    units.reserve(debs.size());
-    for (auto &u : debs)
-        units.push_back(u.get());
-    charger->recharge(units, headroom, dtSec);
+    charger->recharge(unitCache, headroom, dtSec);
 }
 
 int
@@ -196,12 +187,10 @@ DataCenter::DataCenter(const DataCenterConfig &config,
                 base + ".meter", config_.detectorInterval);
     }
 
-    if (engineTuning().stepScratchReuse) {
-        for (auto &rack : racks_) {
-            rack.unitCache.reserve(rack.debs.size());
-            for (auto &u : rack.debs)
-                rack.unitCache.push_back(u.get());
-        }
+    for (auto &rack : racks_) {
+        rack.unitCache.reserve(rack.debs.size());
+        for (auto &u : rack.debs)
+            rack.unitCache.push_back(u.get());
     }
 }
 
@@ -332,10 +321,7 @@ DataCenter::computeStep(StepPower &step, Tick t, double dtSec, bool fine,
     step.shedSuppressed = 0.0;
 
     // Per-step invariants, hoisted out of the per-server walk.
-    const EngineTuning &tuning = engineTuning();
-    const bool sharedEval = tuning.serverPowerSharedEval;
-    const double *demand =
-        tuning.tickDemandCache ? refreshDemand(t, fine).data() : nullptr;
+    const double *demand = refreshDemand(t, fine).data();
     const std::uint8_t *shedFlags = shed_.data();
     double *serverPower = step.serverPower.data();
 
@@ -353,9 +339,7 @@ DataCenter::computeStep(StepPower &step, Tick t, double dtSec, bool fine,
                 (*victimMask)[static_cast<std::size_t>(r)] && scenario;
             for (int s = 0; s < config_.serversPerRack; ++s) {
                 const double demandU =
-                    demand ? demand[rackBase +
-                                    static_cast<std::size_t>(s)]
-                           : serverDemand(r, s, t, fine);
+                    demand[rackBase + static_cast<std::size_t>(s)];
                 const bool malicious =
                     victimRack && s < scenario->maliciousNodes;
                 if (!malicious) {
@@ -376,8 +360,7 @@ DataCenter::computeStep(StepPower &step, Tick t, double dtSec, bool fine,
         for (int s = 0; s < config_.serversPerRack; ++s) {
             const std::size_t idx =
                 rackBase + static_cast<std::size_t>(s);
-            double demandU = demand ? demand[idx]
-                                    : serverDemand(r, s, t, fine);
+            double demandU = demand[idx];
             bool malicious = false;
             if (attackedRack && s < scenario->maliciousNodes) {
                 malicious = true;
@@ -394,18 +377,14 @@ DataCenter::computeStep(StepPower &step, Tick t, double dtSec, bool fine,
                 executed = 0.0;
                 step.shedSuppressed +=
                     serverModel_.power(demandU, dvfs) - powerW;
-            } else if (sharedEval) {
+            } else {
                 // One pow() yields capped power, uncapped power and
                 // executed throughput (bit-identical to the scalar
-                // accessors below).
+                // power()/executed() accessors).
                 double uncapped;
                 serverModel_.evaluate(demandU, dvfs, powerW, uncapped,
                                       executed);
                 rackUncapped += uncapped;
-            } else {
-                powerW = serverModel_.power(demandU, dvfs);
-                executed = serverModel_.executed(demandU, dvfs);
-                rackUncapped += serverModel_.power(demandU, 1.0);
             }
             serverPower[idx] = powerW;
             rackTotal += powerW;
@@ -434,15 +413,12 @@ DataCenter::applyShaving(StepPower &step, double dtSec)
         DataCenterConfig::DebPlacement::PerServer;
 
     // Bound on what each unit may offset: its own server's draw with
-    // per-server placement, the rack's draw for a cabinet. The
-    // Optimized profile reuses one scratch vector across racks.
-    const bool reuse = engineTuning().stepScratchReuse;
-    std::vector<Watts> localBounds;
+    // per-server placement, the rack's draw for a cabinet. One
+    // scratch vector is reused across racks.
     auto unitBounds =
         [&](std::size_t r) -> const std::vector<Watts> & {
         auto &rack = racks_[r];
-        std::vector<Watts> &bounds =
-            reuse ? boundsScratch_ : localBounds;
+        std::vector<Watts> &bounds = boundsScratch_;
         bounds.assign(rack.debs.size(), 0.0);
         if (perServer) {
             for (std::size_t s = 0; s < bounds.size(); ++s)
@@ -457,13 +433,11 @@ DataCenter::applyShaving(StepPower &step, double dtSec)
     if (traits_.vdebSharing) {
         // Cluster-level assignment (Algorithm 1) against the PDU
         // budget, recomputed from live SOC each step.
-        std::vector<Joules> localSoc;
-        std::vector<Joules> &soc = reuse ? socScratch_ : localSoc;
+        std::vector<Joules> &soc = socScratch_;
         soc.resize(racks_.size());
         for (std::size_t r = 0; r < racks_.size(); ++r)
             soc[r] = racks_[r].stored();
-        VdebAssignment localPlan;
-        VdebAssignment &plan = reuse ? planScratch_ : localPlan;
+        VdebAssignment &plan = planScratch_;
         vdeb_.assignInto(soc, step.totalPower,
                          config_.clusterBudget(), plan);
         assigned_ = plan.power;
@@ -832,9 +806,7 @@ DataCenter::stepCoarse()
     if (prof_)
         prof_->beginStep(/*fine=*/false);
     const double dtSec = ticksToSeconds(config_.coarseStep);
-    StepPower localStep;
-    StepPower &step =
-        engineTuning().stepScratchReuse ? stepScratch_ : localStep;
+    StepPower &step = stepScratch_;
     computeStep(step, now_, dtSec, /*fine=*/false, nullptr, nullptr,
                 nullptr, 0.0, false, nullptr);
     {
@@ -936,7 +908,6 @@ DataCenter::runAttack(attack::TwoPhaseAttacker &attacker,
     std::size_t rackOnsetsSeen = 0;
     std::size_t clusterOnsetsSeen = 0;
 
-    const bool reuse = engineTuning().stepScratchReuse;
     const double dtSec = ticksToSeconds(config_.fineStep);
 
     while (now_ < horizon) {
@@ -961,8 +932,7 @@ DataCenter::runAttack(attack::TwoPhaseAttacker &attacker,
             nextControl += config_.controlPeriod;
         }
 
-        StepPower localStep;
-        StepPower &step = reuse ? stepScratch_ : localStep;
+        StepPower &step = stepScratch_;
         computeStep(step, now_, dtSec, /*fine=*/true, &attacker, &sc,
                     &victimMask, relSec, active, &windowPerf);
 
@@ -989,8 +959,7 @@ DataCenter::runAttack(attack::TwoPhaseAttacker &attacker,
                 prof_, obs::EngineProfiler::Phase::KibamBatch);
             applyShaving(step, dtSec);
         }
-        std::vector<Watts> localLimits;
-        std::vector<Watts> &limits = reuse ? limitsScratch_ : localLimits;
+        std::vector<Watts> &limits = limitsScratch_;
         {
             const obs::PhaseScope ps(
                 prof_, obs::EngineProfiler::Phase::UdebShave);

@@ -296,8 +296,7 @@ class DataCenter
         /**
          * Raw unit pointers for the charge controller, built once
          * after construction (debs never changes afterwards) so
-         * recharge() does not rebuild the vector every step. Empty
-         * under the Baseline engine profile.
+         * recharge() does not rebuild the vector every step.
          */
         std::vector<battery::BatteryUnit *> unitCache;
     };
@@ -403,10 +402,9 @@ class DataCenter
     std::vector<std::uint8_t> shed_;
     std::vector<Watts> assigned_;  ///< last vDEB assignment per rack
 
-    // Hot-path scratch, reused across steps under the Optimized
-    // engine profile so the per-tick path is allocation-free. Each
-    // vector is (re)filled before use; none carries state between
-    // steps.
+    // Hot-path scratch, reused across steps so the per-tick path is
+    // allocation-free. Each vector is (re)filled before use; none
+    // carries state between steps.
     StepPower stepScratch_;
     std::vector<Watts> boundsScratch_;  ///< per-unit discharge bounds
     std::vector<Joules> socScratch_;    ///< per-rack stored energy

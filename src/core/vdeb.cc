@@ -1,10 +1,11 @@
 #include "core/vdeb.h"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 
 #include "obs/tracer.h"
-#include "util/engine_tuning.h"
+#include "util/index_sort.h"
 #include "util/logging.h"
 
 namespace pad::core {
@@ -58,17 +59,11 @@ VdebController::assignInto(const std::vector<Joules> &socJoules,
     }
 
     // Sort rack indices by SOC, descending (Algorithm 1 line 9-10).
-    // This runs every step under vDEB sharing; the Optimized profile
-    // reuses a sort scratch instead of allocating one per call.
-    std::vector<std::size_t> localOrder;
-    std::vector<std::size_t> &order =
-        engineTuning().stepScratchReuse ? orderScratch_ : localOrder;
-    order.resize(n);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return socJoules[a] > socJoules[b];
-                     });
+    // This runs every step under vDEB sharing, so it reuses a scratch.
+    std::vector<std::size_t> &order = orderScratch_;
+    stableIndexSort(
+        order, n, [&](std::size_t r) { return socJoules[r]; },
+        std::greater<>());
 
     double socRemaining =
         std::accumulate(socJoules.begin(), socJoules.end(), 0.0);

@@ -75,11 +75,11 @@ class VdebController
 
     /**
      * Allocation-free variant for the per-step hot path: writes the
-     * assignment into @p out, reusing its vector's capacity (and,
-     * under the Optimized engine profile, an internal sort scratch).
-     * Results are identical to assign(). Not thread-safe across
-     * concurrent calls on one controller; the simulator owns one
-     * controller per DataCenter, which is single-threaded.
+     * assignment into @p out, reusing its vector's capacity and an
+     * internal sort scratch. Results are identical to assign(). Not
+     * thread-safe across concurrent calls on one controller; the
+     * simulator owns one controller per DataCenter, which is
+     * single-threaded.
      */
     void assignInto(const std::vector<Joules> &socJoules,
                     Watts totalPower, Watts maxPower,

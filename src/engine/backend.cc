@@ -10,8 +10,6 @@ const char *
 backendName(BackendKind kind)
 {
     switch (kind) {
-      case BackendKind::Baseline:
-        return "baseline";
       case BackendKind::Optimized:
         return "optimized";
       case BackendKind::Soa:
@@ -23,8 +21,6 @@ backendName(BackendKind kind)
 std::optional<BackendKind>
 backendFromName(std::string_view name)
 {
-    if (name == "baseline")
-        return BackendKind::Baseline;
     if (name == "optimized")
         return BackendKind::Optimized;
     if (name == "soa")
@@ -35,12 +31,9 @@ backendFromName(std::string_view name)
 const EngineBackend &
 backendFor(BackendKind kind)
 {
-    static const ScalarBackend baseline(BackendKind::Baseline);
-    static const ScalarBackend optimized(BackendKind::Optimized);
+    static const ScalarBackend optimized;
     static const SoaBackend soa;
     switch (kind) {
-      case BackendKind::Baseline:
-        return baseline;
       case BackendKind::Optimized:
         return optimized;
       case BackendKind::Soa:

@@ -2,27 +2,20 @@
  * @file
  * Explicit engine-backend selection API.
  *
- * PR 4's EngineTuning switches select scalar hot-path optimizations
- * through a (now thread-local) mutable block — good for measuring
- * individual switches, bad as a process-wide mode selector. This
- * header replaces that global mutation path with an explicit,
- * per-run interface: callers pick a BackendKind, a factory prepares
- * and creates a ClusterEngine, and nothing about the choice leaks
- * into other runs or threads.
+ * Callers pick a BackendKind per run, a factory prepares and creates
+ * a ClusterEngine, and nothing about the choice leaks into other
+ * runs or threads.
  *
- * Three backends exist:
+ * Two backends exist:
  *
- *  - Baseline   — the scalar core::DataCenter with every tuning
- *                 switch off (the pre-optimization reference).
- *  - Optimized  — the scalar core::DataCenter with the default
- *                 switches on; bit-identical outputs to Baseline.
- *                 This is the default backend.
+ *  - Optimized  — the scalar core::DataCenter. This is the default
+ *                 backend.
  *  - Soa        — the structure-of-arrays batch engine: rack,
  *                 battery and server state in parallel arrays, the
  *                 per-tick KiBaM step / demand evaluation / µDEB
  *                 shaving as batch loops, arena-backed scratch, and
  *                 counter-based RNG streams. Physically equivalent
- *                 to the scalar engines (energy conservation, SoC
+ *                 to the scalar engine (energy conservation, SoC
  *                 bounds, survival agreement within tolerance) but
  *                 not bit-identical: its per-rack summation order
  *                 differs by design.
@@ -52,15 +45,13 @@ namespace pad::engine {
 
 /** Selectable simulation engines. */
 enum class BackendKind {
-    /** Scalar engine, every hot-path optimization off. */
-    Baseline,
-    /** Scalar engine, default optimizations on (the default). */
+    /** Scalar engine (the default). */
     Optimized,
     /** Structure-of-arrays batch engine (opt-in). */
     Soa,
 };
 
-/** Canonical lower-case backend name ("baseline"/"optimized"/"soa"). */
+/** Canonical lower-case backend name ("optimized"/"soa"). */
 const char *backendName(BackendKind kind);
 
 /** Parse a backend name; nullopt when unknown. */
@@ -76,12 +67,6 @@ struct EnginePlan {
     int racks = 0;
     /** Total servers across all racks. */
     int servers = 0;
-    /**
-     * Expected concurrently-live event count for the run's
-     * sim::EventQueue — per-run sizing instead of the historical
-     * fixed 256-entry arena block.
-     */
-    std::size_t eventQueueCapacity = 256;
     /** False when the backend cannot run this configuration. */
     bool supported = true;
     /** Human-readable reason when unsupported. */
@@ -176,9 +161,8 @@ class EngineBackend
     virtual BackendKind kind() const = 0;
 
     /**
-     * Size up a run without building it: rack/server counts, the
-     * event-queue capacity the engine wants, and whether the
-     * configuration is supported at all.
+     * Size up a run without building it: rack/server counts and
+     * whether the configuration is supported at all.
      */
     virtual EnginePlan prepare(const core::DataCenterConfig &config) const = 0;
 

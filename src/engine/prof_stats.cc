@@ -47,9 +47,6 @@ exportProfilerStats(const obs::EngineProfiler &prof,
                           "malicious-slot memo evaluation count")
         .add(prof.malMemoMisses());
 
-    stats.registerScalar("engine.queue.depth_highwater",
-                         "EventQueue live-event high-water mark")
-        .set(static_cast<double>(prof.queueDepthHighWater()));
     stats.registerScalar("engine.arena.bytes",
                          "persistent engine array footprint")
         .set(static_cast<double>(prof.arenaBytes()));

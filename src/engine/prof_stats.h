@@ -17,7 +17,6 @@
  *   engine.cache_misses           counter
  *   engine.cache.demand.hits/.misses
  *   engine.cache.malmemo.hits/.misses
- *   engine.queue.depth_highwater  scalar
  *   engine.arena.bytes            scalar
  *   engine.scratch.bytes          scalar
  *   engine.shard.ticks            vector, per-shard refresh counts

@@ -1,45 +1,6 @@
 #include "engine/scalar_engine.h"
 
-#include "util/logging.h"
-
 namespace pad::engine {
-
-namespace {
-
-EngineTuning
-tuningFor(BackendKind kind)
-{
-    EngineTuning t; // defaults == Optimized
-    if (kind == BackendKind::Baseline) {
-        t.kibamCoeffCache = false;
-        t.kibamScalarCrossing = false;
-        t.kibamNewtonCrossing = false;
-        t.serverPowerSharedEval = false;
-        t.tickDemandCache = false;
-        t.stepScratchReuse = false;
-        t.eventPoolAllocation = false;
-    }
-    return t;
-}
-
-std::unique_ptr<core::DataCenter>
-buildUnder(const EngineTuning &tuning, const core::DataCenterConfig &config,
-           const trace::Workload *workload)
-{
-    // The DataCenter latches parts of the tuning block (demand unit
-    // cache) at construction, so construction itself runs guarded.
-    engineTuning() = tuning;
-    return std::make_unique<core::DataCenter>(config, workload);
-}
-
-} // namespace
-
-ScalarBackend::ScalarBackend(BackendKind kind) : kind_(kind)
-{
-    PAD_ASSERT(kind == BackendKind::Baseline ||
-                   kind == BackendKind::Optimized,
-               "ScalarBackend builds scalar kinds only");
-}
 
 EnginePlan
 ScalarBackend::prepare(const core::DataCenterConfig &config) const
@@ -47,9 +8,6 @@ ScalarBackend::prepare(const core::DataCenterConfig &config) const
     EnginePlan plan;
     plan.racks = config.racks;
     plan.servers = config.totalServers();
-    // The scalar DataCenter drives its steps directly; the historical
-    // 256-entry default covers its incidental event usage.
-    plan.eventQueueCapacity = 256;
     plan.supported = true;
     return plan;
 }
@@ -58,117 +16,110 @@ std::unique_ptr<ClusterEngine>
 ScalarBackend::create(const core::DataCenterConfig &config,
                       const trace::Workload *workload) const
 {
-    return std::make_unique<ScalarEngine>(kind_, config, workload);
+    return std::make_unique<ScalarEngine>(config, workload);
 }
 
-ScalarEngine::ScalarEngine(BackendKind kind,
-                           const core::DataCenterConfig &config,
+ScalarEngine::ScalarEngine(const core::DataCenterConfig &config,
                            const trace::Workload *workload)
-    : kind_(kind), tuning_(tuningFor(kind))
+    : dc_(config, workload)
 {
-    TuningGuard guard(tuning_);
-    dc_ = buildUnder(tuning_, config, workload);
 }
 
 void
 ScalarEngine::runCoarseUntil(Tick until)
 {
-    TuningGuard guard(tuning_);
-    dc_->runCoarseUntil(until);
+    dc_.runCoarseUntil(until);
 }
 
 void
 ScalarEngine::stepCoarse()
 {
-    TuningGuard guard(tuning_);
-    dc_->stepCoarse();
+    dc_.stepCoarse();
 }
 
 void
 ScalarEngine::setRecordHistory(bool on)
 {
-    dc_->setRecordHistory(on);
+    dc_.setRecordHistory(on);
 }
 
 const std::vector<std::vector<double>> &
 ScalarEngine::socHistory() const
 {
-    return dc_->socHistory();
+    return dc_.socHistory();
 }
 
 const std::vector<double> &
 ScalarEngine::shedHistory() const
 {
-    return dc_->shedHistory();
+    return dc_.shedHistory();
 }
 
 core::AttackOutcome
 ScalarEngine::runAttack(attack::TwoPhaseAttacker &attacker,
                         const core::AttackScenario &scenario)
 {
-    TuningGuard guard(tuning_);
-    return dc_->runAttack(attacker, scenario);
+    return dc_.runAttack(attacker, scenario);
 }
 
 void
 ScalarEngine::setAllSoc(double soc)
 {
-    TuningGuard guard(tuning_);
-    dc_->setAllSoc(soc);
+    dc_.setAllSoc(soc);
 }
 
 Tick
 ScalarEngine::now() const
 {
-    return dc_->now();
+    return dc_.now();
 }
 
 std::vector<double>
 ScalarEngine::allSocs() const
 {
-    return dc_->allSocs();
+    return dc_.allSocs();
 }
 
 double
 ScalarEngine::socStdDevPercent() const
 {
-    return dc_->socStdDevPercent();
+    return dc_.socStdDevPercent();
 }
 
 std::uint64_t
 ScalarEngine::detectionsFlagged() const
 {
-    return dc_->detectionsFlagged();
+    return dc_.detectionsFlagged();
 }
 
 void
 ScalarEngine::setTelemetry(telemetry::TelemetryHub *hub)
 {
-    dc_->setTelemetry(hub);
+    dc_.setTelemetry(hub);
 }
 
 void
 ScalarEngine::setProfiler(obs::EngineProfiler *prof)
 {
-    dc_->setProfiler(prof);
+    dc_.setProfiler(prof);
 }
 
 void
 ScalarEngine::exportStats(sim::StatsRegistry &stats) const
 {
-    dc_->exportStats(stats);
+    dc_.exportStats(stats);
 }
 
 void
 ScalarEngine::dumpStats(std::ostream &os) const
 {
-    dc_->dumpStats(os);
+    dc_.dumpStats(os);
 }
 
 const core::DataCenterConfig &
 ScalarEngine::config() const
 {
-    return dc_->config();
+    return dc_.config();
 }
 
 } // namespace pad::engine

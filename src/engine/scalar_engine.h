@@ -2,15 +2,6 @@
  * @file
  * Scalar engine backend: core::DataCenter behind the ClusterEngine
  * interface.
- *
- * One factory serves both scalar kinds (Baseline and Optimized); the
- * only difference is the EngineTuning block the wrapped DataCenter
- * runs under. The tuning block is thread_local and latched in places
- * (the demand unit cache and the event pool mode bind at
- * construction), so the wrapper installs its own tuning around
- * construction and around every forwarded call, then restores the
- * caller's block — an engine's profile never leaks into code running
- * on the same thread after the call returns.
  */
 
 #ifndef PAD_ENGINE_SCALAR_ENGINE_H
@@ -20,31 +11,25 @@
 
 #include "core/datacenter.h"
 #include "engine/backend.h"
-#include "util/engine_tuning.h"
 
 namespace pad::engine {
 
-/** Builds ScalarEngine instances for one scalar profile. */
+/** Builds ScalarEngine instances (BackendKind::Optimized). */
 class ScalarBackend final : public EngineBackend
 {
   public:
-    explicit ScalarBackend(BackendKind kind);
-
-    BackendKind kind() const override { return kind_; }
+    BackendKind kind() const override { return BackendKind::Optimized; }
     EnginePlan prepare(const core::DataCenterConfig &config) const override;
     std::unique_ptr<ClusterEngine>
     create(const core::DataCenterConfig &config,
            const trace::Workload *workload) const override;
-
-  private:
-    BackendKind kind_;
 };
 
-/** core::DataCenter run under a pinned EngineTuning block. */
+/** core::DataCenter behind the ClusterEngine interface. */
 class ScalarEngine final : public ClusterEngine
 {
   public:
-    ScalarEngine(BackendKind kind, const core::DataCenterConfig &config,
+    ScalarEngine(const core::DataCenterConfig &config,
                  const trace::Workload *workload);
 
     void runCoarseUntil(Tick until) override;
@@ -65,36 +50,10 @@ class ScalarEngine final : public ClusterEngine
     void exportStats(sim::StatsRegistry &stats) const override;
     void dumpStats(std::ostream &os) const override;
     const core::DataCenterConfig &config() const override;
-    BackendKind kind() const override { return kind_; }
-
-    /** The wrapped scalar simulator (tests, migration escape hatch). */
-    core::DataCenter &dataCenter() { return *dc_; }
+    BackendKind kind() const override { return BackendKind::Optimized; }
 
   private:
-    /**
-     * Installs tuning_ into the calling thread's block for the
-     * duration of a forwarded call, restoring the caller's block on
-     * scope exit.
-     */
-    class TuningGuard
-    {
-      public:
-        explicit TuningGuard(const EngineTuning &tuning)
-            : saved_(engineTuning())
-        {
-            engineTuning() = tuning;
-        }
-        ~TuningGuard() { engineTuning() = saved_; }
-        TuningGuard(const TuningGuard &) = delete;
-        TuningGuard &operator=(const TuningGuard &) = delete;
-
-      private:
-        EngineTuning saved_;
-    };
-
-    BackendKind kind_;
-    EngineTuning tuning_;
-    std::unique_ptr<core::DataCenter> dc_;
+    core::DataCenter dc_;
 };
 
 } // namespace pad::engine

@@ -31,9 +31,6 @@ SoaBackend::prepare(const core::DataCenterConfig &config) const
     EnginePlan plan;
     plan.racks = config.racks;
     plan.servers = config.totalServers();
-    // Rack-restore events, one live at a time per rack, plus slack.
-    plan.eventQueueCapacity =
-        static_cast<std::size_t>(std::max(config.racks, 1)) + 8;
     if (config.debPlacement !=
         core::DataCenterConfig::DebPlacement::RackCabinet) {
         plan.supported = false;
@@ -50,18 +47,16 @@ SoaBackend::create(const core::DataCenterConfig &config,
     const EnginePlan plan = prepare(config);
     PAD_ASSERT(plan.supported, "SoA backend cannot run this config: {}",
                plan.note);
-    return std::make_unique<SoaEngine>(config, workload,
-                                       plan.eventQueueCapacity);
+    return std::make_unique<SoaEngine>(config, workload);
 }
 
 SoaEngine::SoaEngine(const core::DataCenterConfig &config,
-                     const trace::Workload *workload,
-                     std::size_t eventQueueCapacity)
+                     const trace::Workload *workload)
     : config_(config),
       traits_(config.overrideTraits ? config.traits
                                     : core::schemeTraits(config.scheme)),
       workload_(workload), serverModel_(config.server),
-      vdeb_(config.vdeb), policy_(true), queue_(eventQueueCapacity)
+      vdeb_(config.vdeb), policy_(true)
 {
     PAD_ASSERT(workload_ != nullptr);
     PAD_ASSERT(config_.racks > 0 && config_.serversPerRack > 0);
@@ -908,7 +903,7 @@ SoaEngine::computeStep(StepView &step, Tick t, double dtSec, bool fine,
     for (std::size_t r = 0; r < static_cast<std::size_t>(racks_); ++r) {
         // A rack whose breaker tripped is dark until service is
         // restored; its demanded (benign) work is lost outright.
-        if (darkRacks_ > 0 && t < downUntil_[r]) {
+        if (t < downUntil_[r]) {
             perf_.recordShed(cacheDemand_[r], dtSec);
             if (windowPerf)
                 windowPerf->recordShed(cacheDemand_[r], dtSec);
@@ -1261,11 +1256,8 @@ void
 SoaEngine::stepCoarse()
 {
     obs::setTraceClock(now_);
-    if (prof_) {
+    if (prof_)
         prof_->beginStep(/*fine=*/false);
-        prof_->observeQueueDepth(queue_.size());
-    }
-    queue_.runUntil(now_);
     const double dtSec = ticksToSeconds(config_.coarseStep);
     StepView step;
     computeStep(step, now_, dtSec, /*fine=*/false, nullptr, nullptr,
@@ -1366,11 +1358,8 @@ SoaEngine::runAttack(attack::TwoPhaseAttacker &attacker,
 
     while (now_ < horizon) {
         obs::setTraceClock(now_);
-        if (prof_) {
+        if (prof_)
             prof_->beginStep(/*fine=*/true);
-            prof_->observeQueueDepth(queue_.size());
-        }
-        queue_.runUntil(now_);
         const double relSec = ticksToSeconds(now_ - start);
         const bool active =
             sc.dutyCycle >= 1.0 ||
@@ -1443,9 +1432,6 @@ SoaEngine::runAttack(attack::TwoPhaseAttacker &attacker,
                 downUntil_[r] =
                     now_ + secondsToTicks(config_.outageRecoverySec);
                 breakerHeat_[r] = 0.0; // breaker reset after the trip
-                ++darkRacks_;
-                queue_.schedule(downUntil_[r],
-                                [this] { --darkRacks_; });
                 if (obs::traceEnabled())
                     obs::emit("datacenter", "rack.down",
                               {obs::TraceField::integer(

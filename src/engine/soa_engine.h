@@ -35,11 +35,11 @@
  * uses the scalar components' arithmetic verbatim, but rack power is
  * summed benign-first rather than in server order, and throughput is
  * accounted per rack rather than per server, so outputs against the
- * scalar engines agree physically (energy conservation, SoC bounds,
+ * scalar engine agree physically (energy conservation, SoC bounds,
  * survival within tolerance) without being bit-identical. Battery
  * aging replicates battery/aging_model.cc per rack (cycle + calendar
  * wear arrays, hooks at the same unitDischarge/unitCharge/unitRest
- * sites as BatteryUnit), so `deb.wear` matches the scalar engines
+ * sites as BatteryUnit), so `deb.wear` matches the scalar engine
  * within the parity-test tolerance; everything else in exportStats
  * matches the scalar names too.
  *
@@ -64,7 +64,6 @@
 #include "power/server_power_model.h"
 #include "sched/load_shedding.h"
 #include "sched/perf_monitor.h"
-#include "sim/event_queue.h"
 
 namespace pad::engine {
 
@@ -84,8 +83,7 @@ class SoaEngine final : public ClusterEngine
 {
   public:
     SoaEngine(const core::DataCenterConfig &config,
-              const trace::Workload *workload,
-              std::size_t eventQueueCapacity);
+              const trace::Workload *workload);
 
     void runCoarseUntil(Tick until) override;
     void stepCoarse() override;
@@ -144,8 +142,8 @@ class SoaEngine final : public ClusterEngine
         double shedSuppressed = 0.0;
     };
 
-    // --- KiBaM batch physics (arithmetic verbatim battery/kibam.cc,
-    //     Optimized profile: coefficient cache + scalar bisection) ---
+    // --- KiBaM batch physics (arithmetic verbatim battery/kibam.cc:
+    //     coefficient cache + scalar bisection) ---
     const Coeffs &coeffsFor(double dt) const;
     void kibamAdvance(std::size_t r, Watts power, double cr, double ckt);
     double availableAfter(std::size_t r, Watts power, double t) const;
@@ -223,7 +221,6 @@ class SoaEngine final : public ClusterEngine
     core::SecurityPolicy policy_;
     sched::LoadShedder shedder_;
     sched::PerfMonitor perf_;
-    sim::EventQueue queue_;
     int shards_ = 1;
 
     int racks_;
@@ -274,7 +271,6 @@ class SoaEngine final : public ClusterEngine
     std::vector<double> breakerHeat_;
     std::vector<int> breakerTrips_;
     std::vector<Tick> downUntil_;
-    int darkRacks_ = 0; ///< racks with a pending restore event
 
     // --- detector meters ---
     std::vector<Tick> meterNow_;

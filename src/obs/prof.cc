@@ -89,10 +89,6 @@ EngineProfiler::emitTraceCounters() const
                              static_cast<std::int64_t>(cacheHits())),
          TraceField::integer("misses",
                              static_cast<std::int64_t>(cacheMisses()))});
-    emitCounter("engine.prof", "engine.queue_depth",
-                {TraceField::integer(
-                    "high_water",
-                    static_cast<std::int64_t>(queueDepthHighWater_))});
 }
 
 void
@@ -107,7 +103,6 @@ EngineProfiler::reset()
     demandMisses_ = 0;
     malMemoHits_ = 0;
     malMemoMisses_ = 0;
-    queueDepthHighWater_ = 0;
     arenaBytes_ = 0;
     scratchBytes_ = 0;
     shardTicks_.assign(shardTicks_.size(), 0);

@@ -9,7 +9,7 @@
  *     detector, telemetry flush, shard merge) via RAII PhaseScope,
  *   - cache effectiveness counters (DemandCache and malicious-slot
  *     memo hits/misses),
- *   - EventQueue depth high-water, arena/scratch footprint gauges,
+ *   - arena/scratch footprint gauges,
  *   - per-shard tick counts for the sharded demand refresh.
  *
  * Cost contract. Engines hold a nullable EngineProfiler pointer and
@@ -115,12 +115,6 @@ class EngineProfiler
     void malMemoMiss() { ++malMemoMisses_; }
 
     // -- gauges ------------------------------------------------------
-    void
-    observeQueueDepth(std::size_t depth)
-    {
-        if (depth > queueDepthHighWater_)
-            queueDepthHighWater_ = depth;
-    }
     void setArenaBytes(std::size_t bytes) { arenaBytes_ = bytes; }
     void setScratchBytes(std::size_t bytes) { scratchBytes_ = bytes; }
 
@@ -158,7 +152,6 @@ class EngineProfiler
     {
         return demandMisses_ + malMemoMisses_;
     }
-    std::size_t queueDepthHighWater() const { return queueDepthHighWater_; }
     std::size_t arenaBytes() const { return arenaBytes_; }
     std::size_t scratchBytes() const { return scratchBytes_; }
     const std::vector<std::uint64_t> &shardTicks() const
@@ -173,8 +166,8 @@ class EngineProfiler
 
     /**
      * Emit cumulative totals as Chrome counter events (phase
-     * milliseconds, cache hit/miss counts, queue depth) stamped at
-     * the current trace clock. Callers guard with traceEnabled().
+     * milliseconds, cache hit/miss counts) stamped at the current
+     * trace clock. Callers guard with traceEnabled().
      */
     void emitTraceCounters() const;
 
@@ -193,7 +186,6 @@ class EngineProfiler
     std::uint64_t demandMisses_ = 0;
     std::uint64_t malMemoHits_ = 0;
     std::uint64_t malMemoMisses_ = 0;
-    std::size_t queueDepthHighWater_ = 0;
     std::size_t arenaBytes_ = 0;
     std::size_t scratchBytes_ = 0;
     std::vector<std::uint64_t> shardTicks_;

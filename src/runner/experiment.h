@@ -308,11 +308,10 @@ struct Experiment {
      */
     std::shared_ptr<const alert::RuleSet> alertRules;
     /**
-     * Engine backend for the cluster kinds. Replaces the deprecated
-     * process-global profile switch: the choice travels with the job,
-     * so concurrent sweep workers can mix backends freely. Baseline
-     * and Optimized produce bit-identical results; Soa is the opt-in
-     * batch engine (physically equivalent, not bit-identical). When
+     * Engine backend for the cluster kinds. The choice travels with
+     * the job, so concurrent sweep workers can mix backends freely.
+     * Optimized is the scalar engine; Soa is the opt-in batch engine
+     * (physically equivalent, not bit-identical). When
      * the chosen backend cannot run the configuration, the job falls
      * back to Optimized with a warning (see engine::makeClusterEngine).
      */

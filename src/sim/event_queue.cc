@@ -3,42 +3,31 @@
 #include <algorithm>
 
 #include "obs/tracer.h"
-#include "util/engine_tuning.h"
 #include "util/logging.h"
 
 namespace pad::sim {
 
-EventQueue::EventQueue(std::size_t capacityHint)
-    : pooled_(engineTuning().eventPoolAllocation),
-      blockSize_(std::max<std::size_t>(capacityHint, 1))
+EventQueue::EventQueue()
 {
-    if (pooled_) {
-        heap_.reserve(blockSize_);
-        byId_.reserve(blockSize_);
-    }
+    heap_.reserve(kBlockSize);
+    byId_.reserve(kBlockSize);
 }
 
-EventQueue::~EventQueue()
+void
+EventQueue::addBlock()
 {
-    if (!pooled_) {
-        for (Entry *entry : heap_)
-            delete entry;
-    }
-    // Pooled entries live in blocks_ and are freed with them.
+    blocks_.push_back(std::make_unique<Entry[]>(kBlockSize));
+    Entry *block = blocks_.back().get();
+    freeList_.reserve(freeList_.size() + kBlockSize);
+    for (std::size_t i = kBlockSize; i > 0; --i)
+        freeList_.push_back(&block[i - 1]);
 }
 
 EventQueue::Entry *
 EventQueue::allocEntry()
 {
-    if (!pooled_)
-        return new Entry;
-    if (freeList_.empty()) {
-        blocks_.push_back(std::make_unique<Entry[]>(blockSize_));
-        Entry *block = blocks_.back().get();
-        freeList_.reserve(freeList_.size() + blockSize_);
-        for (std::size_t i = blockSize_; i > 0; --i)
-            freeList_.push_back(&block[i - 1]);
-    }
+    if (freeList_.empty())
+        addBlock();
     Entry *entry = freeList_.back();
     freeList_.pop_back();
     return entry;
@@ -47,10 +36,6 @@ EventQueue::allocEntry()
 void
 EventQueue::releaseEntry(Entry *entry)
 {
-    if (!pooled_) {
-        delete entry;
-        return;
-    }
     entry->cb = nullptr; // free the callback's captures eagerly
     freeList_.push_back(entry);
 }
@@ -60,15 +45,8 @@ EventQueue::reserve(std::size_t events)
 {
     heap_.reserve(events);
     byId_.reserve(events);
-    if (!pooled_)
-        return;
-    while (blocks_.size() * blockSize_ < events) {
-        blocks_.push_back(std::make_unique<Entry[]>(blockSize_));
-        Entry *block = blocks_.back().get();
-        freeList_.reserve(freeList_.size() + blockSize_);
-        for (std::size_t i = blockSize_; i > 0; --i)
-            freeList_.push_back(&block[i - 1]);
-    }
+    while (blocks_.size() * kBlockSize < events)
+        addBlock();
 }
 
 void

@@ -105,10 +105,9 @@ class EventQueue
 
     /**
      * Pre-size the queue for @p events concurrently-live events:
-     * reserves the heap vector and id map and, under pooled
-     * allocation, pre-allocates enough arena blocks. Purely a
-     * performance hint; the queue still grows on demand (up to
-     * maxLiveEvents()).
+     * reserves the heap vector and id map and pre-allocates enough
+     * arena blocks. Purely a performance hint; the queue still grows
+     * on demand (up to maxLiveEvents()).
      */
     void reserve(std::size_t events);
 
@@ -147,6 +146,7 @@ class EventQueue
         }
     };
 
+    void addBlock();
     Entry *allocEntry();
     void releaseEntry(Entry *entry);
     Entry *popNextLive();
@@ -157,15 +157,12 @@ class EventQueue
     /**
      * Arena blocks and the free list of recycled entries. Entries
      * live in fixed blocks for the queue's lifetime; a released
-     * entry drops its callback and returns to freeList_. Unused in
-     * heap-allocation mode (pooled_ == false).
+     * entry drops its callback and returns to freeList_.
      */
     std::vector<std::unique_ptr<Entry[]>> blocks_;
     std::vector<Entry *> freeList_;
-    /** Allocation mode, latched from the engine tuning at creation. */
-    bool pooled_;
-    /** Entries per arena block, latched from the capacity hint. */
-    std::size_t blockSize_;
+    /** Entries per arena block; also the initial heap/id-map size. */
+    static constexpr std::size_t kBlockSize = 256;
     std::size_t maxLive_ = 1u << 20;
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
@@ -174,16 +171,7 @@ class EventQueue
     std::size_t live_ = 0;
 
   public:
-    /**
-     * @param capacityHint expected number of concurrently-live
-     *     events; sizes the arena block granularity and the initial
-     *     heap/id-map reservations under pooled allocation. Engine
-     *     backends surface their per-run sizing through
-     *     engine::EnginePlan::eventQueueCapacity. Purely a
-     *     performance hint; the queue grows on demand either way.
-     */
-    explicit EventQueue(std::size_t capacityHint = 256);
-    ~EventQueue();
+    EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 };

@@ -8,6 +8,8 @@
  * refactors of the binary's plumbing.
  */
 
+#include <sys/wait.h>
+
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -37,6 +39,16 @@ runPadsim(const std::string &args)
     const std::string cmd =
         std::string(PADSIM_BIN) + " " + args + " > /dev/null 2>&1";
     return std::system(cmd.c_str());
+}
+
+/** Run padsim with stderr captured in @p errPath; its exit status. */
+int
+runPadsimStatus(const std::string &args, const std::string &errPath)
+{
+    const std::string cmd = std::string(PADSIM_BIN) + " " + args +
+                            " > /dev/null 2> " + errPath;
+    const int rc = std::system(cmd.c_str());
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
 // Every test works in its own temporary directory so the cases stay
@@ -144,6 +156,34 @@ TEST_F(CliTraceTest, TracingDoesNotChangeTableOutput)
                               .c_str()),
               0);
     EXPECT_EQ(slurp("cli_out_a.txt"), slurp("cli_out_b.txt"));
+}
+
+TEST_F(CliTraceTest, RemovedBackendInputsExitWithUsage)
+{
+    // The baseline backend and the --profile alias are gone; each
+    // spelling takes padsim's ordinary usage path and exits 2.
+    EXPECT_EQ(runPadsimStatus("--backend baseline --quiet", "err_a.txt"),
+              2);
+    const std::string flagErr = slurp("err_a.txt");
+    EXPECT_EQ(flagErr.rfind("padsim: unknown backend name: baseline\n"
+                            "usage: padsim",
+                            0),
+              0u)
+        << flagErr;
+
+    EXPECT_EQ(runPadsimStatus("--profile optimized --quiet", "err_b.txt"),
+              2);
+    const std::string profileErr = slurp("err_b.txt");
+    EXPECT_EQ(profileErr.rfind("usage: padsim", 0), 0u) << profileErr;
+
+    {
+        std::ofstream cfg("baseline.cfg");
+        cfg << "backend = baseline\n";
+    }
+    EXPECT_EQ(runPadsimStatus("--config baseline.cfg --quiet",
+                              "err_c.txt"),
+              2);
+    EXPECT_EQ(slurp("err_c.txt"), flagErr);
 }
 
 } // namespace

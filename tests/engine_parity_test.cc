@@ -2,11 +2,11 @@
  * @file
  * Engine-backend parity tests. Two contracts, two strengths:
  *
- *  - Baseline vs Optimized (scalar engine, tuning switches off/on):
- *    bit-identical. Every optimization gated on EngineTuning is
- *    value-preserving, so the same experiment run under both
- *    backends must produce exactly equal results — plus event-queue
- *    ordering stability under the pooled allocator.
+ *  - The scalar engine against goldens: bit-identical. The goldens
+ *    were captured before the pre-optimization scalar code paths were
+ *    deleted, from a build where both paths still produced the same
+ *    bits, so any change to the scalar arithmetic shows up here —
+ *    plus event-queue ordering stability under the pooled allocator.
  *  - Scalar vs SoA: physically equivalent, not bit-identical. The
  *    SoA engine sums rack power benign-first and accounts throughput
  *    per rack, so floating-point folds reorder by design; the tests
@@ -15,11 +15,13 @@
  *    throughput agreement within tolerance).
  *
  * Backends are selected through the explicit Experiment::backend
- * field — the API that replaced the deprecated process-global
- * setEngineProfile() switch.
+ * field.
  */
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,14 +29,13 @@
 #include "engine/backend.h"
 #include "runner/experiment.h"
 #include "sim/event_queue.h"
-#include "util/engine_tuning.h"
 
 using namespace pad;
 
 namespace {
 
 // ---------------------------------------------------------------------
-// EventQueue: pooled vs heap allocation
+// EventQueue: ordering under the pooled allocator
 // ---------------------------------------------------------------------
 
 /**
@@ -74,36 +75,28 @@ eventScript()
 
 TEST(EngineParity, EventQueueOrderingStableUnderPooling)
 {
-    std::vector<int> pooled;
-    std::vector<int> heaped;
-    {
-        ScopedEngineProfile scope(EngineProfile::Optimized);
-        pooled = eventScript();
-    }
-    {
-        ScopedEngineProfile scope(EngineProfile::Baseline);
-        heaped = eventScript();
-    }
-    EXPECT_EQ(pooled, heaped);
+    const std::vector<int> pooled = eventScript();
 
-    // Within one priority class, same-tick events fire in insertion
-    // order; the cancelled ids never fire.
-    std::vector<int> controlOrder;
-    for (int id : pooled)
-        if (id >= 0 && id < 40 && id % 4 == 1)
-            controlOrder.push_back(id);
+    // The whole firing order: priority class first, then insertion
+    // order within a class (the recycled entries of the rescheduled
+    // events and the event scheduled while firing come last in
+    // Control); the cancelled ids never fire.
     std::vector<int> expected;
-    for (int i = 1; i < 40; i += 4)
-        if (i != 17)
-            expected.push_back(i);
-    EXPECT_EQ(controlOrder, expected);
-    for (int id : pooled)
-        EXPECT_TRUE(id != 3 && id != 17 && id != 36);
+    for (int priority = 0; priority < 4; ++priority) {
+        for (int i = priority; i < 40; i += 4)
+            if (i != 3 && i != 17 && i != 36)
+                expected.push_back(i);
+        if (priority == static_cast<int>(sim::EventPriority::Control)) {
+            for (int i = 100; i < 106; ++i)
+                expected.push_back(i);
+            expected.push_back(-1);
+        }
+    }
+    EXPECT_EQ(pooled, expected);
 }
 
 TEST(EngineParity, EventQueueReserveAndBoundsSurviveReuse)
 {
-    ScopedEngineProfile scope(EngineProfile::Optimized);
     sim::EventQueue q;
     q.reserve(4096);
     int sink = 0;
@@ -120,7 +113,7 @@ TEST(EngineParity, EventQueueReserveAndBoundsSurviveReuse)
 }
 
 // ---------------------------------------------------------------------
-// DataCenter: Baseline vs Optimized full-simulation parity
+// DataCenter: full-simulation goldens
 // ---------------------------------------------------------------------
 
 class DataCenterParity : public ::testing::Test
@@ -153,53 +146,88 @@ runOn(runner::Experiment e, engine::BackendKind backend)
     return runner::runExperiment(e);
 }
 
+/** FNV-1a over the bit patterns of @p values, chained from @p hash. */
+std::uint64_t
+bitDigest(std::uint64_t hash, const std::vector<double> &values)
+{
+    for (const double v : values) {
+        std::uint64_t bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        for (int i = 0; i < 8; ++i) {
+            hash ^= (bits >> (8 * i)) & 0xffu;
+            hash *= 1099511628211ull;
+        }
+    }
+    return hash;
+}
+
+constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
+
 TEST_F(DataCenterParity, AttackRunBitIdentical)
 {
+    // Golden values (%.17g) from the scalar engine before its
+    // pre-optimization code paths were removed.
     runner::ClusterAttackSpec spec;
     spec.durationSec = 120.0;
-    const runner::Experiment e =
-        runner::Experiment::clusterAttack(spec, *workload_);
-
-    const runner::ExperimentResult tuned =
-        runOn(e, engine::BackendKind::Optimized);
-    const runner::ExperimentResult reference =
-        runOn(e, engine::BackendKind::Baseline);
-
-    EXPECT_EQ(tuned.attackOutcome.survivalSec,
-              reference.attackOutcome.survivalSec);
-    EXPECT_EQ(tuned.attackOutcome.throughput,
-              reference.attackOutcome.throughput);
-    EXPECT_EQ(tuned.attackOutcome.spikesLaunched,
-              reference.attackOutcome.spikesLaunched);
-    EXPECT_EQ(tuned.attackOutcome.spikeWindows,
-              reference.attackOutcome.spikeWindows);
-    EXPECT_EQ(tuned.telemetry.detections, reference.telemetry.detections);
-    EXPECT_EQ(tuned.telemetry.socStdDevPercent,
-              reference.telemetry.socStdDevPercent);
-    ASSERT_EQ(tuned.telemetry.socs.size(),
-              reference.telemetry.socs.size());
-    for (std::size_t i = 0; i < tuned.telemetry.socs.size(); ++i)
-        EXPECT_EQ(tuned.telemetry.socs[i], reference.telemetry.socs[i])
+    runner::ExperimentResult r = runOn(
+        runner::Experiment::clusterAttack(spec, *workload_),
+        engine::BackendKind::Optimized);
+    EXPECT_EQ(r.attackOutcome.survivalSec, 120.0);
+    EXPECT_EQ(r.attackOutcome.throughput, 1.0);
+    EXPECT_EQ(r.attackOutcome.spikesLaunched, 0);
+    EXPECT_TRUE(r.attackOutcome.spikeWindows.empty());
+    EXPECT_EQ(r.attackOutcome.maxShedRatio, 0.0);
+    EXPECT_EQ(r.attackOutcome.phaseTwoStartSec, -1.0);
+    EXPECT_EQ(r.telemetry.detections, 0u);
+    EXPECT_EQ(r.telemetry.socStdDevPercent, 5.5511151231257827e-14);
+    ASSERT_EQ(r.telemetry.socs.size(), 22u);
+    for (std::size_t i = 0; i < r.telemetry.socs.size(); ++i)
+        EXPECT_EQ(r.telemetry.socs[i], 0.95417898926327549)
             << "rack " << i;
+
+    // PAD keeps every rack alive for 120 s with equal SOCs; PS over
+    // 600 s overloads a rack inside the window, so per-rack battery
+    // depletion and the overload path shape the outcome.
+    spec.scheme = core::SchemeKind::PS;
+    spec.durationSec = 600.0;
+    r = runOn(runner::Experiment::clusterAttack(spec, *workload_),
+              engine::BackendKind::Optimized);
+    EXPECT_EQ(r.attackOutcome.survivalSec, 568.89999999999998);
+    EXPECT_EQ(r.attackOutcome.throughput, 0.99769246160394454);
+    EXPECT_EQ(r.telemetry.socStdDevPercent, 22.731681572032215);
+    ASSERT_EQ(r.telemetry.socs.size(), 22u);
+    EXPECT_EQ(bitDigest(kFnvOffset, r.telemetry.socs),
+              0xc1230e0ec725d297ull);
 }
 
 TEST_F(DataCenterParity, CoarseHistoryBitIdentical)
 {
-    runner::ClusterCoarseSpec spec;
-    spec.untilHours = 8.0;
-    spec.recordHistory = true;
-    const runner::Experiment e =
-        runner::Experiment::clusterCoarse(spec, *workload_);
-
-    const runner::ExperimentResult tuned =
-        runOn(e, engine::BackendKind::Optimized);
-    const runner::ExperimentResult reference =
-        runOn(e, engine::BackendKind::Baseline);
-
-    EXPECT_EQ(tuned.telemetry.socHistory,
-              reference.telemetry.socHistory);
-    EXPECT_EQ(tuned.telemetry.shedHistory,
-              reference.telemetry.shedHistory);
+    // Golden digests of the coarse SOC/shed histories, same
+    // provenance as above. The 8 h night never discharges a battery
+    // (every SOC stays 1.0); 16 h reaches the daytime peak, where
+    // the DEBs shave and recharge.
+    using Digests = std::pair<std::uint64_t, std::uint64_t>;
+    const auto digests = [&](double hours) {
+        runner::ClusterCoarseSpec spec;
+        spec.untilHours = hours;
+        spec.recordHistory = true;
+        const runner::ExperimentResult r = runOn(
+            runner::Experiment::clusterCoarse(spec, *workload_),
+            engine::BackendKind::Optimized);
+        EXPECT_EQ(r.telemetry.socHistory.size(),
+                  static_cast<std::size_t>(hours * 12));
+        std::uint64_t soc = kFnvOffset;
+        for (const std::vector<double> &row : r.telemetry.socHistory) {
+            EXPECT_EQ(row.size(), 22u);
+            soc = bitDigest(soc, row);
+        }
+        return Digests{soc,
+                       bitDigest(kFnvOffset, r.telemetry.shedHistory)};
+    };
+    EXPECT_EQ(digests(8.0),
+              Digests(0x504c036322e86725ull, 0x9fa9e040e0eedf25ull));
+    EXPECT_EQ(digests(16.0),
+              Digests(0x943a72b6588fab15ull, 0x6ab05ef9aa8b9b25ull));
 }
 
 // ---------------------------------------------------------------------
@@ -215,7 +243,7 @@ TEST_F(DataCenterParity, SoaCoarseTrajectoriesMatchScalar)
         runner::Experiment::clusterCoarse(spec, *workload_);
 
     const runner::ExperimentResult scalar =
-        runOn(e, engine::BackendKind::Baseline);
+        runOn(e, engine::BackendKind::Optimized);
     const runner::ExperimentResult soa =
         runOn(e, engine::BackendKind::Soa);
 

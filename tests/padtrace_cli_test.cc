@@ -17,6 +17,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -274,6 +275,56 @@ TEST(PadtraceCli, MissingTraceIsAOneLineErrorOnStderr)
         << text;
     // Exactly one line (one trailing newline, no embedded ones).
     EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1) << text;
+}
+
+TEST(PadtraceCli, PerfCompareAcceptsDroppedBaselineColumn)
+{
+    // Older perfbench files carry a "baseline" column that newer
+    // ones no longer have; the comparison matches the columns both
+    // files share and ignores the rest.
+    test::ScopedTempDir tmp;
+    ASSERT_TRUE(tmp.enter());
+    {
+        std::ofstream old("ptr_old_bench.json");
+        old << R"({"schema":"pad-perfbench-v3","quick":false,
+            "benchmarks":[{"name":"single_run","unit":"runs_per_sec",
+            "higher_is_better":true,
+            "baseline":{"value":10.0,"median_sec":0.1,"min_sec":0.1,
+                        "mean_sec":0.1,"reps":9},
+            "optimized":{"value":20.0,"median_sec":0.05,
+                         "min_sec":0.05,"mean_sec":0.05,"reps":9},
+            "soa":{"value":40.0,"median_sec":0.025,"min_sec":0.025,
+                   "mean_sec":0.025,"reps":9},
+            "speedup":2.0,"speedup_soa":2.0}]})";
+        std::ofstream cur("ptr_new_bench.json");
+        cur << R"({"schema":"pad-perfbench-v3","quick":false,
+            "benchmarks":[{"name":"single_run","unit":"runs_per_sec",
+            "higher_is_better":true,
+            "optimized":{"value":16.0,"median_sec":0.0625,
+                         "min_sec":0.0625,"mean_sec":0.0625,"reps":9},
+            "soa":{"value":40.0,"median_sec":0.025,"min_sec":0.025,
+                   "mean_sec":0.025,"reps":9},
+            "speedup_soa":2.5}]})";
+    }
+    ASSERT_EQ(WEXITSTATUS(runCmd(PADTRACE_BIN,
+                                 "perf --compare ptr_old_bench.json"
+                                 " ptr_new_bench.json --format json"
+                                 " --out ptr_compare.json")),
+              0);
+    std::string error;
+    const auto doc = parseJson(slurp("ptr_compare.json"), &error);
+    ASSERT_TRUE(doc.has_value()) << error;
+    const JsonValue *rows = doc->find("rows");
+    ASSERT_NE(rows, nullptr);
+    ASSERT_TRUE(rows->isArray());
+    std::vector<std::string> metrics;
+    for (const JsonValue &row : rows->array)
+        metrics.push_back(row.find("metric")->str);
+    EXPECT_EQ(metrics, (std::vector<std::string>{"single_run/optimized",
+                                                 "single_run/soa"}));
+    // 20 -> 16 runs/s is 20% worse: flagged, but advisory (exit 0).
+    EXPECT_TRUE(rows->array[0].find("regressed")->boolean);
+    EXPECT_EQ(doc->find("regressions")->number, 1.0);
 }
 
 TEST(PadtraceCli, IncidentsSubcommandRendersArtifacts)

@@ -6,17 +6,26 @@
  * contract (no allocations, no clock reads, bit-identical
  * simulation outputs), deterministic parallel-vs-serial sweep
  * merges of the engine.* stats, Prometheus exposition validity of
- * the pad_engine_* metrics, and Chrome counter-event rendering.
+ * the pad_engine_* metrics, Chrome counter-event rendering, and the
+ * allocation-free per-step sorts of the vDEB and charge controllers.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <numeric>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "battery/battery_unit.h"
+#include "battery/charge_policy.h"
+#include "core/vdeb.h"
 #include "counting_new.h"
 #include "engine/prof_stats.h"
 #include "obs/prof.h"
@@ -26,6 +35,7 @@
 #include "runner/sweep_runner.h"
 #include "sim/stats_registry.h"
 #include "telemetry/prom.h"
+#include "util/index_sort.h"
 #include "util/json.h"
 
 using namespace pad;
@@ -127,12 +137,6 @@ TEST(EngineProfiler, CountersAreMonotonicAndAggregate)
     EXPECT_EQ(prof.demandHits(), 5u);
     EXPECT_EQ(prof.malMemoHits(), 4u);
 
-    // Queue depth keeps the high-water mark, not the last value.
-    prof.observeQueueDepth(3);
-    prof.observeQueueDepth(7);
-    prof.observeQueueDepth(5);
-    EXPECT_EQ(prof.queueDepthHighWater(), 7u);
-
     // Out-of-range shard indices are ignored, not UB.
     prof.setShardCount(2);
     prof.shardTick(0);
@@ -144,7 +148,6 @@ TEST(EngineProfiler, CountersAreMonotonicAndAggregate)
     prof.reset();
     EXPECT_EQ(prof.cacheHits(), 0u);
     EXPECT_EQ(prof.cacheMisses(), 0u);
-    EXPECT_EQ(prof.queueDepthHighWater(), 0u);
     EXPECT_EQ(prof.steps(), 0u);
 }
 
@@ -168,7 +171,6 @@ TEST(EngineProfiler, UnsampledAndDetachedScopesCostNothing)
     for (int i = 0; i < 1000; ++i) {
         const obs::PhaseScope scope(&prof, Phase::KibamBatch);
         prof.demandHit();
-        prof.observeQueueDepth(1);
     }
     EXPECT_EQ(gClockReads.load(), 0u);
     EXPECT_EQ(gAllocations.load(), 0u);
@@ -286,7 +288,6 @@ populatedProfiler()
     prof.demandHit();
     prof.demandMiss();
     prof.malMemoHit();
-    prof.observeQueueDepth(12);
     prof.setArenaBytes(4096);
     prof.setScratchBytes(512);
     prof.setShardCount(2);
@@ -312,8 +313,6 @@ TEST(ProfilerExport, PromExpositionValidatesAndNamesMetrics)
               std::string::npos);
     EXPECT_NE(text.find("pad_engine_phase_kibam_batch_seconds"),
               std::string::npos);
-    EXPECT_NE(text.find("pad_engine_queue_depth_highwater"),
-              std::string::npos);
     EXPECT_NE(text.find("pad_engine_shard_ticks"), std::string::npos);
 }
 
@@ -334,7 +333,6 @@ TEST(ProfilerExport, StatsRegistryCarriesEveryPhaseAndGauge)
     }
     EXPECT_EQ(stats.lookupCounter("engine.cache_hits"), 2u);
     EXPECT_EQ(stats.lookupCounter("engine.cache_misses"), 1u);
-    EXPECT_EQ(stats.lookup("engine.queue.depth_highwater"), 12.0);
     EXPECT_EQ(stats.lookup("engine.arena.bytes"), 4096.0);
     EXPECT_EQ(stats.lookup("engine.scratch.bytes"), 512.0);
     EXPECT_EQ(stats.lookup("engine.prof.sample_period"), 1.0);
@@ -362,8 +360,8 @@ TEST(ProfilerExport, ChromeCounterEventsAreValidAndTyped)
         if (ph && ph->isString() && ph->str == "C")
             ++counters;
     }
-    // Phase-ms, cache, and queue-depth counter tracks.
-    EXPECT_EQ(counters, 3u);
+    // Phase-ms and cache counter tracks.
+    EXPECT_EQ(counters, 2u);
 
     {
         obs::JsonlTraceSink sink(jsonl);
@@ -373,6 +371,111 @@ TEST(ProfilerExport, ChromeCounterEventsAreValidAndTyped)
     }
     EXPECT_NE(jsonl.str().find("\"kind\":\"counter\""),
               std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Per-step sorts: no allocation after warm-up, stable order on ties
+// ---------------------------------------------------------------------
+
+TEST(HotPathSort, VdebAndChargeControllersAllocateOnlyOnFirstCall)
+{
+    // vDEB: 22 racks with tied SOCs and a deficit on the sorted
+    // (non-even) branch of Algorithm 1.
+    core::VdebController vdeb(core::VdebConfig{});
+    std::vector<Joules> soc(22);
+    for (std::size_t r = 0; r < soc.size(); ++r)
+        soc[r] = 1.0e5 * static_cast<double>(1 + r % 4);
+    core::VdebAssignment plan;
+    vdeb.assignInto(soc, 20000.0, 10000.0, plan);
+    ASSERT_FALSE(plan.even);
+    gAllocations.store(0);
+    for (int step = 0; step < 100; ++step) {
+        soc[static_cast<std::size_t>(step) % soc.size()] -= 10.0;
+        vdeb.assignInto(soc, 20000.0, 10000.0, plan);
+    }
+    EXPECT_EQ(gAllocations.load(), 0u) << "VdebController::assignInto";
+
+    // Charge controller, both policies, over a fleet the headroom
+    // covers only partly (so the first call stops early) and larger
+    // than one word of the offline latch's bit vector.
+    for (const auto kind : {battery::ChargePolicyKind::Online,
+                            battery::ChargePolicyKind::Offline}) {
+        std::vector<std::unique_ptr<battery::BatteryUnit>> owned;
+        std::vector<battery::BatteryUnit *> units;
+        for (int i = 0; i < 96; ++i) {
+            owned.push_back(std::make_unique<battery::BatteryUnit>(
+                "u" + std::to_string(i), battery::BatteryUnitConfig{}));
+            owned.back()->setSoc(0.3 + 0.1 * (i % 3));
+            units.push_back(owned.back().get());
+        }
+        battery::ChargeControllerConfig cfg;
+        cfg.kind = kind;
+        battery::ChargeController charger(cfg);
+        charger.recharge(units, 3000.0, 1.0);
+        gAllocations.store(0);
+        for (int step = 0; step < 100; ++step)
+            charger.recharge(units, 3000.0, 1.0);
+        EXPECT_EQ(gAllocations.load(), 0u)
+            << "ChargeController::recharge, policy "
+            << battery::chargePolicyName(kind);
+    }
+}
+
+TEST(HotPathSort, TiedSocOrderMatchesStableSort)
+{
+    // The in-place sort with an index tie-break yields exactly the
+    // order std::stable_sort gave, in both directions, for sizes
+    // past the insertion-sort cutoff and with heavy ties.
+    std::mt19937_64 rng(31);
+    std::vector<std::size_t> order;
+    for (std::size_t n = 0; n <= 80; ++n) {
+        std::uniform_int_distribution<int> level(0, 4);
+        std::vector<double> keys(n);
+        for (double &k : keys)
+            k = 0.25 * level(rng);
+        const auto key = [&](std::size_t i) { return keys[i]; };
+        std::vector<std::size_t> expected(n);
+
+        std::iota(expected.begin(), expected.end(), std::size_t{0});
+        std::stable_sort(expected.begin(), expected.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return keys[a] > keys[b];
+                         });
+        stableIndexSort(order, n, key, std::greater<>());
+        EXPECT_EQ(order, expected) << "descending, n=" << n;
+
+        std::iota(expected.begin(), expected.end(), std::size_t{0});
+        std::stable_sort(expected.begin(), expected.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return keys[a] < keys[b];
+                         });
+        stableIndexSort(order, n, key, std::less<>());
+        EXPECT_EQ(order, expected) << "ascending, n=" << n;
+    }
+
+    // Observable through the charge controller: 40 units at two tied
+    // SOC levels and headroom for 25 full offers. Lowest SOC first,
+    // then unit index: all 20 odd units, then units 0, 2, 4, 6, 8.
+    std::vector<std::unique_ptr<battery::BatteryUnit>> owned;
+    std::vector<battery::BatteryUnit *> units;
+    std::vector<double> before;
+    for (int i = 0; i < 40; ++i) {
+        owned.push_back(std::make_unique<battery::BatteryUnit>(
+            "u" + std::to_string(i), battery::BatteryUnitConfig{}));
+        owned.back()->setSoc(i % 2 == 1 ? 0.3 : 0.5);
+        units.push_back(owned.back().get());
+        before.push_back(units.back()->soc());
+    }
+    battery::ChargeController charger(battery::ChargeControllerConfig{});
+    const Watts offer = battery::BatteryUnitConfig{}.maxChargePower;
+    charger.recharge(units, 25.0 * offer, 1.0);
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        const bool charged = i % 2 == 1 || i < 10;
+        if (charged)
+            EXPECT_GT(units[i]->soc(), before[i]) << "unit " << i;
+        else
+            EXPECT_EQ(units[i]->soc(), before[i]) << "unit " << i;
+    }
 }
 
 } // namespace

@@ -213,6 +213,29 @@ TEST(SessionCodec, ParserRejectsMalformedSessions)
     }
 }
 
+TEST(SessionCodec, RejectsRemovedBaselineBackend)
+{
+    // Sessions may only name a backend that still exists; the
+    // pre-optimization "baseline" engine is gone.
+    test::ScopedTempDir tmp;
+    ASSERT_TRUE(tmp.ok());
+    const std::string path = tmp.path("session.jsonl");
+    const auto writeHeader = [&](const char *backend) {
+        std::ofstream out(path);
+        out << "{\"type\":\"header\",\"version\":1,\"tool\":\"padd\","
+               "\"config\":{\"backend\":\""
+            << backend << "\"},\"rules\":\"\"}\n"
+            << "{\"type\":\"end\",\"tick\":10}\n";
+    };
+    std::string error;
+    writeHeader("optimized");
+    ASSERT_TRUE(readSessionFile(path, &error).has_value()) << error;
+
+    writeHeader("baseline");
+    EXPECT_FALSE(readSessionFile(path, &error).has_value());
+    EXPECT_NE(error.find("unknown backend"), std::string::npos) << error;
+}
+
 TEST(SessionCodec, MissingEndIsReplayableUpToLastCommand)
 {
     const std::string text =

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the discrete-event engine: ordering, cancellation,
- * periodic scheduling, and the time-series recorder.
+ * Unit tests for the discrete-event queue (ordering, cancellation,
+ * rescheduling) and the time-series recorder.
  */
 
 #include <vector>
@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "sim/event_queue.h"
-#include "sim/simulator.h"
 #include "sim/time_series.h"
 
 namespace pad::sim {
@@ -81,58 +80,6 @@ TEST(EventQueue, StepReturnsFalseWhenEmpty)
     EXPECT_FALSE(q.step());
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.nextEventTick(), kTickNever);
-}
-
-TEST(Simulator, PeriodicActivityRepeats)
-{
-    Simulator sim;
-    int ticks = 0;
-    sim.every(10, [&] { ++ticks; });
-    sim.run(100);
-    EXPECT_EQ(ticks, 10);
-}
-
-TEST(Simulator, CancelPeriodicStops)
-{
-    Simulator sim;
-    int ticks = 0;
-    const std::size_t id = sim.every(10, [&] { ++ticks; });
-    sim.run(50);
-    sim.cancelPeriodic(id);
-    sim.run(200);
-    EXPECT_EQ(ticks, 5);
-}
-
-TEST(Simulator, PeriodicCanCancelItself)
-{
-    Simulator sim;
-    int ticks = 0;
-    std::size_t id = 0;
-    id = sim.every(10, [&] {
-        if (++ticks == 3)
-            sim.cancelPeriodic(id);
-    });
-    sim.run(500);
-    EXPECT_EQ(ticks, 3);
-}
-
-TEST(Simulator, ComponentsInitialized)
-{
-    struct Probe : Component {
-        bool *flag;
-        Probe(std::string n, bool *f) : Component(std::move(n)), flag(f) {}
-        void
-        init(Simulator &s) override
-        {
-            Component::init(s);
-            *flag = true;
-        }
-    };
-    Simulator sim;
-    bool initialized = false;
-    sim.add<Probe>("probe", &initialized);
-    sim.run(1);
-    EXPECT_TRUE(initialized);
 }
 
 TEST(TimeSeries, RecordsAndReduces)

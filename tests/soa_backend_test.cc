@@ -29,14 +29,14 @@ namespace {
 TEST(EngineBackendApi, NamesRoundTrip)
 {
     for (const BackendKind kind :
-         {BackendKind::Baseline, BackendKind::Optimized,
-          BackendKind::Soa}) {
+         {BackendKind::Optimized, BackendKind::Soa}) {
         const auto parsed =
             engine::backendFromName(engine::backendName(kind));
         ASSERT_TRUE(parsed.has_value());
         EXPECT_EQ(*parsed, kind);
     }
     EXPECT_FALSE(engine::backendFromName("both").has_value());
+    EXPECT_FALSE(engine::backendFromName("baseline").has_value());
     EXPECT_FALSE(engine::backendFromName("").has_value());
     EXPECT_FALSE(engine::backendFromName("SOA").has_value());
 }
@@ -46,15 +46,12 @@ TEST(EngineBackendApi, PlansSizeTheRun)
     const core::DataCenterConfig cfg =
         runner::clusterConfig(core::SchemeKind::Pad);
     for (const BackendKind kind :
-         {BackendKind::Baseline, BackendKind::Optimized,
-          BackendKind::Soa}) {
+         {BackendKind::Optimized, BackendKind::Soa}) {
         const engine::EnginePlan plan =
             engine::backendFor(kind).prepare(cfg);
         EXPECT_TRUE(plan.supported);
         EXPECT_EQ(plan.racks, cfg.racks);
         EXPECT_EQ(plan.servers, cfg.racks * cfg.serversPerRack);
-        EXPECT_GE(plan.eventQueueCapacity,
-                  static_cast<std::size_t>(cfg.racks));
     }
 }
 
@@ -87,8 +84,7 @@ TEST(EngineBackendApi, FactoriesBuildTheirKind)
     const runner::ClusterWorkload cw =
         runner::makeClusterWorkload(1.0);
     for (const BackendKind kind :
-         {BackendKind::Baseline, BackendKind::Optimized,
-          BackendKind::Soa}) {
+         {BackendKind::Optimized, BackendKind::Soa}) {
         const auto engine =
             engine::makeClusterEngine(kind, cfg, cw.workload.get());
         ASSERT_NE(engine, nullptr);
@@ -125,10 +121,8 @@ class SoaSharding : public ::testing::Test
     {
         const core::DataCenterConfig cfg =
             runner::clusterConfig(core::SchemeKind::Pad);
-        const engine::EnginePlan plan =
-            engine::backendFor(BackendKind::Soa).prepare(cfg);
         auto engine = std::make_unique<engine::SoaEngine>(
-            cfg, workload_->workload.get(), plan.eventQueueCapacity);
+            cfg, workload_->workload.get());
         engine->setShards(shards);
         return engine;
     }

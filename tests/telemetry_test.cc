@@ -3,9 +3,8 @@
  * Unit tests for the telemetry subsystem: multi-resolution time
  * series, the TelemetryHub, the tracer-event feed, Prometheus
  * exposition (writer and grammar validator), the scrape HTTP
- * endpoint, the JSONL trace reader, the Simulator probe, and the
- * StatsRegistry histogram-quantile boundary contract the exposition
- * relies on.
+ * endpoint, the JSONL trace reader, and the StatsRegistry
+ * histogram-quantile boundary contract the exposition relies on.
  */
 
 #include <arpa/inet.h>
@@ -23,12 +22,10 @@
 
 #include "obs/trace_sink.h"
 #include "obs/tracer.h"
-#include "sim/simulator.h"
 #include "sim/stats_registry.h"
 #include "telemetry/http.h"
 #include "telemetry/hub.h"
 #include "telemetry/prom.h"
-#include "telemetry/sim_probe.h"
 #include "telemetry/time_series.h"
 #include "telemetry/trace_feed.h"
 #include "telemetry/trace_reader.h"
@@ -889,23 +886,4 @@ TEST(TraceReader, MissingFileReportsError)
         readTraceLogFile("/nonexistent/trace.jsonl", &error);
     EXPECT_FALSE(log.has_value());
     EXPECT_FALSE(error.empty());
-}
-
-// ---------------------------------------------------------------------
-// Simulator probe
-// ---------------------------------------------------------------------
-
-TEST(SimProbe, RecordsEngineHealthSeries)
-{
-    sim::Simulator sim;
-    TelemetryHub hub;
-    attachSimulator(sim, hub, kTicksPerSecond);
-    sim.run(10 * kTicksPerSecond);
-
-    const TimeSeries *depth = hub.find("sim.queue_depth");
-    const TimeSeries *time = hub.find("sim.time_sec");
-    ASSERT_NE(depth, nullptr);
-    ASSERT_NE(time, nullptr);
-    EXPECT_GE(depth->totalSamples(), 5u);
-    EXPECT_GE(time->last().value, 1.0);
 }
