@@ -32,8 +32,8 @@ usage(const char *argv0)
         << "  --jobs N  worker threads for the sweep (0 = all cores);\n"
         << "            results are bit-identical for every N\n"
         << "  --backend NAME  engine backend for every cluster job\n"
-        << "                  (default optimized; soa is the opt-in\n"
-        << "                  batch engine)\n";
+        << "                  (default soa, the batch engine;\n"
+        << "                  optimized is the scalar reference)\n";
     std::exit(2);
 }
 
@@ -144,25 +144,18 @@ runSweep(const std::string &tool, const BenchOptions &opts,
 
     // --prom needs per-job telemetry hubs, --alerts needs per-job
     // engines, and --backend selects the engine every cluster job
-    // runs on; flip all three on a copy of the grid so the caller's
-    // experiments stay untouched. Observability never alters results,
-    // only records them; the backend does (soa only, and only within
-    // the documented tolerances).
-    const bool stampBackend =
-        opts.backend != engine::BackendKind::Optimized;
-    runner::SweepReport report;
-    if (!opts.prom.empty() || rules || stampBackend) {
-        std::vector<runner::Experiment> observed = grid;
-        for (auto &experiment : observed) {
-            if (!opts.prom.empty())
-                experiment.telemetryEnabled = true;
-            experiment.alertRules = rules;
-            experiment.backend = opts.backend;
-        }
-        report = pool.runWithReport(observed);
-    } else {
-        report = pool.runWithReport(grid);
+    // runs on; set all three on a copy of the grid so the caller's
+    // experiments stay untouched. The backend is stamped on every
+    // run, default or not, so the manifest's backend is the one that
+    // ran. Observability never alters results, only records them.
+    std::vector<runner::Experiment> observed = grid;
+    for (auto &experiment : observed) {
+        if (!opts.prom.empty())
+            experiment.telemetryEnabled = true;
+        experiment.alertRules = rules;
+        experiment.backend = opts.backend;
     }
+    runner::SweepReport report = pool.runWithReport(observed);
 
     if (sink)
         sink->close();

@@ -113,11 +113,11 @@ struct BenchOptions {
     std::string incidentHtml;
     /**
      * --backend optimized|soa: engine backend stamped onto every
-     * cluster experiment in the sweep. Figure outputs only move when
-     * soa is explicitly requested — and then only within the
+     * cluster experiment in the sweep (default soa). The figure
+     * outputs are the same on both; the engines agree within the
      * documented physical tolerances.
      */
-    engine::BackendKind backend = engine::BackendKind::Optimized;
+    engine::BackendKind backend = engine::BackendKind::Soa;
     /** Raw command line, for the manifest. */
     std::vector<std::string> argv;
 

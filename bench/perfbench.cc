@@ -7,12 +7,12 @@
  * loop (ns/tick), and whole experiments (single-run and sweep
  * throughput) — under every engine backend:
  *
- *   perfbench --backend all --json BENCH_PR15.json
+ *   perfbench --backend all --json BENCH_PR16.json
  *
  * The engine-level rows (fine_tick, single_run*, sweep*) run through
- * the explicit engine::EngineBackend API, one column per backend:
- * optimized is the scalar engine, soa is the structure-of-arrays
- * batch engine. The component micro-rows (kibam_step, event_queue,
+ * engine::makeClusterEngine, one column per backend: optimized is the
+ * scalar engine, soa is the structure-of-arrays batch engine (the
+ * default everywhere else). The component micro-rows (kibam_step, event_queue,
  * alert_eval) time standalone objects the SoA engine has no
  * equivalent of, so they report an optimized column only.
  *
@@ -513,8 +513,7 @@ runScalarRow(const std::string &name, const std::string &unit,
 
 /**
  * Engine-level row: the body receives an explicit BackendKind and
- * runs once per enabled backend through the engine::EngineBackend
- * API.
+ * runs once per enabled backend.
  */
 template <typename Fn>
 BenchRow

@@ -24,6 +24,10 @@
  *        [--push-spool DIR] [--push-source NAME]
  *        [--quiet] [--log-level L]
  *
+ * --backend selects the simulation engine: soa (the default) or the
+ * scalar reference optimized; the session header records it, so a
+ * replay runs on the engine the live session ran on.
+ *
  * --speed is sim-seconds per wall-second (default 60, i.e. a sim
  * minute per second; "max" = unpaced). --duration auto-stops after
  * SEC simulated seconds of live service; without it the daemon runs
@@ -112,7 +116,9 @@ usage()
            "       padd --replay SESSION [--incidents FILE]\n"
            "            [--stats-json FILE] [--prom FILE]\n"
            "            [--push-to HOST:PORT ...]\n"
-           "       padd --connect PORT --cmd CMD [--cmd CMD ...]\n";
+           "       padd --connect PORT --cmd CMD [--cmd CMD ...]\n"
+           "  --backend NAME  simulation engine (default soa, the batch\n"
+           "                  engine; optimized is the scalar reference)\n";
     std::exit(2);
 }
 

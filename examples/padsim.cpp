@@ -30,9 +30,9 @@
  * metrics_port, metrics_linger, alerts, incidents, incident_html,
  * profile_engine); command-line flags override it.
  *
- * --backend selects the simulation engine (src/engine): optimized is
- * the scalar engine (the default), soa is the opt-in
- * structure-of-arrays batch engine (physically equivalent, not
+ * --backend selects the simulation engine (src/engine): soa, the
+ * structure-of-arrays batch engine, is the default; optimized is the
+ * scalar reference engine (physically equivalent, not
  * bit-identical).
  *
  * Observability: --prom dumps the final stats registry plus telemetry
@@ -105,7 +105,7 @@ namespace {
 
 struct Options {
     core::SchemeKind scheme = core::SchemeKind::Pad;
-    engine::BackendKind backend = engine::BackendKind::Optimized;
+    engine::BackendKind backend = engine::BackendKind::Soa;
     attack::VirusKind virus = attack::VirusKind::CpuIntensive;
     attack::AttackStyle style = attack::AttackStyle::Dense;
     int nodes = 4;
@@ -155,7 +155,9 @@ usage()
            "              [--metrics-port N] [--metrics-linger SEC]\n"
            "              [--alerts RULES] [--incidents FILE]\n"
            "              [--incident-html FILE] [--profile-engine]\n"
-           "              [--push-to HOST:PORT] [--push-source NAME]\n";
+           "              [--push-to HOST:PORT] [--push-source NAME]\n"
+           "  --backend NAME  simulation engine (default soa, the batch\n"
+           "                  engine; optimized is the scalar reference)\n";
     std::exit(2);
 }
 

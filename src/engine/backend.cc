@@ -28,34 +28,17 @@ backendFromName(std::string_view name)
     return std::nullopt;
 }
 
-const EngineBackend &
-backendFor(BackendKind kind)
-{
-    static const ScalarBackend optimized;
-    static const SoaBackend soa;
-    switch (kind) {
-      case BackendKind::Optimized:
-        return optimized;
-      case BackendKind::Soa:
-        return soa;
-    }
-    PAD_FATAL("unknown backend kind {}", static_cast<int>(kind));
-}
-
 std::unique_ptr<ClusterEngine>
 makeClusterEngine(BackendKind kind, const core::DataCenterConfig &config,
                   const trace::Workload *workload)
 {
-    const EngineBackend &backend = backendFor(kind);
-    const EnginePlan plan = backend.prepare(config);
-    if (!plan.supported) {
-        pad::warn("{} backend cannot run this configuration ({}); "
-                  "falling back to the scalar optimized engine",
-                  backendName(kind), plan.note);
-        return backendFor(BackendKind::Optimized)
-            .create(config, workload);
+    switch (kind) {
+      case BackendKind::Optimized:
+        return std::make_unique<ScalarEngine>(config, workload);
+      case BackendKind::Soa:
+        return std::make_unique<SoaEngine>(config, workload);
     }
-    return backend.create(config, workload);
+    PAD_FATAL("unknown backend kind {}", static_cast<int>(kind));
 }
 
 } // namespace pad::engine

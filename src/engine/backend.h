@@ -2,22 +2,24 @@
  * @file
  * Explicit engine-backend selection API.
  *
- * Callers pick a BackendKind per run, a factory prepares and creates
- * a ClusterEngine, and nothing about the choice leaks into other
- * runs or threads.
+ * Callers pick a BackendKind per run, makeClusterEngine builds the
+ * ClusterEngine, and nothing about the choice leaks into other runs
+ * or threads.
  *
  * Two backends exist:
  *
- *  - Optimized  — the scalar core::DataCenter. This is the default
- *                 backend.
- *  - Soa        — the structure-of-arrays batch engine: rack,
- *                 battery and server state in parallel arrays, the
- *                 per-tick KiBaM step / demand evaluation / µDEB
- *                 shaving as batch loops, arena-backed scratch, and
- *                 counter-based RNG streams. Physically equivalent
- *                 to the scalar engine (energy conservation, SoC
- *                 bounds, survival agreement within tolerance) but
- *                 not bit-identical: its per-rack summation order
+ *  - Soa        — the structure-of-arrays batch engine, and the
+ *                 default: rack, battery and server state in
+ *                 parallel arrays, the per-tick KiBaM step / demand
+ *                 evaluation / µDEB shaving as batch loops,
+ *                 arena-backed scratch, and counter-based RNG
+ *                 streams. Runs both DEB placements (rack cabinets
+ *                 and per-server BBUs).
+ *  - Optimized  — the scalar core::DataCenter, kept as the reference
+ *                 the SoA engine is checked against. Physically
+ *                 equivalent (energy conservation, SoC bounds,
+ *                 survival agreement within tolerance) but not
+ *                 bit-identical: the SoA per-rack summation order
  *                 differs by design.
  */
 
@@ -28,7 +30,6 @@
 #include <memory>
 #include <optional>
 #include <ostream>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -45,9 +46,9 @@ namespace pad::engine {
 
 /** Selectable simulation engines. */
 enum class BackendKind {
-    /** Scalar engine (the default). */
+    /** Scalar reference engine. */
     Optimized,
-    /** Structure-of-arrays batch engine (opt-in). */
+    /** Structure-of-arrays batch engine (the default). */
     Soa,
 };
 
@@ -56,22 +57,6 @@ const char *backendName(BackendKind kind);
 
 /** Parse a backend name; nullopt when unknown. */
 std::optional<BackendKind> backendFromName(std::string_view name);
-
-/**
- * What a backend would build for a configuration, surfaced before
- * construction so callers can size shared resources (and discover
- * unsupported configurations without paying for a failed build).
- */
-struct EnginePlan {
-    /** Racks the engine will simulate. */
-    int racks = 0;
-    /** Total servers across all racks. */
-    int servers = 0;
-    /** False when the backend cannot run this configuration. */
-    bool supported = true;
-    /** Human-readable reason when unsupported. */
-    std::string note;
-};
 
 /**
  * One running cluster simulation behind a backend-neutral interface:
@@ -149,40 +134,8 @@ class ClusterEngine
 };
 
 /**
- * Factory for one backend kind. Stateless and shared; per-run state
- * lives in the ClusterEngine it creates.
- */
-class EngineBackend
-{
-  public:
-    virtual ~EngineBackend() = default;
-
-    /** The kind this backend builds. */
-    virtual BackendKind kind() const = 0;
-
-    /**
-     * Size up a run without building it: rack/server counts and
-     * whether the configuration is supported at all.
-     */
-    virtual EnginePlan prepare(const core::DataCenterConfig &config) const = 0;
-
-    /**
-     * Build an engine. @p workload is not owned and must outlive the
-     * engine. Asserts prepare(config).supported.
-     */
-    virtual std::unique_ptr<ClusterEngine>
-    create(const core::DataCenterConfig &config,
-           const trace::Workload *workload) const = 0;
-};
-
-/** The shared factory for @p kind. */
-const EngineBackend &backendFor(BackendKind kind);
-
-/**
- * Convenience: prepare + create in one call. When @p kind does not
- * support the configuration (e.g. the SoA backend with per-server
- * DEB placement), falls back to the scalar Optimized backend with a
- * warning instead of failing the run.
+ * Build the engine for @p kind. @p workload is not owned and must
+ * outlive the engine. Every configuration runs on either backend.
  */
 std::unique_ptr<ClusterEngine>
 makeClusterEngine(BackendKind kind, const core::DataCenterConfig &config,

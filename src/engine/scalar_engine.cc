@@ -2,23 +2,6 @@
 
 namespace pad::engine {
 
-EnginePlan
-ScalarBackend::prepare(const core::DataCenterConfig &config) const
-{
-    EnginePlan plan;
-    plan.racks = config.racks;
-    plan.servers = config.totalServers();
-    plan.supported = true;
-    return plan;
-}
-
-std::unique_ptr<ClusterEngine>
-ScalarBackend::create(const core::DataCenterConfig &config,
-                      const trace::Workload *workload) const
-{
-    return std::make_unique<ScalarEngine>(config, workload);
-}
-
 ScalarEngine::ScalarEngine(const core::DataCenterConfig &config,
                            const trace::Workload *workload)
     : dc_(config, workload)

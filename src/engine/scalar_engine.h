@@ -7,23 +7,10 @@
 #ifndef PAD_ENGINE_SCALAR_ENGINE_H
 #define PAD_ENGINE_SCALAR_ENGINE_H
 
-#include <memory>
-
 #include "core/datacenter.h"
 #include "engine/backend.h"
 
 namespace pad::engine {
-
-/** Builds ScalarEngine instances (BackendKind::Optimized). */
-class ScalarBackend final : public EngineBackend
-{
-  public:
-    BackendKind kind() const override { return BackendKind::Optimized; }
-    EnginePlan prepare(const core::DataCenterConfig &config) const override;
-    std::unique_ptr<ClusterEngine>
-    create(const core::DataCenterConfig &config,
-           const trace::Workload *workload) const override;
-};
 
 /** core::DataCenter behind the ClusterEngine interface. */
 class ScalarEngine final : public ClusterEngine

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <thread>
 
 #include "obs/tracer.h"
 #include "sched/load_shedding.h"
+#include "util/index_sort.h"
 #include "util/logging.h"
 
 namespace pad::engine {
@@ -25,31 +27,6 @@ constexpr Joules kEps = 1e-9;
 
 } // namespace
 
-EnginePlan
-SoaBackend::prepare(const core::DataCenterConfig &config) const
-{
-    EnginePlan plan;
-    plan.racks = config.racks;
-    plan.servers = config.totalServers();
-    if (config.debPlacement !=
-        core::DataCenterConfig::DebPlacement::RackCabinet) {
-        plan.supported = false;
-        plan.note = "per-server BBU placement keeps per-unit state that "
-                    "does not flatten to one-well-per-rack arrays";
-    }
-    return plan;
-}
-
-std::unique_ptr<ClusterEngine>
-SoaBackend::create(const core::DataCenterConfig &config,
-                   const trace::Workload *workload) const
-{
-    const EnginePlan plan = prepare(config);
-    PAD_ASSERT(plan.supported, "SoA backend cannot run this config: {}",
-               plan.note);
-    return std::make_unique<SoaEngine>(config, workload);
-}
-
 SoaEngine::SoaEngine(const core::DataCenterConfig &config,
                      const trace::Workload *workload)
     : config_(config),
@@ -60,9 +37,6 @@ SoaEngine::SoaEngine(const core::DataCenterConfig &config,
 {
     PAD_ASSERT(workload_ != nullptr);
     PAD_ASSERT(config_.racks > 0 && config_.serversPerRack > 0);
-    PAD_ASSERT(config_.debPlacement ==
-                   core::DataCenterConfig::DebPlacement::RackCabinet,
-               "SoA engine supports rack-cabinet DEB placement only");
     PAD_ASSERT(workload_->machines() >= config_.totalServers(),
                "workload has fewer machines than the cluster");
 
@@ -72,28 +46,50 @@ SoaEngine::SoaEngine(const core::DataCenterConfig &config,
     const auto nr = static_cast<std::size_t>(racks_);
     const auto nm = static_cast<std::size_t>(machines_);
 
-    // Every cabinet shares one KiBaM parameterization.
-    capJ_ = wattHoursToJoules(config_.deb.capacityWh);
-    kibamC_ = config_.deb.kibamC;
-    kibamK_ = config_.deb.kibamK;
-    maxDischarge_ = config_.deb.maxDischargePower;
-    maxCharge_ = config_.deb.maxChargePower;
-    lvdDisconnectSoc_ = config_.deb.lvdDisconnectSoc;
-    lvdReconnectSoc_ = config_.deb.lvdReconnectSoc;
+    // Every unit shares one KiBaM parameterization. Per-server BBUs
+    // split the cabinet: same total capacity, per-unit rate limits
+    // scaled down (core::DataCenter's construction, verbatim).
+    perServer_ = config_.debPlacement ==
+                 core::DataCenterConfig::DebPlacement::PerServer;
+    unitsPerRack_ =
+        perServer_ ? static_cast<std::size_t>(serversPerRack_) : 1;
+    battery::BatteryUnitConfig unit = config_.deb;
+    if (perServer_) {
+        const double n = serversPerRack_;
+        unit.capacityWh /= n;
+        unit.maxDischargePower /= n;
+        unit.maxChargePower /= n;
+    }
+    capJ_ = wattHoursToJoules(unit.capacityWh);
+    kibamC_ = unit.kibamC;
+    kibamK_ = unit.kibamK;
+    maxDischarge_ = unit.maxDischargePower;
+    maxCharge_ = unit.maxChargePower;
+    lvdDisconnectSoc_ = unit.lvdDisconnectSoc;
+    lvdReconnectSoc_ = unit.lvdReconnectSoc;
     PAD_ASSERT(capJ_ > 0.0 && kibamC_ > 0.0 && kibamC_ < 1.0 &&
                kibamK_ > 0.0);
     PAD_ASSERT(maxDischarge_ > 0.0);
     PAD_ASSERT(lvdDisconnectSoc_ >= 0.0 &&
                lvdDisconnectSoc_ < lvdReconnectSoc_ &&
                lvdReconnectSoc_ <= 1.0);
+    rackCapJ_ = 0.0;
+    for (std::size_t i = 0; i < unitsPerRack_; ++i)
+        rackCapJ_ += capJ_;
 
-    y1_.assign(nr, kibamC_ * capJ_);
-    y2_.assign(nr, (1.0 - kibamC_) * capJ_);
-    dischargedJ_.assign(nr, 0.0);
-    chargedJ_.assign(nr, 0.0);
-    lvdTripped_.assign(nr, 0);
-    lvdTrips_.assign(nr, 0);
-    chargerLatch_.assign(nr, 0);
+    const std::size_t nu = nr * unitsPerRack_;
+    y1_.assign(nu, kibamC_ * capJ_);
+    y2_.assign(nu, (1.0 - kibamC_) * capJ_);
+    dischargedJ_.assign(nu, 0.0);
+    chargedJ_.assign(nu, 0.0);
+    lvdTripped_.assign(nu, 0);
+    lvdTrips_.assign(nu, 0);
+    chargerLatch_.assign(nu, 0);
+    if (perServer_) {
+        cacheServerPower_.assign(nm, 0.0);
+        serverPower_.assign(nm, 0.0);
+        unitOrder_.reserve(unitsPerRack_);
+    }
 
     // Aging constants hoisted out of the AgingModel arithmetic
     // (battery/aging_model.cc): wear accrual per discharged joule and
@@ -106,8 +102,8 @@ SoaEngine::SoaEngine(const core::DataCenterConfig &config,
     agingStressExponent_ = aging.stressExponent;
     agingThroughputInv_ = 1.0 / (aging.cycleLife * capJ_);
     agingCalendarPerSec_ = 1.0 / (aging.calendarLifeHours * 3600.0);
-    cycleWear_.assign(nr, 0.0);
-    calendarWear_.assign(nr, 0.0);
+    cycleWear_.assign(nu, 0.0);
+    calendarWear_.assign(nu, 0.0);
 
     hasUdeb_ = traits_.udebSpikes;
     if (hasUdeb_) {
@@ -205,6 +201,7 @@ SoaEngine::setProfiler(obs::EngineProfiler *prof)
         dbytes(chargedJ_) + lvdTripped_.capacity() +
         lvdTrips_.capacity() * sizeof(int) + chargerLatch_.capacity() +
         dbytes(cycleWear_) + dbytes(calendarWear_) +
+        dbytes(cacheServerPower_) +
         dbytes(udebVoltage_) + dbytes(udebEngagedFor_) +
         udebEngagements_.capacity() * sizeof(int) +
         dbytes(udebDischargedJ_) + dbytes(breakerHeat_) +
@@ -222,6 +219,8 @@ SoaEngine::setProfiler(obs::EngineProfiler *prof)
     std::size_t scratch = dbytes(rackPower_) + dbytes(rackDraw_) +
                           dbytes(rackUncapped_) + dbytes(rackShaved_) +
                           dbytes(limits_) + dbytes(socScratch_) +
+                          dbytes(serverPower_) +
+                          unitOrder_.capacity() * sizeof(std::size_t) +
                           planScratch_.power.capacity() * sizeof(double);
     prof_->setArenaBytes(arena);
     prof_->setScratchBytes(scratch);
@@ -251,42 +250,42 @@ SoaEngine::coeffsFor(double dt) const
 }
 
 void
-SoaEngine::kibamAdvance(std::size_t r, Watts power, double cr, double ckt)
+SoaEngine::kibamAdvance(std::size_t u, Watts power, double cr, double ckt)
 {
     // Manwell-McGowan closed form for constant power over dt.
     const double k = kibamK_;
     const double c = kibamC_;
-    const double y0 = y1_[r] + y2_[r];
-    const double y1n = y1_[r] * cr +
+    const double y0 = y1_[u] + y2_[u];
+    const double y1n = y1_[u] * cr +
                        (y0 * k * c - power) * (1.0 - cr) / k -
                        power * c * (ckt - 1.0 + cr) / k;
-    const double y2n = y2_[r] * cr + y0 * (1.0 - c) * (1.0 - cr) -
+    const double y2n = y2_[u] * cr + y0 * (1.0 - c) * (1.0 - cr) -
                        power * (1.0 - c) * (ckt - 1.0 + cr) / k;
-    y1_[r] = y1n;
-    y2_[r] = y2n;
+    y1_[u] = y1n;
+    y2_[u] = y2n;
 }
 
 double
-SoaEngine::availableAfter(std::size_t r, Watts power, double t) const
+SoaEngine::availableAfter(std::size_t u, Watts power, double t) const
 {
     const double k = kibamK_;
     const double c = kibamC_;
-    const double y0 = y1_[r] + y2_[r];
+    const double y0 = y1_[u] + y2_[u];
     const double er = std::exp(-k * t);
     const double kt = k * t;
-    return y1_[r] * er + (y0 * k * c - power) * (1.0 - er) / k -
+    return y1_[u] * er + (y0 * k * c - power) * (1.0 - er) / k -
            power * c * (kt - 1.0 + er) / k;
 }
 
 double
-SoaEngine::crossingBisect(std::size_t r, Watts power, double dt) const
+SoaEngine::crossingBisect(std::size_t u, Watts power, double dt) const
 {
     // The same 60 dyadic midpoints, y1 arithmetic and sign test as the
     // scalar bisection, so the crossing is bit-identical to it.
     double lo = 0.0, hi = dt;
     for (int iter = 0; iter < 60; ++iter) {
         const double mid = 0.5 * (lo + hi);
-        if (availableAfter(r, power, mid) > 0.0)
+        if (availableAfter(u, power, mid) > 0.0)
             lo = mid;
         else
             hi = mid;
@@ -295,84 +294,84 @@ SoaEngine::crossingBisect(std::size_t r, Watts power, double dt) const
 }
 
 void
-SoaEngine::clampWells(std::size_t r)
+SoaEngine::clampWells(std::size_t u)
 {
-    y1_[r] = std::clamp(y1_[r], 0.0, kibamC_ * capJ_);
-    y2_[r] = std::clamp(y2_[r], 0.0, (1.0 - kibamC_) * capJ_);
+    y1_[u] = std::clamp(y1_[u], 0.0, kibamC_ * capJ_);
+    y2_[u] = std::clamp(y2_[u], 0.0, (1.0 - kibamC_) * capJ_);
 }
 
 Watts
-SoaEngine::kibamMsp(std::size_t r, double dt) const
+SoaEngine::kibamMsp(std::size_t u, double dt) const
 {
     PAD_ASSERT(dt > 0.0);
     const Coeffs &cc = coeffsFor(dt);
     const double numer =
-        y1_[r] * cc.r + (y1_[r] + y2_[r]) * kibamC_ * (1.0 - cc.r);
+        y1_[u] * cc.r + (y1_[u] + y2_[u]) * kibamC_ * (1.0 - cc.r);
     if (cc.mspDenom <= 0.0)
         return 0.0;
     return std::max(0.0, numer / cc.mspDenom);
 }
 
 Joules
-SoaEngine::kibamStep(std::size_t r, Watts power, double dt)
+SoaEngine::kibamStep(std::size_t u, Watts power, double dt)
 {
     PAD_ASSERT(dt >= 0.0);
     if (dt == 0.0 || power == 0.0) {
         // Even with no load the wells equalize.
         if (dt > 0.0) {
             const Coeffs &cc = coeffsFor(dt);
-            kibamAdvance(r, 0.0, cc.r, cc.kt);
-            clampWells(r);
+            kibamAdvance(u, 0.0, cc.r, cc.kt);
+            clampWells(u);
         }
         return 0.0;
     }
 
     if (power > 0.0) {
-        const Watts sustainable = kibamMsp(r, dt);
+        const Watts sustainable = kibamMsp(u, dt);
         if (power <= sustainable) {
             const Coeffs &cc = coeffsFor(dt);
-            kibamAdvance(r, power, cc.r, cc.kt);
-            clampWells(r);
+            kibamAdvance(u, power, cc.r, cc.kt);
+            clampWells(u);
             return power * dt;
         }
         if (sustainable <= 0.0) {
             const Coeffs &cc = coeffsFor(dt);
-            kibamAdvance(r, 0.0, cc.r, cc.kt);
-            clampWells(r);
+            kibamAdvance(u, 0.0, cc.r, cc.kt);
+            clampWells(u);
             return 0.0;
         }
         // Deliver until y1 empties, then rest for the remainder.
-        const double tcross = crossingBisect(r, power, dt);
+        const double tcross = crossingBisect(u, power, dt);
         {
             const Coeffs &cc = coeffsFor(tcross);
-            kibamAdvance(r, power, cc.r, cc.kt);
-            clampWells(r);
+            kibamAdvance(u, power, cc.r, cc.kt);
+            clampWells(u);
         }
-        y1_[r] = 0.0;
+        y1_[u] = 0.0;
         {
             const Coeffs &cc = coeffsFor(dt - tcross);
-            kibamAdvance(r, 0.0, cc.r, cc.kt);
-            clampWells(r);
+            kibamAdvance(u, 0.0, cc.r, cc.kt);
+            clampWells(u);
         }
         return power * tcross;
     }
 
     // Charging: conservation first — split accepted charge across the
     // wells, spilling overflow, then apply the kinetic equalization.
-    const Joules room = capJ_ - (y1_[r] + y2_[r]);
+    const Joules room = capJ_ - (y1_[u] + y2_[u]);
     const Joules accepted = std::min(-power * dt, room);
     if (accepted > 0.0) {
-        const Joules y1room = kibamC_ * capJ_ - y1_[r];
-        const Joules y2room = (1.0 - kibamC_) * capJ_ - y2_[r];
+        const Joules y1room = kibamC_ * capJ_ - y1_[u];
+        const Joules y2room = (1.0 - kibamC_) * capJ_ - y2_[u];
         Joules toY1 = std::min(accepted * kibamC_, y1room);
         Joules toY2 = std::min(accepted - toY1, y2room);
         toY1 += std::min(accepted - toY1 - toY2, y1room - toY1);
-        y1_[r] += toY1;
-        y2_[r] += toY2;
+        y1_[u] += toY1;
+        y2_[u] += toY2;
     }
     const Coeffs &cc = coeffsFor(dt);
-    kibamAdvance(r, 0.0, cc.r, cc.kt);
-    clampWells(r);
+    kibamAdvance(u, 0.0, cc.r, cc.kt);
+    clampWells(u);
     return -accepted;
 }
 
@@ -381,76 +380,76 @@ SoaEngine::kibamStep(std::size_t r, Watts power, double dt)
 // ---------------------------------------------------------------------
 
 void
-SoaEngine::updateLvd(std::size_t r)
+SoaEngine::updateLvd(std::size_t u)
 {
     // The LVD tracks the available-well head, not total charge.
-    const double head = y1_[r] / (kibamC_ * capJ_);
-    if (!lvdTripped_[r]) {
-        if (head <= lvdDisconnectSoc_ + 1e-9 || y1_[r] <= kEps) {
-            lvdTripped_[r] = 1;
-            ++lvdTrips_[r];
+    const double head = y1_[u] / (kibamC_ * capJ_);
+    if (!lvdTripped_[u]) {
+        if (head <= lvdDisconnectSoc_ + 1e-9 || y1_[u] <= kEps) {
+            lvdTripped_[u] = 1;
+            ++lvdTrips_[u];
         }
     } else if (head >= lvdReconnectSoc_) {
-        lvdTripped_[r] = 0;
+        lvdTripped_[u] = 0;
     }
 }
 
 Joules
-SoaEngine::unitDischarge(std::size_t r, Watts requested, double dt)
+SoaEngine::unitDischarge(std::size_t u, Watts requested, double dt)
 {
     PAD_ASSERT(requested >= 0.0 && dt >= 0.0);
-    if (dt == 0.0 || requested == 0.0 || lvdTripped_[r]) {
-        unitRest(r, dt);
+    if (dt == 0.0 || requested == 0.0 || lvdTripped_[u]) {
+        unitRest(u, dt);
         return 0.0;
     }
     const Watts bounded = std::min(requested, maxDischarge_);
     const Joules floor = lvdDisconnectSoc_ * capJ_;
-    const Joules headroom = std::max(0.0, rackStored(r) - floor);
+    const Joules headroom = std::max(0.0, unitStored(u) - floor);
     Joules delivered = 0.0;
     const Joules want = bounded * dt;
     if (want <= headroom) {
-        delivered = kibamStep(r, bounded, dt);
+        delivered = kibamStep(u, bounded, dt);
     } else {
         // Deliver until the LVD floor, then rest for the remainder.
         const double tcut = headroom / bounded;
-        delivered = kibamStep(r, bounded, tcut);
-        kibamStep(r, 0.0, dt - tcut);
+        delivered = kibamStep(u, bounded, tcut);
+        kibamStep(u, 0.0, dt - tcut);
     }
-    dischargedJ_[r] += delivered;
-    agingOnDischarge(r, delivered / dt, dt);
-    agingOnElapsed(r, dt);
-    updateLvd(r);
+    dischargedJ_[u] += delivered;
+    agingOnDischarge(u, delivered / dt, dt);
+    agingOnElapsed(u, dt);
+    updateLvd(u);
     return delivered;
 }
 
 Joules
-SoaEngine::unitCharge(std::size_t r, Watts offered, double dt)
+SoaEngine::unitCharge(std::size_t u, Watts offered, double dt)
 {
     PAD_ASSERT(offered >= 0.0 && dt >= 0.0);
     if (dt == 0.0 || offered == 0.0) {
-        unitRest(r, dt);
+        unitRest(u, dt);
         return 0.0;
     }
     const Watts bounded = std::min(offered, maxCharge_);
-    const Joules absorbed = -kibamStep(r, -bounded, dt);
-    chargedJ_[r] += absorbed;
-    agingOnElapsed(r, dt);
-    updateLvd(r);
+    const Joules absorbed = -kibamStep(u, -bounded, dt);
+    chargedJ_[u] += absorbed;
+    agingOnElapsed(u, dt);
+    updateLvd(u);
     return absorbed;
 }
 
 void
-SoaEngine::unitRest(std::size_t r, double dt)
+SoaEngine::unitRest(std::size_t u, double dt)
 {
     if (dt > 0.0) {
-        kibamStep(r, 0.0, dt);
-        agingOnElapsed(r, dt);
-        updateLvd(r);
+        kibamStep(u, 0.0, dt);
+        agingOnElapsed(u, dt);
+        updateLvd(u);
     }
 }
 
 void
-SoaEngine::agingOnDischarge(std::size_t r, Watts power, double dt)
+SoaEngine::agingOnDischarge(std::size_t u, Watts power, double dt)
 {
     // battery/aging_model.cc::onDischarge with the lifetime
     // throughput divisor pre-inverted.
@@ -462,58 +461,38 @@ SoaEngine::agingOnDischarge(std::size_t r, Watts power, double dt)
     if (rateC > agingReferenceRateC_)
         stress = std::pow(rateC / agingReferenceRateC_,
                           agingStressExponent_);
-    cycleWear_[r] += stress * energy * agingThroughputInv_;
+    cycleWear_[u] += stress * energy * agingThroughputInv_;
 }
 
 Watts
-SoaEngine::unitAvailablePower(std::size_t r, double dt) const
+SoaEngine::unitAvailablePower(std::size_t u, double dt) const
 {
-    if (lvdTripped_[r])
+    if (lvdTripped_[u])
         return 0.0;
-    const Watts sustainable = kibamMsp(r, dt);
+    const Watts sustainable = kibamMsp(u, dt);
     const Joules floor = lvdDisconnectSoc_ * capJ_;
-    const Joules headroom = std::max(0.0, rackStored(r) - floor);
+    const Joules headroom = std::max(0.0, unitStored(u) - floor);
     const Watts byEnergy = headroom / dt;
     return std::min({sustainable, byEnergy, maxDischarge_});
-}
-
-bool
-SoaEngine::unitUnavailable(std::size_t r) const
-{
-    return lvdTripped_[r] || y1_[r] <= kEps;
 }
 
 Watts
 SoaEngine::rackDischarge(std::size_t r, Watts want, double dtSec,
                          Watts boundW)
 {
-    // RackState::discharge for the single-cabinet case: the unit's
-    // SOC-proportional share of its own rack is exactly 1.
+    if (perServer_)
+        return bbuDischarge(r, want, dtSec);
+    // A cabinet's SOC-proportional share of its own rack is exactly 1.
     if (want <= 0.0) {
         unitRest(r, dtSec);
         return 0.0;
     }
-    const double share = rackStored(r) > 0.0 ? 1.0 : 0.0;
+    const double share = unitStored(r) > 0.0 ? 1.0 : 0.0;
     const Watts ask = std::min(want * share, boundW);
     if (ask > 0.0)
         return unitDischarge(r, ask, dtSec) / dtSec;
     unitRest(r, dtSec);
     return 0.0;
-}
-
-bool
-SoaEngine::wantsCharge(std::size_t r)
-{
-    if (config_.charge.kind == battery::ChargePolicyKind::Online)
-        return std::clamp(rackStored(r) / capJ_, 0.0, 1.0) < 0.999;
-    const double soc = std::clamp(rackStored(r) / capJ_, 0.0, 1.0);
-    if (chargerLatch_[r]) {
-        if (soc >= config_.charge.offlineStopSoc)
-            chargerLatch_[r] = 0;
-    } else if (soc <= config_.charge.offlineStartSoc) {
-        chargerLatch_[r] = 1;
-    }
-    return chargerLatch_[r];
 }
 
 void
@@ -522,10 +501,124 @@ SoaEngine::rackRecharge(std::size_t r, Watts headroom, double dtSec)
     PAD_ASSERT(dtSec >= 0.0);
     if (headroom <= 0.0 || dtSec == 0.0)
         return;
-    if (!wantsCharge(r))
+    if (perServer_) {
+        bbuRecharge(r, headroom, dtSec);
         return;
-    const Watts offer = std::min(headroom, maxCharge_);
-    unitCharge(r, offer, dtSec);
+    }
+    if (wantsCharge(r))
+        unitCharge(r, std::min(headroom, maxCharge_), dtSec);
+}
+
+bool
+SoaEngine::wantsCharge(std::size_t u)
+{
+    const double soc = unitSoc(u);
+    if (config_.charge.kind == battery::ChargePolicyKind::Online)
+        return soc < 0.999;
+    if (chargerLatch_[u]) {
+        if (soc >= config_.charge.offlineStopSoc)
+            chargerLatch_[u] = 0;
+    } else if (soc <= config_.charge.offlineStartSoc) {
+        chargerLatch_[u] = 1;
+    }
+    return chargerLatch_[u];
+}
+
+// ---------------------------------------------------------------------
+// Per-server BBUs (core::DataCenter::RackState over one unit per
+// server; unit index == machine index)
+// ---------------------------------------------------------------------
+
+Joules
+SoaEngine::bbuStored(std::size_t r) const
+{
+    Joules total = 0.0;
+    for (std::size_t u = r * unitsPerRack_; u < (r + 1) * unitsPerRack_;
+         ++u)
+        total += unitStored(u);
+    return total;
+}
+
+Watts
+SoaEngine::bbuAvailablePower(std::size_t r, double dt) const
+{
+    Watts total = 0.0;
+    for (std::size_t u = r * unitsPerRack_; u < (r + 1) * unitsPerRack_;
+         ++u)
+        total += unitAvailablePower(u, dt);
+    return total;
+}
+
+void
+SoaEngine::bbuRest(std::size_t r, double dtSec)
+{
+    for (std::size_t u = r * unitsPerRack_; u < (r + 1) * unitsPerRack_;
+         ++u)
+        unitRest(u, dtSec);
+}
+
+Watts
+SoaEngine::bbuDischarge(std::size_t r, Watts want, double dtSec)
+{
+    if (want <= 0.0) {
+        bbuRest(r, dtSec);
+        return 0.0;
+    }
+    // Split in proportion to stored charge, each unit bounded by its
+    // own server's draw.
+    const Joules total = bbuStored(r);
+    Watts delivered = 0.0;
+    for (std::size_t u = r * unitsPerRack_; u < (r + 1) * unitsPerRack_;
+         ++u) {
+        const double share = total > 0.0 ? unitStored(u) / total : 0.0;
+        const Watts ask = std::min(want * share, serverPower_[u]);
+        if (ask > 0.0)
+            delivered += unitDischarge(u, ask, dtSec) / dtSec;
+        else
+            unitRest(u, dtSec);
+    }
+    return delivered;
+}
+
+Watts
+SoaEngine::bbuShaveOwnExcess(std::size_t r, Watts budgetW, double dtSec)
+{
+    // Each BBU shaves only its own server's excess over the
+    // per-server share of the rack budget.
+    const Watts serverBudget =
+        budgetW / static_cast<double>(serversPerRack_);
+    Watts shaved = 0.0;
+    for (std::size_t u = r * unitsPerRack_; u < (r + 1) * unitsPerRack_;
+         ++u) {
+        const Watts excess = std::max(0.0, serverPower_[u] - serverBudget);
+        if (excess > 0.0)
+            shaved += unitDischarge(u, excess, dtSec) / dtSec;
+        else
+            unitRest(u, dtSec);
+    }
+    return shaved;
+}
+
+void
+SoaEngine::bbuRecharge(std::size_t r, Watts headroom, double dtSec)
+{
+    // Lowest SoC first, so the most drained units recover first when
+    // headroom is scarce.
+    const std::size_t base = r * unitsPerRack_;
+    stableIndexSort(
+        unitOrder_, unitsPerRack_,
+        [&](std::size_t i) { return unitSoc(base + i); }, std::less<>());
+    Watts remaining = headroom;
+    for (std::size_t i : unitOrder_) {
+        if (remaining <= 0.0)
+            break;
+        const std::size_t u = base + i;
+        if (!wantsCharge(u))
+            continue;
+        const Joules got =
+            unitCharge(u, std::min(remaining, maxCharge_), dtSec);
+        remaining -= got / dtSec;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -786,17 +879,19 @@ SoaEngine::refreshShardRange(std::size_t rackLo, std::size_t rackHi,
             const std::size_t idx = rackBase + s;
             const double d = demandValues_[idx];
             demand += d;
+            double p = config_.sleepPower;
             if (shed_[idx]) {
-                power += config_.sleepPower;
                 shedSup +=
                     serverModel_.power(d, dvfs) - config_.sleepPower;
             } else {
-                double p, unc, e;
+                double unc, e;
                 serverModel_.evaluate(d, dvfs, p, unc, e);
-                power += p;
                 uncapped += unc;
                 executed += e;
             }
+            power += p;
+            if (perServer_)
+                cacheServerPower_[idx] = p;
         }
         cachePower_[r] = power;
         cacheUncapped_[r] = uncapped;
@@ -963,6 +1058,42 @@ SoaEngine::computeStep(StepView &step, Tick t, double dtSec, bool fine,
         rackUncapped_[r] = rackUncapped;
         step.totalPower += rackTotal;
     }
+    if (perServer_)
+        fillServerPower(t, scenario, atkUtil);
+}
+
+void
+SoaEngine::fillServerPower(Tick t, const core::AttackScenario *scenario,
+                           double atkUtil)
+{
+    // The same per-server draw computeStep summed per rack: benign
+    // servers from the per-second cache, the attacker's slots at this
+    // tick's virus demand (power() is bit-identical to evaluate()'s
+    // power output), nothing from a dark rack.
+    const auto perRack = static_cast<std::size_t>(serversPerRack_);
+    for (std::size_t r = 0; r < static_cast<std::size_t>(racks_); ++r) {
+        const auto first = static_cast<std::ptrdiff_t>(r * perRack);
+        const auto last = first + static_cast<std::ptrdiff_t>(perRack);
+        if (t < downUntil_[r]) {
+            std::fill(serverPower_.begin() + first,
+                      serverPower_.begin() + last, 0.0);
+            continue;
+        }
+        std::copy(cacheServerPower_.begin() + first,
+                  cacheServerPower_.begin() + last,
+                  serverPower_.begin() + first);
+        if (!scenario || !victimMask_[r])
+            continue;
+        for (int s = 0; s < scenario->maliciousNodes; ++s) {
+            const std::size_t idx = r * perRack + static_cast<std::size_t>(s);
+            if (shed_[idx])
+                serverPower_[idx] = config_.sleepPower;
+            else if (atkUtil > demandValues_[idx])
+                serverPower_[idx] = serverModel_.power(atkUtil, dvfs_[r]);
+            else
+                serverPower_[idx] = malPower_[idx];
+        }
+    }
 }
 
 void
@@ -987,7 +1118,7 @@ SoaEngine::applyShaving(StepView &step, double dtSec)
             if (traits_.peakShaving && want > 0.0)
                 shaved = rackDischarge(r, want, dtSec, powerW);
             else
-                unitRest(r, dtSec);
+                rackRest(r, dtSec);
             double draw = powerW - shaved;
             // Protect the rack's own wire: extra local discharge if
             // the draw still exceeds the hard circuit rating.
@@ -1005,7 +1136,9 @@ SoaEngine::applyShaving(StepView &step, double dtSec)
             const double powerW = rackPower_[r];
             Watts shaved = 0.0;
             if (!traits_.peakShaving) {
-                unitRest(r, dtSec);
+                rackRest(r, dtSec);
+            } else if (perServer_) {
+                shaved = bbuShaveOwnExcess(r, budget, dtSec);
             } else {
                 const Watts excess = std::max(0.0, powerW - budget);
                 if (excess > 0.0)
@@ -1126,7 +1259,7 @@ SoaEngine::controlDecisions(const StepView &step, double dtSec)
         constexpr double kRuntimeWindowSec = 300.0;
         for (std::size_t r = 0; r < nRacks; ++r) {
             const Watts excess = rackUncapped_[r] - budget;
-            const Joules floor = config_.deb.lvdDisconnectSoc * capJ_;
+            const Joules floor = config_.deb.lvdDisconnectSoc * rackCapJ_;
             const Joules usable =
                 std::max(0.0, rackStored(r) - floor);
             const bool needCap =
@@ -1160,7 +1293,7 @@ SoaEngine::controlDecisions(const StepView &step, double dtSec)
     if (traits_.shedding) {
         Watts poolPower = 0.0;
         for (std::size_t r = 0; r < nRacks; ++r)
-            poolPower += unitAvailablePower(r, 1.0);
+            poolPower += rackAvailablePower(r, 1.0);
         bool udebOk = !traits_.udebSpikes;
         if (hasUdeb_)
             for (std::size_t r = 0; r < nRacks; ++r)
@@ -1179,9 +1312,9 @@ SoaEngine::controlDecisions(const StepView &step, double dtSec)
         // Usable fraction of the pool's charge (above LVD floors).
         Joules usable = 0.0, usableCap = 0.0;
         for (std::size_t r = 0; r < nRacks; ++r) {
-            const Joules floor = config_.deb.lvdDisconnectSoc * capJ_;
+            const Joules floor = config_.deb.lvdDisconnectSoc * rackCapJ_;
             usable += std::max(0.0, rackStored(r) - floor);
-            usableCap += capJ_ - floor;
+            usableCap += rackCapJ_ - floor;
         }
         const double poolUsable = usable / std::max(usableCap, 1.0);
 
@@ -1597,7 +1730,7 @@ SoaEngine::runAttack(attack::TwoPhaseAttacker &attacker,
 double
 SoaEngine::rackSoc(std::size_t r) const
 {
-    return rackStored(r) / std::max(capJ_, 1e-9);
+    return rackStored(r) / std::max(rackCapJ_, 1e-9);
 }
 
 std::vector<double>
@@ -1607,6 +1740,16 @@ SoaEngine::allSocs() const
     socs.reserve(static_cast<std::size_t>(racks_));
     for (std::size_t r = 0; r < static_cast<std::size_t>(racks_); ++r)
         socs.push_back(rackSoc(r));
+    return socs;
+}
+
+std::vector<double>
+SoaEngine::unitSocs() const
+{
+    std::vector<double> socs;
+    socs.reserve(y1_.size());
+    for (std::size_t u = 0; u < y1_.size(); ++u)
+        socs.push_back(unitStored(u) / capJ_);
     return socs;
 }
 
@@ -1654,11 +1797,13 @@ void
 SoaEngine::setAllSoc(double soc)
 {
     PAD_ASSERT(soc >= 0.0 && soc <= 1.0);
+    for (std::size_t u = 0; u < y1_.size(); ++u) {
+        y1_[u] = soc * kibamC_ * capJ_;
+        y2_[u] = soc * (1.0 - kibamC_) * capJ_;
+        lvdTripped_[u] = 0;
+        updateLvd(u);
+    }
     for (std::size_t r = 0; r < static_cast<std::size_t>(racks_); ++r) {
-        y1_[r] = soc * kibamC_ * capJ_;
-        y2_[r] = soc * (1.0 - kibamC_) * capJ_;
-        lvdTripped_[r] = 0;
-        updateLvd(r);
         if (hasUdeb_) {
             const auto &cap = config_.udeb.cap;
             const double udeb = soc > 0.0 ? 1.0 : 0.0;
@@ -1724,10 +1869,15 @@ SoaEngine::exportStats(sim::StatsRegistry &stats) const
     int lvdTrips = 0, breakerTrips = 0, udebEngagements = 0;
     for (std::size_t r = 0; r < static_cast<std::size_t>(racks_); ++r) {
         socs.push_back(rackSoc(r));
-        discharged += dischargedJ_[r];
-        charged += chargedJ_[r];
-        lvdTrips += lvdTrips_[r];
-        wear.push_back(cycleWear_[r] + calendarWear_[r]);
+        double rackWear = 0.0;
+        for (std::size_t u = r * unitsPerRack_;
+             u < (r + 1) * unitsPerRack_; ++u) {
+            discharged += dischargedJ_[u];
+            charged += chargedJ_[u];
+            lvdTrips += lvdTrips_[u];
+            rackWear = std::max(rackWear, cycleWear_[u] + calendarWear_[u]);
+        }
+        wear.push_back(rackWear);
         breakerTrips += breakerTrips_[r];
         if (hasUdeb_)
             udebEngagements += udebEngagements_[r];

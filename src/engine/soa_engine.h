@@ -31,28 +31,33 @@
  *    engine's bytes.
  *
  * Parity contract (asserted by engine_parity_test / soa_backend_test):
- * the physics per rack — KiBaM wells, LVD, µDEB, breaker, meter —
- * uses the scalar components' arithmetic verbatim, but rack power is
- * summed benign-first rather than in server order, and throughput is
- * accounted per rack rather than per server, so outputs against the
- * scalar engine agree physically (energy conservation, SoC bounds,
- * survival within tolerance) without being bit-identical. Battery
- * aging replicates battery/aging_model.cc per rack (cycle + calendar
- * wear arrays, hooks at the same unitDischarge/unitCharge/unitRest
- * sites as BatteryUnit), so `deb.wear` matches the scalar engine
- * within the parity-test tolerance; everything else in exportStats
- * matches the scalar names too.
+ * the physics per battery unit — KiBaM wells, LVD, charger, wear —
+ * and per rack — µDEB, breaker, meter — uses the scalar components'
+ * arithmetic verbatim, but rack power is summed benign-first rather
+ * than in server order, and throughput is accounted per rack rather
+ * than per server, so outputs against the scalar engine agree
+ * physically (energy conservation, SoC bounds, survival within
+ * tolerance) without being bit-identical. Battery aging replicates
+ * battery/aging_model.cc per unit (cycle + calendar wear arrays,
+ * hooks at the same unitDischarge/unitCharge/unitRest sites as
+ * BatteryUnit), so `deb.wear` matches the scalar engine within the
+ * parity-test tolerance; everything else in exportStats matches the
+ * scalar names too.
  *
- * Supported configurations: RackCabinet DEB placement (the paper's
- * evaluation setup). PerServer placement keeps per-unit state that
- * does not flatten to one-well-per-rack arrays; EnginePlan reports
- * it unsupported and makeClusterEngine falls back to the scalar
- * Optimized backend.
+ * Both DEB placements run here. The battery arrays hold
+ * units-per-rack slots per rack: one cabinet per rack (RackCabinet,
+ * where unit index == rack index and the hot loops touch one well
+ * per rack) or one BBU per server (PerServer, where unit index ==
+ * machine index). Per-server units split a rack's discharge in
+ * proportion to stored charge, each bounded by its own server's
+ * draw, and recharge lowest-SoC first, as core::DataCenter's
+ * RackState and battery::ChargeController do.
  */
 
 #ifndef PAD_ENGINE_SOA_ENGINE_H
 #define PAD_ENGINE_SOA_ENGINE_H
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
@@ -66,17 +71,6 @@
 #include "sched/perf_monitor.h"
 
 namespace pad::engine {
-
-/** Builds SoaEngine instances. */
-class SoaBackend final : public EngineBackend
-{
-  public:
-    BackendKind kind() const override { return BackendKind::Soa; }
-    EnginePlan prepare(const core::DataCenterConfig &config) const override;
-    std::unique_ptr<ClusterEngine>
-    create(const core::DataCenterConfig &config,
-           const trace::Workload *workload) const override;
-};
 
 /** The SoA batch simulation engine. */
 class SoaEngine final : public ClusterEngine
@@ -126,6 +120,12 @@ class SoaEngine final : public ClusterEngine
     /** Current shard count. */
     int shards() const { return shards_; }
 
+    /**
+     * State of charge of every battery unit, rack-major: one per
+     * rack for cabinets, one per server for per-server BBUs.
+     */
+    std::vector<double> unitSocs() const;
+
   private:
     /** Memoized KiBaM closed-form coefficients for one dt. */
     struct Coeffs {
@@ -145,32 +145,67 @@ class SoaEngine final : public ClusterEngine
     // --- KiBaM batch physics (arithmetic verbatim battery/kibam.cc:
     //     coefficient cache + scalar bisection) ---
     const Coeffs &coeffsFor(double dt) const;
-    void kibamAdvance(std::size_t r, Watts power, double cr, double ckt);
-    double availableAfter(std::size_t r, Watts power, double t) const;
-    double crossingBisect(std::size_t r, Watts power, double dt) const;
-    void clampWells(std::size_t r);
-    Watts kibamMsp(std::size_t r, double dt) const;
-    Joules kibamStep(std::size_t r, Watts power, double dt);
+    void kibamAdvance(std::size_t u, Watts power, double cr, double ckt);
+    double availableAfter(std::size_t u, Watts power, double t) const;
+    double crossingBisect(std::size_t u, Watts power, double dt) const;
+    void clampWells(std::size_t u);
+    Watts kibamMsp(std::size_t u, double dt) const;
+    Joules kibamStep(std::size_t u, Watts power, double dt);
 
     // --- DEB unit protection (battery/battery_unit.cc) ---
-    void updateLvd(std::size_t r);
-    void agingOnDischarge(std::size_t r, Watts power, double dt);
-    void agingOnElapsed(std::size_t r, double dt)
+    void updateLvd(std::size_t u);
+    void agingOnDischarge(std::size_t u, Watts power, double dt);
+    void agingOnElapsed(std::size_t u, double dt)
     {
-        calendarWear_[r] += dt * agingCalendarPerSec_;
+        calendarWear_[u] += dt * agingCalendarPerSec_;
     }
-    Joules unitDischarge(std::size_t r, Watts requested, double dt);
-    Joules unitCharge(std::size_t r, Watts offered, double dt);
-    void unitRest(std::size_t r, double dt);
-    Watts unitAvailablePower(std::size_t r, double dt) const;
-    bool unitUnavailable(std::size_t r) const;
+    Joules unitDischarge(std::size_t u, Watts requested, double dt);
+    Joules unitCharge(std::size_t u, Watts offered, double dt);
+    void unitRest(std::size_t u, double dt);
+    Watts unitAvailablePower(std::size_t u, double dt) const;
 
-    /** RackState::discharge for the single-cabinet case. */
+    Joules unitStored(std::size_t u) const { return y1_[u] + y2_[u]; }
+    double unitSoc(std::size_t u) const
+    {
+        return std::clamp(unitStored(u) / capJ_, 0.0, 1.0);
+    }
+
+    // --- a rack's units (core::DataCenter::RackState): a cabinet is
+    //     its rack's one unit; per-server BBUs loop in bbu* ---
+    Joules rackStored(std::size_t r) const
+    {
+        return perServer_ ? bbuStored(r) : unitStored(r);
+    }
+    Watts rackAvailablePower(std::size_t r, double dt) const
+    {
+        return perServer_ ? bbuAvailablePower(r, dt)
+                          : unitAvailablePower(r, dt);
+    }
+    void rackRest(std::size_t r, double dtSec)
+    {
+        if (perServer_)
+            bbuRest(r, dtSec);
+        else
+            unitRest(r, dtSec);
+    }
+    /**
+     * Discharge up to @p want watts from rack @p r's units: a cabinet
+     * is bounded by @p boundW (the rack draw), per-server units each
+     * by their own server's draw, shared in proportion to charge.
+     */
     Watts rackDischarge(std::size_t r, Watts want, double dtSec,
                         Watts boundW);
-    /** ChargeController::recharge for the single-cabinet case. */
+    /** ChargeController::recharge over rack @p r's units. */
     void rackRecharge(std::size_t r, Watts headroom, double dtSec);
-    bool wantsCharge(std::size_t r);
+    bool wantsCharge(std::size_t u);
+
+    // Per-server BBU loops, one unit per server.
+    Joules bbuStored(std::size_t r) const;
+    Watts bbuAvailablePower(std::size_t r, double dt) const;
+    void bbuRest(std::size_t r, double dtSec);
+    Watts bbuDischarge(std::size_t r, Watts want, double dtSec);
+    Watts bbuShaveOwnExcess(std::size_t r, Watts budgetW, double dtSec);
+    void bbuRecharge(std::size_t r, Watts headroom, double dtSec);
 
     // --- µDEB (core/udeb.cc + battery/supercap.cc) ---
     Joules capUsableEnergy(std::size_t r) const;
@@ -199,6 +234,9 @@ class SoaEngine final : public ClusterEngine
                      const core::AttackScenario *scenario,
                      double attackRelSec, bool attackerActive,
                      sched::PerfMonitor *windowPerf);
+    /** Per-server BBUs: this step's draw of every server. */
+    void fillServerPower(Tick t, const core::AttackScenario *scenario,
+                         double atkUtil);
     void applyShaving(StepView &step, double dtSec);
     void fillRackLimits();
     void applyUdeb(StepView &step, double dtSec);
@@ -207,7 +245,6 @@ class SoaEngine final : public ClusterEngine
     void telemetrySample(const StepView &step);
 
     double rackSoc(std::size_t r) const;
-    Joules rackStored(std::size_t r) const { return y1_[r] + y2_[r]; }
     int sheddedServers() const;
     int mostVulnerableRack() const;
     int medianSocRack() const;
@@ -227,7 +264,14 @@ class SoaEngine final : public ClusterEngine
     int serversPerRack_;
     int machines_;
 
-    // KiBaM parameters shared by every rack cabinet.
+    // Battery placement: one cabinet per rack, or one BBU per server
+    // (unitsPerRack_ == serversPerRack_, unit index == machine index).
+    bool perServer_;
+    std::size_t unitsPerRack_;
+    Joules rackCapJ_; ///< summed unit capacity, RackState::capacity()
+
+    // KiBaM parameters shared by every unit (per-unit capacity and
+    // rate limits: a cabinet's, or a cabinet's split across servers).
     double capJ_;
     double kibamC_;
     double kibamK_;
@@ -238,7 +282,7 @@ class SoaEngine final : public ClusterEngine
     mutable std::array<Coeffs, 4> coeffs_;
     mutable std::size_t coeffsNext_ = 0;
 
-    // --- battery wells + protection, one slot per rack ---
+    // --- battery wells + protection, one slot per unit ---
     std::vector<double> y1_;
     std::vector<double> y2_;
     std::vector<double> dischargedJ_;
@@ -254,6 +298,11 @@ class SoaEngine final : public ClusterEngine
     double agingCalendarPerSec_;  ///< 1 / (calendarLifeHours * 3600)
     std::vector<double> cycleWear_;
     std::vector<double> calendarWear_;
+
+    // --- per-server BBUs only (empty for cabinets) ---
+    std::vector<double> cacheServerPower_; ///< per-second benign draw
+    std::vector<double> serverPower_;      ///< this step's draw
+    std::vector<std::size_t> unitOrder_;   ///< recharge order scratch
 
     // --- µDEB (sized only when the scheme uses it) ---
     bool hasUdeb_;

@@ -310,12 +310,11 @@ struct Experiment {
     /**
      * Engine backend for the cluster kinds. The choice travels with
      * the job, so concurrent sweep workers can mix backends freely.
-     * Optimized is the scalar engine; Soa is the opt-in batch engine
-     * (physically equivalent, not bit-identical). When
-     * the chosen backend cannot run the configuration, the job falls
-     * back to Optimized with a warning (see engine::makeClusterEngine).
+     * Soa, the batch engine, is the default and runs every
+     * configuration; Optimized is the scalar reference engine
+     * (physically equivalent, not bit-identical).
      */
-    engine::BackendKind backend = engine::BackendKind::Optimized;
+    engine::BackendKind backend = engine::BackendKind::Soa;
     /**
      * Attach an engine self-profiler to the job's engine (cluster
      * kinds only): sampled phase timers, cache hit/miss counters,

@@ -55,7 +55,7 @@ namespace pad::service {
 /** Static configuration of one padd session (the header payload). */
 struct ServiceConfig {
     core::SchemeKind scheme = core::SchemeKind::Pad;
-    engine::BackendKind backend = engine::BackendKind::Optimized;
+    engine::BackendKind backend = engine::BackendKind::Soa;
     /** Per-rack soft-budget fraction (padsim --budget). */
     double budget = 0.75;
     /** Cluster budget fraction (padsim --cluster-budget). */

@@ -158,6 +158,45 @@ TEST_F(CliTraceTest, TracingDoesNotChangeTableOutput)
     EXPECT_EQ(slurp("cli_out_a.txt"), slurp("cli_out_b.txt"));
 }
 
+TEST_F(CliTraceTest, DefaultBackendIsSoaInTableAndManifest)
+{
+    // The default engine, and an explicit --backend optimized, both
+    // show up in the summary table and in the manifest's config.
+    const std::string base = std::string(PADSIM_BIN) +
+                             " --scheme PAD --duration 30 --quiet";
+    ASSERT_EQ(std::system((base + " --manifest cli_e_soa.json"
+                                  " > cli_e_soa.txt 2>&1")
+                              .c_str()),
+              0);
+    ASSERT_EQ(std::system((base + " --backend optimized"
+                                  " --manifest cli_e_opt.json"
+                                  " > cli_e_opt.txt 2>&1")
+                              .c_str()),
+              0);
+    const auto tableBackend = [](const std::string &text) {
+        std::istringstream lines(text);
+        std::string line;
+        while (std::getline(lines, line)) {
+            std::istringstream words(line);
+            std::string first, second;
+            words >> first >> second;
+            if (first == "backend")
+                return second;
+        }
+        return std::string("(no backend row)");
+    };
+    EXPECT_EQ(tableBackend(slurp("cli_e_soa.txt")), "soa");
+    EXPECT_EQ(tableBackend(slurp("cli_e_opt.txt")), "optimized");
+
+    std::string error;
+    const auto soa = parseJson(slurp("cli_e_soa.json"), &error);
+    ASSERT_TRUE(soa.has_value()) << error;
+    EXPECT_EQ(soa->find("config")->find("backend")->str, "soa");
+    const auto opt = parseJson(slurp("cli_e_opt.json"), &error);
+    ASSERT_TRUE(opt.has_value()) << error;
+    EXPECT_EQ(opt->find("config")->find("backend")->str, "optimized");
+}
+
 TEST_F(CliTraceTest, RemovedBackendInputsExitWithUsage)
 {
     // The baseline backend and the --profile alias are gone; each

@@ -26,7 +26,9 @@
 
 #include <gtest/gtest.h>
 
+#include "attack/attacker.h"
 #include "engine/backend.h"
+#include "engine/soa_engine.h"
 #include "runner/experiment.h"
 #include "sim/event_queue.h"
 
@@ -360,6 +362,154 @@ TEST_F(DataCenterParity, SoaWearMatchesScalarPerRack)
         totalWear += b[r];
     }
     EXPECT_GT(totalWear, 0.0);
+}
+
+// ---------------------------------------------------------------------
+// Per-server BBU placement: scalar vs SoA
+// ---------------------------------------------------------------------
+
+core::DataCenterConfig
+perServerConfig(core::SchemeKind scheme)
+{
+    core::DataCenterConfig cfg = runner::clusterConfig(scheme);
+    cfg.debPlacement = core::DataCenterConfig::DebPlacement::PerServer;
+    return cfg;
+}
+
+/**
+ * Fleet energy balance of a run that started full: what is stored
+ * now equals the rated capacity minus what was discharged plus what
+ * was recharged.
+ */
+void
+expectEnergyConserved(const runner::ExperimentResult &r,
+                      const core::DataCenterConfig &cfg)
+{
+    const double capacityWh =
+        cfg.deb.capacityWh * static_cast<double>(cfg.racks);
+    double storedWh = 0.0;
+    for (const double soc : r.telemetry.socs)
+        storedWh += soc * cfg.deb.capacityWh;
+    const double balanceWh = capacityWh -
+                             r.stats->lookup("deb.discharged_wh") +
+                             r.stats->lookup("deb.charged_wh");
+    EXPECT_NEAR(storedWh, balanceWh, 1e-9 * capacityWh);
+}
+
+/** Every battery unit of @p engine holds a state of charge in [0,1]. */
+void
+expectUnitSocsInRange(const engine::SoaEngine &engine,
+                      std::size_t units)
+{
+    const std::vector<double> socs = engine.unitSocs();
+    ASSERT_EQ(socs.size(), units);
+    for (std::size_t u = 0; u < socs.size(); ++u) {
+        EXPECT_GE(socs[u], 0.0) << "unit " << u;
+        EXPECT_LE(socs[u], 1.0 + 1e-12) << "unit " << u;
+    }
+}
+
+TEST_F(DataCenterParity, PerServerAttackPhysicallyEquivalent)
+{
+    runner::ClusterAttackSpec spec;
+    spec.config = perServerConfig(core::SchemeKind::Pad);
+    spec.durationSec = 240.0;
+    const runner::Experiment e =
+        runner::Experiment::clusterAttack(spec, *workload_);
+
+    const runner::ExperimentResult scalar =
+        runOn(e, engine::BackendKind::Optimized);
+    const runner::ExperimentResult soa =
+        runOn(e, engine::BackendKind::Soa);
+
+    expectEnergyConserved(scalar, *spec.config);
+    expectEnergyConserved(soa, *spec.config);
+    EXPECT_GT(soa.stats->lookup("deb.discharged_wh"), 0.0);
+
+    EXPECT_EQ(soa.attackOutcome.spikesLaunched,
+              scalar.attackOutcome.spikesLaunched);
+    EXPECT_EQ(soa.attackOutcome.spikeWindows,
+              scalar.attackOutcome.spikeWindows);
+    EXPECT_EQ(soa.attackOutcome.phaseTwoStartSec,
+              scalar.attackOutcome.phaseTwoStartSec);
+    const double window = spec.durationSec;
+    EXPECT_NEAR(soa.attackOutcome.survivalSec,
+                scalar.attackOutcome.survivalSec, 0.05 * window);
+    EXPECT_NEAR(soa.attackOutcome.throughput,
+                scalar.attackOutcome.throughput, 0.02);
+    EXPECT_NEAR(soa.attackOutcome.maxShedRatio,
+                scalar.attackOutcome.maxShedRatio, 0.02);
+    ASSERT_EQ(soa.telemetry.socs.size(), scalar.telemetry.socs.size());
+    for (std::size_t r = 0; r < soa.telemetry.socs.size(); ++r)
+        EXPECT_NEAR(soa.telemetry.socs[r], scalar.telemetry.socs[r],
+                    1e-3)
+            << "rack " << r;
+    EXPECT_EQ(soa.stats->lookup("deb.lvd_trips"),
+              scalar.stats->lookup("deb.lvd_trips"));
+
+    // Per unit: drive the same warmup and a PS attack that drains
+    // the victim's own BBUs (no pooling) on the SoA engine itself.
+    core::DataCenterConfig cfg = perServerConfig(core::SchemeKind::PS);
+    engine::SoaEngine engine(cfg, workload_->workload.get());
+    engine.runCoarseUntil(kTicksPerDay + 11 * kTicksPerHour);
+    attack::AttackerConfig ac;
+    ac.controlledNodes = 4;
+    attack::TwoPhaseAttacker attacker(ac);
+    core::AttackScenario sc;
+    sc.targetPolicy = core::TargetPolicy::MostVulnerable;
+    sc.durationSec = 600.0;
+    engine.runAttack(attacker, sc);
+    expectUnitSocsInRange(
+        engine, static_cast<std::size_t>(cfg.totalServers()));
+}
+
+TEST_F(DataCenterParity, PerServerCoarseHistoryMatchesScalar)
+{
+    runner::ClusterCoarseSpec spec;
+    spec.untilHours = 16.0;
+    spec.recordHistory = true;
+    for (const core::SchemeKind scheme :
+         {core::SchemeKind::PS, core::SchemeKind::Pad}) {
+        // A cluster budget tight enough that the pooled PAD fleet
+        // discharges, too, before the daytime peak.
+        spec.config = perServerConfig(scheme);
+        spec.config->clusterBudgetFraction = 0.6;
+        const runner::Experiment e =
+            runner::Experiment::clusterCoarse(spec, *workload_);
+        const runner::ExperimentResult scalar =
+            runOn(e, engine::BackendKind::Optimized);
+        const runner::ExperimentResult soa =
+            runOn(e, engine::BackendKind::Soa);
+
+        expectEnergyConserved(scalar, *spec.config);
+        expectEnergyConserved(soa, *spec.config);
+        EXPECT_GT(soa.stats->lookup("deb.discharged_wh"), 0.0);
+
+        ASSERT_EQ(soa.telemetry.socHistory.size(),
+                  scalar.telemetry.socHistory.size());
+        for (std::size_t step = 0;
+             step < scalar.telemetry.socHistory.size(); ++step) {
+            const auto &a = soa.telemetry.socHistory[step];
+            const auto &b = scalar.telemetry.socHistory[step];
+            ASSERT_EQ(a.size(), b.size());
+            for (std::size_t r = 0; r < a.size(); ++r)
+                EXPECT_NEAR(a[r], b[r], 1e-6)
+                    << "step " << step << " rack " << r;
+        }
+        ASSERT_EQ(soa.telemetry.shedHistory.size(),
+                  scalar.telemetry.shedHistory.size());
+        for (std::size_t step = 0;
+             step < scalar.telemetry.shedHistory.size(); ++step)
+            EXPECT_NEAR(soa.telemetry.shedHistory[step],
+                        scalar.telemetry.shedHistory[step], 1e-6)
+                << "step " << step;
+
+        engine::SoaEngine engine(*spec.config,
+                                 workload_->workload.get());
+        engine.runCoarseUntil(16 * kTicksPerHour);
+        expectUnitSocsInRange(
+            engine, static_cast<std::size_t>(spec.config->totalServers()));
+    }
 }
 
 } // namespace

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the DEB placement granularity (Fig. 3 options 3 vs 4)
- * and the detection-triggered capping response (paper §III-B).
+ * Tests for the DEB placement granularity (Fig. 3 options 3 vs 4),
+ * on both engines, and the detection-triggered capping response
+ * (paper §III-B).
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "attack/attacker.h"
 #include "core/config.h"
 #include "core/datacenter.h"
+#include "engine/backend.h"
 #include "trace/synthetic_trace.h"
 #include "trace/workload.h"
 
@@ -49,8 +51,9 @@ class PlacementDetectorTest : public ::testing::Test
         return cfg;
     }
 
+    template <typename Engine>
     static AttackOutcome
-    attack(DataCenter &dc, double durationSec = 900.0)
+    attack(Engine &dc, double durationSec = 900.0)
     {
         dc.runCoarseUntil(kTicksPerDay + 11 * kTicksPerHour);
         attack::AttackerConfig ac;
@@ -74,17 +77,24 @@ class PlacementDetectorTest : public ::testing::Test
 std::vector<trace::TaskEvent> *PlacementDetectorTest::events_ = nullptr;
 trace::Workload *PlacementDetectorTest::workload_ = nullptr;
 
+// The placement cases run on both engines.
+constexpr engine::BackendKind kBackends[] = {engine::BackendKind::Optimized,
+                                             engine::BackendKind::Soa};
+
 TEST_F(PlacementDetectorTest, PerServerPlacementSplitsCapacity)
 {
-    DataCenterConfig cfg = config(SchemeKind::PS);
-    cfg.debPlacement = DataCenterConfig::DebPlacement::PerServer;
-    DataCenter dc(cfg, workload_);
-    // Same rated rack capacity either way.
-    DataCenterConfig cab = config(SchemeKind::PS);
-    DataCenter dcCab(cab, workload_);
-    EXPECT_NEAR(dc.rackSoc(0), dcCab.rackSoc(0), 1e-9);
-    dc.setAllSoc(0.5);
-    EXPECT_NEAR(dc.rackSoc(3), 0.5, 1e-9);
+    for (const engine::BackendKind kind : kBackends) {
+        SCOPED_TRACE(engine::backendName(kind));
+        DataCenterConfig cfg = config(SchemeKind::PS);
+        cfg.debPlacement = DataCenterConfig::DebPlacement::PerServer;
+        const auto dc = engine::makeClusterEngine(kind, cfg, workload_);
+        // Same rated rack capacity either way.
+        const auto dcCab = engine::makeClusterEngine(
+            kind, config(SchemeKind::PS), workload_);
+        EXPECT_NEAR(dc->allSocs()[0], dcCab->allSocs()[0], 1e-9);
+        dc->setAllSoc(0.5);
+        EXPECT_NEAR(dc->allSocs()[3], 0.5, 1e-9);
+    }
 }
 
 TEST_F(PlacementDetectorTest, PerServerDiesSoonerUnderTargetedAttack)
@@ -92,28 +102,34 @@ TEST_F(PlacementDetectorTest, PerServerDiesSoonerUnderTargetedAttack)
     // The attacker's own servers exhaust exactly the BBUs backing
     // them; neighbors' stranded capacity cannot help (Fig. 3 option
     // 4 vs option 3).
-    DataCenterConfig cab = config(SchemeKind::PS);
-    DataCenterConfig per = config(SchemeKind::PS);
-    per.debPlacement = DataCenterConfig::DebPlacement::PerServer;
-    DataCenter a(cab, workload_);
-    DataCenter b(per, workload_);
-    const double cabinet = attack(a).survivalSec;
-    const double perServer = attack(b).survivalSec;
-    EXPECT_LT(perServer, cabinet);
+    for (const engine::BackendKind kind : kBackends) {
+        SCOPED_TRACE(engine::backendName(kind));
+        DataCenterConfig per = config(SchemeKind::PS);
+        per.debPlacement = DataCenterConfig::DebPlacement::PerServer;
+        const auto a = engine::makeClusterEngine(
+            kind, config(SchemeKind::PS), workload_);
+        const auto b = engine::makeClusterEngine(kind, per, workload_);
+        const double cabinet = attack(*a).survivalSec;
+        const double perServer = attack(*b).survivalSec;
+        EXPECT_LT(perServer, cabinet);
+    }
 }
 
 TEST_F(PlacementDetectorTest, VdebPoolingEqualizesPlacements)
 {
-    DataCenterConfig cab = config(SchemeKind::VdebOnly);
-    DataCenterConfig per = config(SchemeKind::VdebOnly);
-    per.debPlacement = DataCenterConfig::DebPlacement::PerServer;
-    DataCenter a(cab, workload_);
-    DataCenter b(per, workload_);
-    const double cabinet = attack(a).survivalSec;
-    const double perServer = attack(b).survivalSec;
-    // Sharing across the PDU recovers (most of) the fragmentation
-    // loss: within 20% of each other.
-    EXPECT_NEAR(perServer, cabinet, 0.2 * cabinet + 1.0);
+    for (const engine::BackendKind kind : kBackends) {
+        SCOPED_TRACE(engine::backendName(kind));
+        DataCenterConfig per = config(SchemeKind::VdebOnly);
+        per.debPlacement = DataCenterConfig::DebPlacement::PerServer;
+        const auto a = engine::makeClusterEngine(
+            kind, config(SchemeKind::VdebOnly), workload_);
+        const auto b = engine::makeClusterEngine(kind, per, workload_);
+        const double cabinet = attack(*a).survivalSec;
+        const double perServer = attack(*b).survivalSec;
+        // Sharing across the PDU recovers (most of) the fragmentation
+        // loss: within 20% of each other.
+        EXPECT_NEAR(perServer, cabinet, 0.2 * cabinet + 1.0);
+    }
 }
 
 TEST_F(PlacementDetectorTest, DetectorFlagsAttackAndCapsCluster)

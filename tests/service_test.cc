@@ -419,9 +419,13 @@ TEST(ServiceDaemon, LiveSessionReplaysByteIdentically)
     EXPECT_EQ(live.attacks, 1u);
     EXPECT_GT(live.incidents, 0u);
 
-    // The recorded session carries exactly the applied commands.
+    // The recorded session carries the default engine and exactly
+    // the applied commands.
+    EXPECT_NE(slurp("svc_e2e_session.jsonl").find("\"backend\":\"soa\""),
+              std::string::npos);
     const auto log = readSessionFile("svc_e2e_session.jsonl", &error);
     ASSERT_TRUE(log.has_value()) << error;
+    EXPECT_EQ(log->config.backend, engine::BackendKind::Soa);
     ASSERT_EQ(log->commands.size(), 6u);
     EXPECT_EQ(log->commands[0].name, "pause");
     EXPECT_EQ(log->commands[1].name, "set-speed");
@@ -499,6 +503,45 @@ TEST(ServiceDaemon, DurationLimitStopsWithoutEndpoints)
     twin.run();
     EXPECT_EQ(slurp("svc_duration_a.json"),
               slurp("svc_duration_b.json"));
+}
+
+TEST(ServiceDaemon, OptimizedSessionReplaysOnScalarEngine)
+{
+    // A session recorded on the scalar engine names it in its header
+    // and replays on it: the replay matches the live stats, and the
+    // same session forced onto SoA does not.
+    test::ScopedTempDir tmp;
+    ASSERT_TRUE(tmp.enter());
+    DaemonOptions opts;
+    opts.config.backend = engine::BackendKind::Optimized;
+    opts.config.durationSec = 600.0;
+    opts.speed = 0.0;
+    opts.metricsPort = -1;
+    opts.controlPort = -1;
+    opts.sessionPath = "svc_opt_session.jsonl";
+    opts.statsJsonPath = "svc_opt_live.json";
+    ServiceDaemon daemon(std::move(opts));
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+    daemon.run();
+
+    EXPECT_NE(slurp("svc_opt_session.jsonl")
+                  .find("\"backend\":\"optimized\""),
+              std::string::npos);
+    auto log = readSessionFile("svc_opt_session.jsonl", &error);
+    ASSERT_TRUE(log.has_value()) << error;
+    ASSERT_EQ(log->config.backend, engine::BackendKind::Optimized);
+
+    ReplayArtifacts scalar;
+    scalar.statsJsonPath = "svc_opt_replay.json";
+    ASSERT_TRUE(replaySession(*log, scalar, &error)) << error;
+    EXPECT_EQ(slurp("svc_opt_replay.json"), slurp("svc_opt_live.json"));
+
+    log->config.backend = engine::BackendKind::Soa;
+    ReplayArtifacts soa;
+    soa.statsJsonPath = "svc_opt_as_soa.json";
+    ASSERT_TRUE(replaySession(*log, soa, &error)) << error;
+    EXPECT_NE(slurp("svc_opt_as_soa.json"), slurp("svc_opt_live.json"));
 }
 
 TEST(ServiceDaemon, StartFailsCleanlyOnBadInputs)
