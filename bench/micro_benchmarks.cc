@@ -2,8 +2,8 @@
  * @file
  * Microbenchmarks for the simulator's hot paths: the KiBaM
  * closed-form step, the Algorithm-1 vDEB assignment, the breaker
- * thermal update, event-queue throughput, workload fine sampling, the
- * server power model, and the telemetry push path's number codec
+ * thermal update, workload fine sampling, the server power model,
+ * and the telemetry push path's number codec
  * (shortest round-trip double formatting, pad-rw-v1 batch render and
  * parse, all per sample).
  *
@@ -24,7 +24,6 @@
 #include "core/vdeb.h"
 #include "power/circuit_breaker.h"
 #include "power/server_power_model.h"
-#include "sim/event_queue.h"
 #include "telemetry/remote_write.h"
 #include "trace/synthetic_trace.h"
 #include "trace/workload.h"
@@ -138,26 +137,6 @@ benchBreakerObserve()
         },
         1, 5);
     report("breaker_observe", t, n);
-}
-
-void
-benchEventQueue()
-{
-    const int queues = ops(100);
-    const int events = 1000;
-    const TimingResult t = timeIt(
-        [&] {
-            int sink = 0;
-            for (int q = 0; q < queues; ++q) {
-                sim::EventQueue queue;
-                for (int i = 0; i < events; ++i)
-                    queue.schedule(i * 7 % 997, [&sink] { ++sink; });
-                queue.runUntil(1000);
-            }
-            keep(static_cast<double>(sink));
-        },
-        1, 5);
-    report("event_queue", t, queues * events);
 }
 
 void
@@ -306,7 +285,6 @@ main(int argc, char **argv)
     benchVdebAssign(220);
     benchVdebAssign(2200);
     benchBreakerObserve();
-    benchEventQueue();
     benchWorkloadFineSample();
     benchServerPowerModel();
     benchFormatDouble();

@@ -3,18 +3,18 @@
  * Reproducible perf benchmark harness (BENCH_*.json).
  *
  * Times the simulator's hot paths at three granularities — component
- * microbenchmarks (KiBaM step, event queue), the fine-grained attack
+ * microbenchmarks (KiBaM step, alert evaluation), the fine-grained attack
  * loop (ns/tick), and whole experiments (single-run and sweep
  * throughput) — under every engine backend:
  *
- *   perfbench --backend all --json BENCH_PR16.json
+ *   perfbench --backend all --json BENCH_PR18.json
  *
  * The engine-level rows (fine_tick, single_run*, sweep*) run through
  * engine::makeClusterEngine, one column per backend: optimized is the
  * scalar engine, soa is the structure-of-arrays batch engine (the
- * default everywhere else). The component micro-rows (kibam_step, event_queue,
- * alert_eval) time standalone objects the SoA engine has no
- * equivalent of, so they report an optimized column only.
+ * default everywhere else). The component micro-rows (kibam_step,
+ * alert_eval) time standalone objects, so they report an optimized
+ * column only.
  *
  * Results are wall-clock medians over repeated runs (see
  * perf_timing.h). Benchmark only Release builds (see README); the
@@ -51,7 +51,6 @@
 #include "obs/prof.h"
 #include "runner/experiment.h"
 #include "runner/sweep_runner.h"
-#include "sim/event_queue.h"
 #include "sim/stats_registry.h"
 #include "telemetry/receiver.h"
 #include "telemetry/remote_write.h"
@@ -135,30 +134,6 @@ benchKibamStep(const PerfOptions &opt)
         },
         /*warmup=*/1, reps);
     m.value = m.timing.medianSec / static_cast<double>(ops) * 1e9;
-    return m;
-}
-
-ProfileMeasure
-benchEventQueue(const PerfOptions &opt)
-{
-    const int queues = opt.quick ? 10 : 100;
-    const int events = 1000;
-    const int reps = opt.quick ? 3 : 9;
-    ProfileMeasure m;
-    m.timing = timeIt(
-        [&] {
-            int sink = 0;
-            for (int q = 0; q < queues; ++q) {
-                sim::EventQueue queue;
-                for (int i = 0; i < events; ++i)
-                    queue.schedule(i * 7 % 997, [&sink] { ++sink; });
-                queue.runUntil(1000);
-            }
-            keep(static_cast<double>(sink));
-        },
-        /*warmup=*/1, reps);
-    m.value = m.timing.medianSec /
-              static_cast<double>(queues * events) * 1e9;
     return m;
 }
 
@@ -635,9 +610,6 @@ main(int argc, char **argv)
     std::vector<BenchRow> rows;
     rows.push_back(runScalarRow("kibam_step", "ns_per_op", false,
                                 [&] { return benchKibamStep(opt); }));
-    rows.push_back(
-        runScalarRow("event_queue", "ns_per_event", false,
-                     [&] { return benchEventQueue(opt); }));
     rows.push_back(
         runEngineRow(opt, "fine_tick", "ns_per_tick", false,
                      [&](engine::BackendKind backend) {

@@ -71,6 +71,7 @@
 #include <string>
 #include <vector>
 
+#include "core/config.h"
 #include "core/schemes.h"
 #include "engine/backend.h"
 #include "service/control.h"
@@ -230,6 +231,12 @@ parseArgs(int argc, char **argv)
     if (!opt.daemon.incidentsPath.empty() && opt.replayPath.empty() &&
         opt.alertsPath.empty()) {
         std::cerr << "padd: --incidents requires --alerts\n";
+        usage();
+    }
+    if (const std::string bad =
+            core::checkRunInputs(opt.daemon.config.budget);
+        !bad.empty()) {
+        std::cerr << "padd: " << bad << "\n";
         usage();
     }
     if (!opt.logLevel.empty() && !logLevelFromName(opt.logLevel)) {

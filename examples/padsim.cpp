@@ -343,6 +343,11 @@ parseArgs(int argc, char **argv)
     if (opt.nodes < 1 || opt.nodes > 10 || opt.racks < 1 ||
         opt.racks > 22 || opt.durationSec <= 0.0)
         usage();
+    if (const std::string bad = core::checkRunInputs(opt.budget, opt.victimPct);
+        !bad.empty()) {
+        std::cerr << "padsim: " << bad << "\n";
+        usage();
+    }
     if (opt.metricsPort > 65535 || opt.metricsLingerSec < 0.0)
         usage();
     if (!obs::traceFormatFromName(opt.traceFormat)) {

@@ -1,7 +1,6 @@
 #include "battery/aging_model.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/logging.h"
 
@@ -15,31 +14,6 @@ AgingModel::AgingModel(const AgingModelConfig &config, Joules capacity)
     PAD_ASSERT(config_.referenceRateC > 0.0);
     PAD_ASSERT(config_.stressExponent >= 0.0);
     PAD_ASSERT(config_.calendarLifeHours > 0.0);
-}
-
-void
-AgingModel::onDischarge(Watts power, double dt)
-{
-    PAD_ASSERT(power >= 0.0 && dt >= 0.0);
-    if (power == 0.0 || dt == 0.0)
-        return;
-    const Joules energy = power * dt;
-    // Discharge rate in C (capacity fractions per hour).
-    const double rateC = power * 3600.0 / capacity_;
-    double stress = 1.0;
-    if (rateC > config_.referenceRateC)
-        stress = std::pow(rateC / config_.referenceRateC,
-                          config_.stressExponent);
-    const Joules lifetimeThroughput =
-        config_.cycleLife * capacity_;
-    cycleWear_ += stress * energy / lifetimeThroughput;
-}
-
-void
-AgingModel::onElapsed(double dt)
-{
-    PAD_ASSERT(dt >= 0.0);
-    calendarWear_ += dt / (config_.calendarLifeHours * 3600.0);
 }
 
 double

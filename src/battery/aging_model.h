@@ -18,6 +18,9 @@
 #ifndef PAD_BATTERY_AGING_MODEL_H
 #define PAD_BATTERY_AGING_MODEL_H
 
+#include <cmath>
+
+#include "util/logging.h"
 #include "util/types.h"
 
 namespace pad::battery {
@@ -37,6 +40,42 @@ struct AgingModelConfig {
     double calendarLifeHours = 5.0 * 365.0 * 24.0;
 };
 
+// ---------------------------------------------------------------------
+// Aging kernels over plain wear counters. AgingModel, BatteryUnit and
+// the SoA engine's per-unit arrays all call these.
+// ---------------------------------------------------------------------
+
+/**
+ * Charge a discharge of @p power watts for @p dt seconds from a unit
+ * of @p capacity joules against @p cycleWear.
+ */
+inline void
+agingOnDischarge(double &cycleWear, const AgingModelConfig &config,
+                 Joules capacity, Watts power, double dt)
+{
+    PAD_ASSERT(power >= 0.0 && dt >= 0.0);
+    if (power == 0.0 || dt == 0.0)
+        return;
+    const Joules energy = power * dt;
+    // Discharge rate in C (capacity fractions per hour).
+    const double rateC = power * 3600.0 / capacity;
+    double stress = 1.0;
+    if (rateC > config.referenceRateC)
+        stress = std::pow(rateC / config.referenceRateC,
+                          config.stressExponent);
+    const Joules lifetimeThroughput = config.cycleLife * capacity;
+    cycleWear += stress * energy / lifetimeThroughput;
+}
+
+/** Charge @p dt seconds of idle/float time against @p calendarWear. */
+inline void
+agingOnElapsed(double &calendarWear, const AgingModelConfig &config,
+               double dt)
+{
+    PAD_ASSERT(dt >= 0.0);
+    calendarWear += dt / (config.calendarLifeHours * 3600.0);
+}
+
 /**
  * Accumulates normalized battery wear; 1.0 = end of life.
  */
@@ -55,10 +94,16 @@ class AgingModel
      * @param power delivered power, watts
      * @param dt    duration, seconds
      */
-    void onDischarge(Watts power, double dt);
+    void onDischarge(Watts power, double dt)
+    {
+        agingOnDischarge(cycleWear_, config_, capacity_, power, dt);
+    }
 
     /** Charge idle/float time against calendar life. */
-    void onElapsed(double dt);
+    void onElapsed(double dt)
+    {
+        agingOnElapsed(calendarWear_, config_, dt);
+    }
 
     /** Normalized wear in [0, ...); >= 1 means end of life. */
     double wear() const { return cycleWear_ + calendarWear_; }
@@ -82,6 +127,9 @@ class AgingModel
     const AgingModelConfig &config() const { return config_; }
 
   private:
+    // BatteryUnit runs the aging kernels on these counters directly.
+    friend class BatteryUnit;
+
     AgingModelConfig config_;
     Joules capacity_;
     double cycleWear_ = 0.0;

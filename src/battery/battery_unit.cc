@@ -6,6 +6,22 @@
 
 namespace pad::battery {
 
+void
+checkUnitConfig(const BatteryUnitConfig &config)
+{
+    PAD_ASSERT(config.capacityWh > 0.0);
+    PAD_ASSERT(config.maxDischargePower > 0.0);
+    PAD_ASSERT(config.kibamC > 0.0 && config.kibamC < 1.0 &&
+               config.kibamK > 0.0);
+    PAD_ASSERT(config.lvdDisconnectSoc >= 0.0 &&
+               config.lvdDisconnectSoc < config.lvdReconnectSoc &&
+               config.lvdReconnectSoc <= 1.0);
+    const AgingModelConfig &aging = config.aging;
+    PAD_ASSERT(aging.cycleLife > 0.0 && aging.referenceRateC > 0.0 &&
+               aging.stressExponent >= 0.0 &&
+               aging.calendarLifeHours > 0.0);
+}
+
 BatteryUnit::BatteryUnit(std::string name, const BatteryUnitConfig &config)
     : name_(std::move(name)), config_(config),
       model_(KibamParams{wattHoursToJoules(config.capacityWh),
@@ -13,93 +29,27 @@ BatteryUnit::BatteryUnit(std::string name, const BatteryUnitConfig &config)
       aging_(config.aging, wattHoursToJoules(config.capacityWh)),
       voltage_(config.voltage)
 {
-    PAD_ASSERT(config_.capacityWh > 0.0);
-    PAD_ASSERT(config_.maxDischargePower > 0.0);
-    PAD_ASSERT(config_.lvdDisconnectSoc >= 0.0 &&
-               config_.lvdDisconnectSoc < config_.lvdReconnectSoc &&
-               config_.lvdReconnectSoc <= 1.0);
-}
-
-void
-BatteryUnit::updateLvd()
-{
-    // The LVD senses terminal voltage, which in KiBaM terms tracks
-    // the *available-well head* (y1 relative to its full level), not
-    // the total stored charge: a hard drain collapses the voltage
-    // long before the bound well is empty, and the battery must
-    // genuinely recover (recharge or long rest) before reconnecting.
-    const double head =
-        model_.available() /
-        (model_.params().c * model_.params().capacity);
-    if (!lvdTripped_) {
-        if (head <= config_.lvdDisconnectSoc + 1e-9 ||
-            model_.depleted()) {
-            lvdTripped_ = true;
-            ++lvdTrips_;
-        }
-    } else if (head >= config_.lvdReconnectSoc) {
-        lvdTripped_ = false;
-    }
+    checkUnitConfig(config_);
 }
 
 Joules
 BatteryUnit::discharge(Watts requested, double dt)
 {
-    PAD_ASSERT(requested >= 0.0 && dt >= 0.0);
-    if (dt == 0.0 || requested == 0.0 || lvdTripped_) {
-        rest(dt);
-        return 0.0;
-    }
-    const Watts bounded =
-        std::min(requested, config_.maxDischargePower);
-    // Stop delivering once the LVD threshold is reached: compute the
-    // charge above the disconnect floor and cap the step energy at it.
-    const Joules floor =
-        config_.lvdDisconnectSoc * model_.params().capacity;
-    const Joules headroom = std::max(0.0, model_.stored() - floor);
-    Joules delivered = 0.0;
-    const Joules want = bounded * dt;
-    if (want <= headroom) {
-        delivered = model_.step(bounded, dt);
-    } else {
-        // Deliver until the LVD floor, then rest for the remainder.
-        const double tcut = headroom / bounded;
-        delivered = model_.step(bounded, tcut);
-        model_.step(0.0, dt - tcut);
-    }
-    totalDischarged_ += delivered;
-    if (dt > 0.0) {
-        aging_.onDischarge(delivered / dt, dt);
-        aging_.onElapsed(dt);
-    }
-    updateLvd();
-    return delivered;
+    return unitDischarge(state(), config_, model_.params_, model_.coeffs_,
+                         requested, dt);
 }
 
 Joules
 BatteryUnit::charge(Watts offered, double dt)
 {
-    PAD_ASSERT(offered >= 0.0 && dt >= 0.0);
-    if (dt == 0.0 || offered == 0.0) {
-        rest(dt);
-        return 0.0;
-    }
-    const Watts bounded = std::min(offered, config_.maxChargePower);
-    const Joules absorbed = -model_.step(-bounded, dt);
-    totalCharged_ += absorbed;
-    aging_.onElapsed(dt);
-    updateLvd();
-    return absorbed;
+    return unitCharge(state(), config_, model_.params_, model_.coeffs_,
+                      offered, dt);
 }
 
 void
 BatteryUnit::rest(double dt)
 {
-    if (dt > 0.0) {
-        model_.step(0.0, dt);
-        aging_.onElapsed(dt);
-        updateLvd();
-    }
+    unitRest(state(), config_, model_.params_, model_.coeffs_, dt);
 }
 
 double
@@ -112,20 +62,6 @@ double
 BatteryUnit::cellVoltage(Watts load) const
 {
     return voltage_.cellVoltage(model_, load);
-}
-
-Watts
-BatteryUnit::availablePower(double dt) const
-{
-    if (lvdTripped_)
-        return 0.0;
-    const Watts sustainable = model_.maxSustainablePower(dt);
-    // Respect the LVD floor: only the charge above it is usable.
-    const Joules floor =
-        config_.lvdDisconnectSoc * model_.params().capacity;
-    const Joules headroom = std::max(0.0, model_.stored() - floor);
-    const Watts byEnergy = headroom / dt;
-    return std::min({sustainable, byEnergy, config_.maxDischargePower});
 }
 
 double
@@ -158,8 +94,8 @@ void
 BatteryUnit::setSoc(double soc)
 {
     model_.setSoc(soc);
-    lvdTripped_ = false;
-    updateLvd();
+    lvdTripped_ = 0;
+    unitLvdUpdate(state(), config_, model_.params_);
 }
 
 } // namespace pad::battery

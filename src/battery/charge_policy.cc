@@ -30,23 +30,6 @@ ChargeController::ChargeController(const ChargeControllerConfig &config)
     PAD_ASSERT(config_.offlineStartSoc < config_.offlineStopSoc);
 }
 
-bool
-ChargeController::wantsCharge(const BatteryUnit &unit,
-                              std::size_t index) const
-{
-    if (config_.kind == ChargePolicyKind::Online)
-        return unit.soc() < 0.999;
-
-    const double soc = unit.soc();
-    if (recharging_[index]) {
-        if (soc >= config_.offlineStopSoc)
-            recharging_[index] = false;
-    } else if (soc <= config_.offlineStartSoc) {
-        recharging_[index] = true;
-    }
-    return recharging_[index];
-}
-
 Joules
 ChargeController::recharge(std::vector<BatteryUnit *> &units,
                            Watts headroom, double dt)
@@ -60,7 +43,7 @@ ChargeController::recharge(std::vector<BatteryUnit *> &units,
     // runs per rack per step, so it reuses a sort scratch and sizes
     // the offline latch up front.
     if (recharging_.size() < units.size())
-        recharging_.resize(units.size(), false);
+        recharging_.resize(units.size(), 0);
     std::vector<std::size_t> &order = orderScratch_;
     stableIndexSort(
         order, units.size(),
@@ -72,7 +55,7 @@ ChargeController::recharge(std::vector<BatteryUnit *> &units,
         if (remaining <= 0.0)
             break;
         BatteryUnit &unit = *units[idx];
-        if (!wantsCharge(unit, idx))
+        if (!chargeWanted(recharging_[idx], config_, unit.soc()))
             continue;
         const Watts offer =
             std::min(remaining, unit.config().maxChargePower);

@@ -13,6 +13,7 @@
 #ifndef PAD_BATTERY_CHARGE_POLICY_H
 #define PAD_BATTERY_CHARGE_POLICY_H
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,27 @@ struct ChargeControllerConfig {
 };
 
 /**
+ * Whether a unit at state of charge @p soc takes charge under
+ * @p config. Online: any unit short of full. Offline: @p latch turns
+ * on at/below the start threshold and off at/above the stop
+ * threshold, so a unit charges all the way once it starts.
+ */
+inline bool
+chargeWanted(std::uint8_t &latch, const ChargeControllerConfig &config,
+             double soc)
+{
+    if (config.kind == ChargePolicyKind::Online)
+        return soc < 0.999;
+    if (latch) {
+        if (soc >= config.offlineStopSoc)
+            latch = 0;
+    } else if (soc <= config.offlineStartSoc) {
+        latch = 1;
+    }
+    return latch != 0;
+}
+
+/**
  * Distributes available charging headroom across a fleet of battery
  * units according to the configured policy.
  */
@@ -71,11 +93,9 @@ class ChargeController
     const ChargeControllerConfig &config() const { return config_; }
 
   private:
-    bool wantsCharge(const BatteryUnit &unit, std::size_t index) const;
-
     ChargeControllerConfig config_;
     /** Offline policy latch: unit index -> currently recharging. */
-    mutable std::vector<bool> recharging_;
+    std::vector<std::uint8_t> recharging_;
     /** Hot-path sort scratch, reused across calls. */
     std::vector<std::size_t> orderScratch_;
 };

@@ -1,8 +1,5 @@
 #include "battery/supercap.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/logging.h"
 
 namespace pad::battery {
@@ -17,78 +14,11 @@ SuperCapacitor::SuperCapacitor(std::string name,
     PAD_ASSERT(config_.efficiency > 0.0 && config_.efficiency <= 1.0);
 }
 
-Joules
-SuperCapacitor::usableEnergy() const
-{
-    const double v2 = voltage_ * voltage_;
-    const double vmin2 = config_.vMin * config_.vMin;
-    return std::max(0.0, 0.5 * config_.capacitanceF * (v2 - vmin2));
-}
-
-Joules
-SuperCapacitor::usableCapacity() const
-{
-    const double vmax2 = config_.vMax * config_.vMax;
-    const double vmin2 = config_.vMin * config_.vMin;
-    return 0.5 * config_.capacitanceF * (vmax2 - vmin2);
-}
-
-double
-SuperCapacitor::soc() const
-{
-    return std::clamp(usableEnergy() / usableCapacity(), 0.0, 1.0);
-}
-
-Watts
-SuperCapacitor::availablePower(double dt) const
-{
-    PAD_ASSERT(dt > 0.0);
-    const Watts byEnergy = usableEnergy() * config_.efficiency / dt;
-    return std::min(byEnergy, config_.maxPower);
-}
-
-Joules
-SuperCapacitor::discharge(Watts requested, double dt)
-{
-    PAD_ASSERT(requested >= 0.0 && dt >= 0.0);
-    if (requested == 0.0 || dt == 0.0 || depleted())
-        return 0.0;
-    const Watts bounded = std::min(requested, config_.maxPower);
-    // Energy removed from the bank exceeds energy delivered by the
-    // conversion efficiency factor.
-    const Joules wantFromBank = bounded * dt / config_.efficiency;
-    const Joules fromBank = std::min(wantFromBank, usableEnergy());
-    const double v2 =
-        voltage_ * voltage_ - 2.0 * fromBank / config_.capacitanceF;
-    voltage_ = std::sqrt(std::max(v2, config_.vMin * config_.vMin));
-    const Joules delivered = fromBank * config_.efficiency;
-    totalDischarged_ += delivered;
-    ++engagements_;
-    return delivered;
-}
-
-Joules
-SuperCapacitor::charge(Watts offered, double dt)
-{
-    PAD_ASSERT(offered >= 0.0 && dt >= 0.0);
-    if (offered == 0.0 || dt == 0.0)
-        return 0.0;
-    const Joules room = 0.5 * config_.capacitanceF *
-                        (config_.vMax * config_.vMax - voltage_ * voltage_);
-    const Joules absorbed = std::min(offered * dt, room);
-    const double v2 =
-        voltage_ * voltage_ + 2.0 * absorbed / config_.capacitanceF;
-    voltage_ = std::min(std::sqrt(v2), config_.vMax);
-    return absorbed;
-}
-
 void
 SuperCapacitor::setSoc(double soc)
 {
     PAD_ASSERT(soc >= 0.0 && soc <= 1.0);
-    const double vmin2 = config_.vMin * config_.vMin;
-    const double vmax2 = config_.vMax * config_.vMax;
-    voltage_ = std::sqrt(vmin2 + soc * (vmax2 - vmin2));
+    voltage_ = capVoltageAtSoc(config_, soc);
 }
 
 } // namespace pad::battery

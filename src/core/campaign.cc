@@ -24,35 +24,25 @@ CampaignDriver::run(Tick until)
     const double demandBefore = dc_.perf().demandedWork();
     const double execBefore = dc_.perf().executedWork();
 
-    // Order the strikes through the event queue; between events the
-    // data center runs normal coarse operation.
-    sim::EventQueue events;
-    for (std::size_t i = 0; i < attacks_.size(); ++i) {
-        if (attacks_[i].startAt >= dc_.now() &&
-            attacks_[i].startAt < until)
-            events.schedule(attacks_[i].startAt, [this, i, &report] {
-                const CampaignAttack &strike = attacks_[i];
-                attack::TwoPhaseAttacker attacker(strike.attacker);
-                const AttackOutcome out =
-                    dc_.runAttack(attacker, strike.scenario);
-                CampaignStrike record;
-                record.startedAt = strike.startAt;
-                record.survivalSec = out.survivalSec;
-                record.effectiveAttacks = out.rack.effectiveAttacks();
-                record.throughput = out.throughput;
-                record.overloaded =
-                    out.survivalSec < strike.scenario.durationSec;
-                report.successfulStrikes += record.overloaded;
-                report.strikes.push_back(record);
-            });
-    }
-
-    while (true) {
-        const Tick next = events.nextEventTick();
-        if (next == kTickNever || next > until)
-            break;
-        dc_.runCoarseUntil(next);
-        events.runUntil(next);
+    // Strikes run in start order (stable for equal ticks); between
+    // them the data center runs normal coarse operation. A strike
+    // whose start an earlier strike's window already passed runs as
+    // soon as that window ends.
+    const Tick runStart = dc_.now();
+    for (const CampaignAttack &strike : attacks_) {
+        if (strike.startAt < runStart || strike.startAt >= until)
+            continue;
+        dc_.runCoarseUntil(strike.startAt);
+        attack::TwoPhaseAttacker attacker(strike.attacker);
+        const AttackOutcome out = dc_.runAttack(attacker, strike.scenario);
+        CampaignStrike record;
+        record.startedAt = strike.startAt;
+        record.survivalSec = out.survivalSec;
+        record.effectiveAttacks = out.rack.effectiveAttacks();
+        record.throughput = out.throughput;
+        record.overloaded = out.survivalSec < strike.scenario.durationSec;
+        report.successfulStrikes += record.overloaded;
+        report.strikes.push_back(record);
     }
     dc_.runCoarseUntil(until);
 

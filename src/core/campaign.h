@@ -1,12 +1,12 @@
 /**
  * @file
  * Attack-campaign driver: orchestrates a timeline of two-phase
- * attacks against one data center using the discrete-event engine.
+ * attacks against one data center.
  *
  * The paper's adversary does not strike once: Phase I itself is a
  * repeated learning process and a determined attacker retries at
  * different hours ("wait for the best time to attack", §III-A). The
- * campaign driver schedules attacks as events, runs normal coarse
+ * campaign driver runs the strikes in start order with normal coarse
  * operation between them, and reports per-attack outcomes plus the
  * day's aggregate damage.
  */
@@ -18,7 +18,6 @@
 
 #include "attack/attacker.h"
 #include "core/datacenter.h"
-#include "sim/event_queue.h"
 
 namespace pad::core {
 

@@ -11,6 +11,8 @@
 #define PAD_CORE_CONFIG_H
 
 #include <cstdint>
+#include <optional>
+#include <string>
 
 #include "battery/battery_unit.h"
 #include "battery/charge_policy.h"
@@ -203,6 +205,22 @@ struct DataCenterConfig {
     {
         return racks * serversPerRack;
     }
+
+    /**
+     * One battery unit as placed: the cabinet itself, or a cabinet
+     * split into per-server BBUs (same total capacity, per-unit rate
+     * limits scaled down).
+     */
+    battery::BatteryUnitConfig debUnit() const;
+
+    /**
+     * The rack breaker as deployed. Without sharing, the enforcement
+     * point is the rack's soft overload limit: sustained violation
+     * trips the circuit. With iPDU sharing, draws up to the wire's
+     * hard rating are legitimate, so only that rating is
+     * breaker-protected.
+     */
+    power::CircuitBreakerConfig rackBreakerFor(bool vdebSharing) const;
 };
 
 /**
@@ -211,6 +229,17 @@ struct DataCenterConfig {
  */
 battery::BatteryUnitConfig defaultDebConfig(Watts rackNameplate,
                                             double seconds = 50.0);
+
+/**
+ * Boundary check for user-supplied run settings: the rack budget
+ * fraction must be finite and positive and, when given, the victim
+ * load percentile within [0, 100]. padsim, padd and the session
+ * parser all call it.
+ * @return a message naming the first unusable value, or an empty
+ *         string when the values are usable
+ */
+std::string checkRunInputs(double budgetFraction,
+                           std::optional<double> victimPct = {});
 
 } // namespace pad::core
 

@@ -147,18 +147,12 @@ DataCenter::DataCenter(const DataCenterConfig &config,
     for (int r = 0; r < config_.racks; ++r) {
         auto &rack = racks_[static_cast<std::size_t>(r)];
         const std::string base = "rack" + std::to_string(r);
+        const battery::BatteryUnitConfig unit = config_.debUnit();
         if (config_.debPlacement ==
             DataCenterConfig::DebPlacement::RackCabinet) {
-            rack.debs.push_back(std::make_unique<battery::BatteryUnit>(
-                base + ".deb", config_.deb));
+            rack.debs.push_back(
+                std::make_unique<battery::BatteryUnit>(base + ".deb", unit));
         } else {
-            // Split the cabinet into per-server BBUs, same total
-            // capacity, per-unit rate limits scaled down.
-            battery::BatteryUnitConfig unit = config_.deb;
-            const double n = config_.serversPerRack;
-            unit.capacityWh /= n;
-            unit.maxDischargePower /= n;
-            unit.maxChargePower /= n;
             for (int s = 0; s < config_.serversPerRack; ++s)
                 rack.debs.push_back(
                     std::make_unique<battery::BatteryUnit>(
@@ -167,19 +161,8 @@ DataCenter::DataCenter(const DataCenterConfig &config,
         if (traits_.udebSpikes)
             rack.udeb =
                 std::make_unique<MicroDeb>(base + ".udeb", config_.udeb);
-        // Without sharing, the enforcement point is the rack's soft
-        // overload limit: sustained violation trips the circuit.
-        // With iPDU sharing, draws up to the wire's hard rating are
-        // legitimate, so only that rating is breaker-protected.
-        power::CircuitBreakerConfig bc = config_.rackBreaker;
-        bc.ratedPower =
-            traits_.vdebSharing
-                ? config_.rackBudget() * config_.rackBreakerMargin
-                : config_.rackOverloadLimit();
-        bc.holdRatio = 1.02;
-        bc.thermalCapacity = 0.5;
         rack.breaker = std::make_unique<power::CircuitBreaker>(
-            base + ".breaker", bc);
+            base + ".breaker", config_.rackBreakerFor(traits_.vdebSharing));
         rack.charger = std::make_unique<battery::ChargeController>(
             config_.charge);
         if (config_.detectorResponse)

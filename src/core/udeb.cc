@@ -1,8 +1,5 @@
 #include "core/udeb.h"
 
-#include <algorithm>
-
-#include "obs/tracer.h"
 #include "util/logging.h"
 
 namespace pad::core {
@@ -13,44 +10,6 @@ MicroDeb::MicroDeb(std::string name, const MicroDebConfig &config)
 {
     PAD_ASSERT(config_.maxEngagementSec > 0.0);
     PAD_ASSERT(config_.rechargePower >= 0.0);
-}
-
-Watts
-MicroDeb::shave(Watts excess, double dt)
-{
-    PAD_ASSERT(excess >= 0.0 && dt >= 0.0);
-    if (excess <= 0.0 || dt == 0.0) {
-        engagedFor_ = 0.0;
-        return 0.0;
-    }
-    // Engagement-duration guard: the ORing backs off when the
-    // "spike" turns out to be a sustained peak.
-    if (engagedFor_ >= config_.maxEngagementSec)
-        return 0.0;
-    const double window =
-        std::min(dt, config_.maxEngagementSec - engagedFor_);
-    const Joules delivered = cap_.discharge(excess, window);
-    engagedFor_ += dt;
-    const Watts shaved = delivered / dt;
-    if (shaved > 0.0 && obs::traceEnabled())
-        obs::emit(name_, "udeb.shave",
-                  {obs::TraceField::num("excess_w", excess),
-                   obs::TraceField::num("shaved_w", shaved),
-                   obs::TraceField::num("soc", cap_.soc()),
-                   obs::TraceField::num("engaged_sec", engagedFor_)});
-    return shaved;
-}
-
-Watts
-MicroDeb::recharge(Watts headroom, double dt)
-{
-    PAD_ASSERT(dt >= 0.0);
-    engagedFor_ = 0.0;
-    if (headroom <= 0.0 || dt == 0.0)
-        return 0.0;
-    const Watts offer = std::min(headroom, config_.rechargePower);
-    const Joules absorbed = cap_.charge(offer, dt);
-    return absorbed / dt;
 }
 
 void

@@ -15,9 +15,12 @@
 #ifndef PAD_CORE_UDEB_H
 #define PAD_CORE_UDEB_H
 
+#include <algorithm>
 #include <string>
 
 #include "battery/supercap.h"
+#include "obs/tracer.h"
+#include "util/logging.h"
 #include "util/types.h"
 
 namespace pad::core {
@@ -37,6 +40,68 @@ struct MicroDebConfig {
 };
 
 /**
+ * One µDEB's mutable state, by reference: a MicroDeb's members or one
+ * slot of the SoA engine's per-rack arrays.
+ */
+struct UdebState {
+    double &voltage;      ///< super-capacitor bus voltage
+    Joules &discharged;   ///< lifetime energy delivered
+    int &engagements;     ///< spikes served
+    double &engagedFor;   ///< current engagement, seconds
+};
+
+/**
+ * Automatic ORing response: shave up to @p excess watts for @p dt
+ * seconds, within the engagement-duration guard. @p name labels the
+ * trace event. @return power shaved (averaged over the step), watts
+ */
+inline Watts
+udebShave(const UdebState &s, const MicroDebConfig &config,
+          const std::string &name, Watts excess, double dt)
+{
+    PAD_ASSERT(excess >= 0.0 && dt >= 0.0);
+    if (excess <= 0.0 || dt == 0.0) {
+        s.engagedFor = 0.0;
+        return 0.0;
+    }
+    // Engagement-duration guard: the ORing backs off when the
+    // "spike" turns out to be a sustained peak.
+    if (s.engagedFor >= config.maxEngagementSec)
+        return 0.0;
+    const double window =
+        std::min(dt, config.maxEngagementSec - s.engagedFor);
+    const Joules delivered =
+        battery::capDischarge(s.voltage, s.discharged, s.engagements,
+                              config.cap, excess, window);
+    s.engagedFor += dt;
+    const Watts shaved = delivered / dt;
+    if (shaved > 0.0 && obs::traceEnabled())
+        obs::emit(name, "udeb.shave",
+                  {obs::TraceField::num("excess_w", excess),
+                   obs::TraceField::num("shaved_w", shaved),
+                   obs::TraceField::num(
+                       "soc", battery::capSoc(s.voltage, config.cap)),
+                   obs::TraceField::num("engaged_sec", s.engagedFor)});
+    return shaved;
+}
+
+/**
+ * Idle step with @p headroom watts available for recharge; ends any
+ * engagement. @return power consumed for recharging, watts
+ */
+inline Watts
+udebRecharge(double &voltage, double &engagedFor,
+             const MicroDebConfig &config, Watts headroom, double dt)
+{
+    PAD_ASSERT(dt >= 0.0);
+    engagedFor = 0.0;
+    if (headroom <= 0.0 || dt == 0.0)
+        return 0.0;
+    const Watts offer = std::min(headroom, config.rechargePower);
+    return battery::capCharge(voltage, config.cap, offer, dt) / dt;
+}
+
+/**
  * Rack-level automatic spike shaver.
  */
 class MicroDeb
@@ -49,20 +114,22 @@ class MicroDeb
     MicroDeb(std::string name, const MicroDebConfig &config);
 
     /**
-     * Automatic ORing response: shave up to @p excess watts for
-     * @p dt seconds.
-     *
-     * @param excess rack demand above the utility-side allocation
-     * @param dt     step length, seconds
-     * @return power actually shaved (averaged over the step), watts
+     * udebShave() on this µDEB: @p excess is the rack demand above
+     * the utility-side allocation. @return watts shaved
      */
-    Watts shave(Watts excess, double dt);
+    Watts shave(Watts excess, double dt)
+    {
+        return udebShave(UdebState{cap_.voltage_, cap_.totalDischarged_,
+                                   cap_.engagements_, engagedFor_},
+                         config_, name_, excess, dt);
+    }
 
-    /**
-     * Idle step with @p headroom watts available for recharge.
-     * @return power actually consumed for recharging, watts
-     */
-    Watts recharge(Watts headroom, double dt);
+    /** udebRecharge() on this µDEB. @return watts consumed */
+    Watts recharge(Watts headroom, double dt)
+    {
+        return udebRecharge(cap_.voltage_, engagedFor_, config_, headroom,
+                            dt);
+    }
 
     /** Usable energy remaining, joules. */
     Joules usableEnergy() const { return cap_.usableEnergy(); }
@@ -75,12 +142,6 @@ class MicroDeb
 
     /** Spikes served so far. */
     int engagements() const { return cap_.engagements(); }
-
-    /** Lifetime energy delivered, joules. */
-    Joules lifetimeShaved() const { return cap_.lifetimeDischarged(); }
-
-    /** The underlying capacitor bank. */
-    const battery::SuperCapacitor &capacitor() const { return cap_; }
 
     /** Force a state of charge (testing / scenario setup). */
     void setSoc(double soc);

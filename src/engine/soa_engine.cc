@@ -22,9 +22,6 @@ shedPriority(std::size_t serverIdx)
     return static_cast<int>((serverIdx * 2654435761ULL) % 97);
 }
 
-/** Numerical slack for well-boundary comparisons, joules. */
-constexpr Joules kEps = 1e-9;
-
 } // namespace
 
 SoaEngine::SoaEngine(const core::DataCenterConfig &config,
@@ -46,64 +43,37 @@ SoaEngine::SoaEngine(const core::DataCenterConfig &config,
     const auto nr = static_cast<std::size_t>(racks_);
     const auto nm = static_cast<std::size_t>(machines_);
 
-    // Every unit shares one KiBaM parameterization. Per-server BBUs
-    // split the cabinet: same total capacity, per-unit rate limits
-    // scaled down (core::DataCenter's construction, verbatim).
+    // Every unit shares one parameterization: the cabinet, or the
+    // cabinet split into per-server BBUs (core::DataCenter's units).
     perServer_ = config_.debPlacement ==
                  core::DataCenterConfig::DebPlacement::PerServer;
     unitsPerRack_ =
         perServer_ ? static_cast<std::size_t>(serversPerRack_) : 1;
-    battery::BatteryUnitConfig unit = config_.deb;
-    if (perServer_) {
-        const double n = serversPerRack_;
-        unit.capacityWh /= n;
-        unit.maxDischargePower /= n;
-        unit.maxChargePower /= n;
-    }
-    capJ_ = wattHoursToJoules(unit.capacityWh);
-    kibamC_ = unit.kibamC;
-    kibamK_ = unit.kibamK;
-    maxDischarge_ = unit.maxDischargePower;
-    maxCharge_ = unit.maxChargePower;
-    lvdDisconnectSoc_ = unit.lvdDisconnectSoc;
-    lvdReconnectSoc_ = unit.lvdReconnectSoc;
-    PAD_ASSERT(capJ_ > 0.0 && kibamC_ > 0.0 && kibamC_ < 1.0 &&
-               kibamK_ > 0.0);
-    PAD_ASSERT(maxDischarge_ > 0.0);
-    PAD_ASSERT(lvdDisconnectSoc_ >= 0.0 &&
-               lvdDisconnectSoc_ < lvdReconnectSoc_ &&
-               lvdReconnectSoc_ <= 1.0);
+    debUnit_ = config_.debUnit();
+    battery::checkUnitConfig(debUnit_);
+    kibam_ = battery::KibamParams{wattHoursToJoules(debUnit_.capacityWh),
+                                  debUnit_.kibamC, debUnit_.kibamK};
     rackCapJ_ = 0.0;
     for (std::size_t i = 0; i < unitsPerRack_; ++i)
-        rackCapJ_ += capJ_;
+        rackCapJ_ += kibam_.capacity;
 
     const std::size_t nu = nr * unitsPerRack_;
-    y1_.assign(nu, kibamC_ * capJ_);
-    y2_.assign(nu, (1.0 - kibamC_) * capJ_);
+    y1_.assign(nu, 0.0);
+    y2_.assign(nu, 0.0);
+    for (std::size_t u = 0; u < nu; ++u)
+        battery::kibamSetSoc(y1_[u], y2_[u], kibam_, 1.0);
     dischargedJ_.assign(nu, 0.0);
     chargedJ_.assign(nu, 0.0);
     lvdTripped_.assign(nu, 0);
     lvdTrips_.assign(nu, 0);
     chargerLatch_.assign(nu, 0);
+    cycleWear_.assign(nu, 0.0);
+    calendarWear_.assign(nu, 0.0);
     if (perServer_) {
         cacheServerPower_.assign(nm, 0.0);
         serverPower_.assign(nm, 0.0);
         unitOrder_.reserve(unitsPerRack_);
     }
-
-    // Aging constants hoisted out of the AgingModel arithmetic
-    // (battery/aging_model.cc): wear accrual per discharged joule and
-    // per elapsed second.
-    const battery::AgingModelConfig &aging = config_.deb.aging;
-    PAD_ASSERT(aging.cycleLife > 0.0 && aging.referenceRateC > 0.0 &&
-               aging.stressExponent >= 0.0 &&
-               aging.calendarLifeHours > 0.0);
-    agingReferenceRateC_ = aging.referenceRateC;
-    agingStressExponent_ = aging.stressExponent;
-    agingThroughputInv_ = 1.0 / (aging.cycleLife * capJ_);
-    agingCalendarPerSec_ = 1.0 / (aging.calendarLifeHours * 3600.0);
-    cycleWear_.assign(nu, 0.0);
-    calendarWear_.assign(nu, 0.0);
 
     hasUdeb_ = traits_.udebSpikes;
     if (hasUdeb_) {
@@ -113,17 +83,8 @@ SoaEngine::SoaEngine(const core::DataCenterConfig &config,
         udebDischargedJ_.assign(nr, 0.0);
     }
 
-    // Same enforcement point as the scalar rack breaker: the soft
-    // overload limit without sharing, the hard wire rating with it.
-    breakerRated_ =
-        traits_.vdebSharing
-            ? config_.rackBudget() * config_.rackBreakerMargin
-            : config_.rackOverloadLimit();
-    breakerHold_ = 1.02;
-    breakerMagnetic_ = config_.rackBreaker.magneticRatio;
-    breakerThermalCap_ = 0.5;
-    breakerCoolTau_ = config_.rackBreaker.coolTau;
-    PAD_ASSERT(breakerRated_ > 0.0 && breakerCoolTau_ > 0.0);
+    breaker_ = config_.rackBreakerFor(traits_.vdebSharing);
+    PAD_ASSERT(breaker_.ratedPower > 0.0 && breaker_.coolTau > 0.0);
     breakerHeat_.assign(nr, 0.0);
     breakerTrips_.assign(nr, 0);
     downUntil_.assign(nr, 0);
@@ -227,254 +188,8 @@ SoaEngine::setProfiler(obs::EngineProfiler *prof)
 }
 
 // ---------------------------------------------------------------------
-// KiBaM batch physics (battery/kibam.cc arithmetic, verbatim)
+// A rack's units (core::DataCenter::RackState over the unit kernels)
 // ---------------------------------------------------------------------
-
-const SoaEngine::Coeffs &
-SoaEngine::coeffsFor(double dt) const
-{
-    for (const Coeffs &c : coeffs_)
-        if (c.dt == dt)
-            return c;
-    // Each stored value is the whole original expression — never a
-    // refactored regrouping — so reuse cannot change a bit downstream.
-    Coeffs &c = coeffs_[coeffsNext_];
-    coeffsNext_ = (coeffsNext_ + 1) % coeffs_.size();
-    const double r = std::exp(-kibamK_ * dt);
-    const double kt = kibamK_ * dt;
-    c.dt = dt;
-    c.r = r;
-    c.kt = kt;
-    c.mspDenom = ((1.0 - r) + kibamC_ * (kt - 1.0 + r)) / kibamK_;
-    return c;
-}
-
-void
-SoaEngine::kibamAdvance(std::size_t u, Watts power, double cr, double ckt)
-{
-    // Manwell-McGowan closed form for constant power over dt.
-    const double k = kibamK_;
-    const double c = kibamC_;
-    const double y0 = y1_[u] + y2_[u];
-    const double y1n = y1_[u] * cr +
-                       (y0 * k * c - power) * (1.0 - cr) / k -
-                       power * c * (ckt - 1.0 + cr) / k;
-    const double y2n = y2_[u] * cr + y0 * (1.0 - c) * (1.0 - cr) -
-                       power * (1.0 - c) * (ckt - 1.0 + cr) / k;
-    y1_[u] = y1n;
-    y2_[u] = y2n;
-}
-
-double
-SoaEngine::availableAfter(std::size_t u, Watts power, double t) const
-{
-    const double k = kibamK_;
-    const double c = kibamC_;
-    const double y0 = y1_[u] + y2_[u];
-    const double er = std::exp(-k * t);
-    const double kt = k * t;
-    return y1_[u] * er + (y0 * k * c - power) * (1.0 - er) / k -
-           power * c * (kt - 1.0 + er) / k;
-}
-
-double
-SoaEngine::crossingBisect(std::size_t u, Watts power, double dt) const
-{
-    // The same 60 dyadic midpoints, y1 arithmetic and sign test as the
-    // scalar bisection, so the crossing is bit-identical to it.
-    double lo = 0.0, hi = dt;
-    for (int iter = 0; iter < 60; ++iter) {
-        const double mid = 0.5 * (lo + hi);
-        if (availableAfter(u, power, mid) > 0.0)
-            lo = mid;
-        else
-            hi = mid;
-    }
-    return 0.5 * (lo + hi);
-}
-
-void
-SoaEngine::clampWells(std::size_t u)
-{
-    y1_[u] = std::clamp(y1_[u], 0.0, kibamC_ * capJ_);
-    y2_[u] = std::clamp(y2_[u], 0.0, (1.0 - kibamC_) * capJ_);
-}
-
-Watts
-SoaEngine::kibamMsp(std::size_t u, double dt) const
-{
-    PAD_ASSERT(dt > 0.0);
-    const Coeffs &cc = coeffsFor(dt);
-    const double numer =
-        y1_[u] * cc.r + (y1_[u] + y2_[u]) * kibamC_ * (1.0 - cc.r);
-    if (cc.mspDenom <= 0.0)
-        return 0.0;
-    return std::max(0.0, numer / cc.mspDenom);
-}
-
-Joules
-SoaEngine::kibamStep(std::size_t u, Watts power, double dt)
-{
-    PAD_ASSERT(dt >= 0.0);
-    if (dt == 0.0 || power == 0.0) {
-        // Even with no load the wells equalize.
-        if (dt > 0.0) {
-            const Coeffs &cc = coeffsFor(dt);
-            kibamAdvance(u, 0.0, cc.r, cc.kt);
-            clampWells(u);
-        }
-        return 0.0;
-    }
-
-    if (power > 0.0) {
-        const Watts sustainable = kibamMsp(u, dt);
-        if (power <= sustainable) {
-            const Coeffs &cc = coeffsFor(dt);
-            kibamAdvance(u, power, cc.r, cc.kt);
-            clampWells(u);
-            return power * dt;
-        }
-        if (sustainable <= 0.0) {
-            const Coeffs &cc = coeffsFor(dt);
-            kibamAdvance(u, 0.0, cc.r, cc.kt);
-            clampWells(u);
-            return 0.0;
-        }
-        // Deliver until y1 empties, then rest for the remainder.
-        const double tcross = crossingBisect(u, power, dt);
-        {
-            const Coeffs &cc = coeffsFor(tcross);
-            kibamAdvance(u, power, cc.r, cc.kt);
-            clampWells(u);
-        }
-        y1_[u] = 0.0;
-        {
-            const Coeffs &cc = coeffsFor(dt - tcross);
-            kibamAdvance(u, 0.0, cc.r, cc.kt);
-            clampWells(u);
-        }
-        return power * tcross;
-    }
-
-    // Charging: conservation first — split accepted charge across the
-    // wells, spilling overflow, then apply the kinetic equalization.
-    const Joules room = capJ_ - (y1_[u] + y2_[u]);
-    const Joules accepted = std::min(-power * dt, room);
-    if (accepted > 0.0) {
-        const Joules y1room = kibamC_ * capJ_ - y1_[u];
-        const Joules y2room = (1.0 - kibamC_) * capJ_ - y2_[u];
-        Joules toY1 = std::min(accepted * kibamC_, y1room);
-        Joules toY2 = std::min(accepted - toY1, y2room);
-        toY1 += std::min(accepted - toY1 - toY2, y1room - toY1);
-        y1_[u] += toY1;
-        y2_[u] += toY2;
-    }
-    const Coeffs &cc = coeffsFor(dt);
-    kibamAdvance(u, 0.0, cc.r, cc.kt);
-    clampWells(u);
-    return -accepted;
-}
-
-// ---------------------------------------------------------------------
-// DEB unit protection (battery/battery_unit.cc; aging not tracked)
-// ---------------------------------------------------------------------
-
-void
-SoaEngine::updateLvd(std::size_t u)
-{
-    // The LVD tracks the available-well head, not total charge.
-    const double head = y1_[u] / (kibamC_ * capJ_);
-    if (!lvdTripped_[u]) {
-        if (head <= lvdDisconnectSoc_ + 1e-9 || y1_[u] <= kEps) {
-            lvdTripped_[u] = 1;
-            ++lvdTrips_[u];
-        }
-    } else if (head >= lvdReconnectSoc_) {
-        lvdTripped_[u] = 0;
-    }
-}
-
-Joules
-SoaEngine::unitDischarge(std::size_t u, Watts requested, double dt)
-{
-    PAD_ASSERT(requested >= 0.0 && dt >= 0.0);
-    if (dt == 0.0 || requested == 0.0 || lvdTripped_[u]) {
-        unitRest(u, dt);
-        return 0.0;
-    }
-    const Watts bounded = std::min(requested, maxDischarge_);
-    const Joules floor = lvdDisconnectSoc_ * capJ_;
-    const Joules headroom = std::max(0.0, unitStored(u) - floor);
-    Joules delivered = 0.0;
-    const Joules want = bounded * dt;
-    if (want <= headroom) {
-        delivered = kibamStep(u, bounded, dt);
-    } else {
-        // Deliver until the LVD floor, then rest for the remainder.
-        const double tcut = headroom / bounded;
-        delivered = kibamStep(u, bounded, tcut);
-        kibamStep(u, 0.0, dt - tcut);
-    }
-    dischargedJ_[u] += delivered;
-    agingOnDischarge(u, delivered / dt, dt);
-    agingOnElapsed(u, dt);
-    updateLvd(u);
-    return delivered;
-}
-
-Joules
-SoaEngine::unitCharge(std::size_t u, Watts offered, double dt)
-{
-    PAD_ASSERT(offered >= 0.0 && dt >= 0.0);
-    if (dt == 0.0 || offered == 0.0) {
-        unitRest(u, dt);
-        return 0.0;
-    }
-    const Watts bounded = std::min(offered, maxCharge_);
-    const Joules absorbed = -kibamStep(u, -bounded, dt);
-    chargedJ_[u] += absorbed;
-    agingOnElapsed(u, dt);
-    updateLvd(u);
-    return absorbed;
-}
-
-void
-SoaEngine::unitRest(std::size_t u, double dt)
-{
-    if (dt > 0.0) {
-        kibamStep(u, 0.0, dt);
-        agingOnElapsed(u, dt);
-        updateLvd(u);
-    }
-}
-
-void
-SoaEngine::agingOnDischarge(std::size_t u, Watts power, double dt)
-{
-    // battery/aging_model.cc::onDischarge with the lifetime
-    // throughput divisor pre-inverted.
-    if (power <= 0.0 || dt <= 0.0)
-        return;
-    const Joules energy = power * dt;
-    const double rateC = power * 3600.0 / capJ_;
-    double stress = 1.0;
-    if (rateC > agingReferenceRateC_)
-        stress = std::pow(rateC / agingReferenceRateC_,
-                          agingStressExponent_);
-    cycleWear_[u] += stress * energy * agingThroughputInv_;
-}
-
-Watts
-SoaEngine::unitAvailablePower(std::size_t u, double dt) const
-{
-    if (lvdTripped_[u])
-        return 0.0;
-    const Watts sustainable = kibamMsp(u, dt);
-    const Joules floor = lvdDisconnectSoc_ * capJ_;
-    const Joules headroom = std::max(0.0, unitStored(u) - floor);
-    const Watts byEnergy = headroom / dt;
-    return std::min({sustainable, byEnergy, maxDischarge_});
-}
 
 Watts
 SoaEngine::rackDischarge(std::size_t r, Watts want, double dtSec,
@@ -484,14 +199,14 @@ SoaEngine::rackDischarge(std::size_t r, Watts want, double dtSec,
         return bbuDischarge(r, want, dtSec);
     // A cabinet's SOC-proportional share of its own rack is exactly 1.
     if (want <= 0.0) {
-        unitRest(r, dtSec);
+        unitIdle(r, dtSec);
         return 0.0;
     }
     const double share = unitStored(r) > 0.0 ? 1.0 : 0.0;
     const Watts ask = std::min(want * share, boundW);
     if (ask > 0.0)
-        return unitDischarge(r, ask, dtSec) / dtSec;
-    unitRest(r, dtSec);
+        return unitDraw(r, ask, dtSec);
+    unitIdle(r, dtSec);
     return 0.0;
 }
 
@@ -505,23 +220,8 @@ SoaEngine::rackRecharge(std::size_t r, Watts headroom, double dtSec)
         bbuRecharge(r, headroom, dtSec);
         return;
     }
-    if (wantsCharge(r))
-        unitCharge(r, std::min(headroom, maxCharge_), dtSec);
-}
-
-bool
-SoaEngine::wantsCharge(std::size_t u)
-{
-    const double soc = unitSoc(u);
-    if (config_.charge.kind == battery::ChargePolicyKind::Online)
-        return soc < 0.999;
-    if (chargerLatch_[u]) {
-        if (soc >= config_.charge.offlineStopSoc)
-            chargerLatch_[u] = 0;
-    } else if (soc <= config_.charge.offlineStartSoc) {
-        chargerLatch_[u] = 1;
-    }
-    return chargerLatch_[u];
+    if (unitWantsCharge(r))
+        unitFill(r, std::min(headroom, debUnit_.maxChargePower), dtSec);
 }
 
 // ---------------------------------------------------------------------
@@ -545,7 +245,7 @@ SoaEngine::bbuAvailablePower(std::size_t r, double dt) const
     Watts total = 0.0;
     for (std::size_t u = r * unitsPerRack_; u < (r + 1) * unitsPerRack_;
          ++u)
-        total += unitAvailablePower(u, dt);
+        total += unitAvailable(u, dt);
     return total;
 }
 
@@ -554,7 +254,7 @@ SoaEngine::bbuRest(std::size_t r, double dtSec)
 {
     for (std::size_t u = r * unitsPerRack_; u < (r + 1) * unitsPerRack_;
          ++u)
-        unitRest(u, dtSec);
+        unitIdle(u, dtSec);
 }
 
 Watts
@@ -573,9 +273,9 @@ SoaEngine::bbuDischarge(std::size_t r, Watts want, double dtSec)
         const double share = total > 0.0 ? unitStored(u) / total : 0.0;
         const Watts ask = std::min(want * share, serverPower_[u]);
         if (ask > 0.0)
-            delivered += unitDischarge(u, ask, dtSec) / dtSec;
+            delivered += unitDraw(u, ask, dtSec);
         else
-            unitRest(u, dtSec);
+            unitIdle(u, dtSec);
     }
     return delivered;
 }
@@ -592,9 +292,9 @@ SoaEngine::bbuShaveOwnExcess(std::size_t r, Watts budgetW, double dtSec)
          ++u) {
         const Watts excess = std::max(0.0, serverPower_[u] - serverBudget);
         if (excess > 0.0)
-            shaved += unitDischarge(u, excess, dtSec) / dtSec;
+            shaved += unitDraw(u, excess, dtSec);
         else
-            unitRest(u, dtSec);
+            unitIdle(u, dtSec);
     }
     return shaved;
 }
@@ -613,155 +313,16 @@ SoaEngine::bbuRecharge(std::size_t r, Watts headroom, double dtSec)
         if (remaining <= 0.0)
             break;
         const std::size_t u = base + i;
-        if (!wantsCharge(u))
+        if (!unitWantsCharge(u))
             continue;
-        const Joules got =
-            unitCharge(u, std::min(remaining, maxCharge_), dtSec);
-        remaining -= got / dtSec;
+        remaining -= unitFill(u, std::min(remaining, debUnit_.maxChargePower),
+                              dtSec);
     }
 }
 
 // ---------------------------------------------------------------------
-// µDEB (core/udeb.cc + battery/supercap.cc)
+// Detector (one power/power_meter.h interval meter per rack)
 // ---------------------------------------------------------------------
-
-Joules
-SoaEngine::capUsableEnergy(std::size_t r) const
-{
-    const auto &cap = config_.udeb.cap;
-    const double v2 = udebVoltage_[r] * udebVoltage_[r];
-    const double vmin2 = cap.vMin * cap.vMin;
-    return std::max(0.0, 0.5 * cap.capacitanceF * (v2 - vmin2));
-}
-
-Joules
-SoaEngine::capDischarge(std::size_t r, Watts requested, double dt)
-{
-    PAD_ASSERT(requested >= 0.0 && dt >= 0.0);
-    if (requested == 0.0 || dt == 0.0 || udebDepleted(r))
-        return 0.0;
-    const auto &cap = config_.udeb.cap;
-    const Watts bounded = std::min(requested, cap.maxPower);
-    const Joules wantFromBank = bounded * dt / cap.efficiency;
-    const Joules fromBank = std::min(wantFromBank, capUsableEnergy(r));
-    const double v2 = udebVoltage_[r] * udebVoltage_[r] -
-                      2.0 * fromBank / cap.capacitanceF;
-    udebVoltage_[r] = std::sqrt(std::max(v2, cap.vMin * cap.vMin));
-    const Joules delivered = fromBank * cap.efficiency;
-    udebDischargedJ_[r] += delivered;
-    ++udebEngagements_[r];
-    return delivered;
-}
-
-Joules
-SoaEngine::capCharge(std::size_t r, Watts offered, double dt)
-{
-    PAD_ASSERT(offered >= 0.0 && dt >= 0.0);
-    if (offered == 0.0 || dt == 0.0)
-        return 0.0;
-    const auto &cap = config_.udeb.cap;
-    const Joules room =
-        0.5 * cap.capacitanceF *
-        (cap.vMax * cap.vMax - udebVoltage_[r] * udebVoltage_[r]);
-    const Joules absorbed = std::min(offered * dt, room);
-    const double v2 = udebVoltage_[r] * udebVoltage_[r] +
-                      2.0 * absorbed / cap.capacitanceF;
-    udebVoltage_[r] = std::min(std::sqrt(v2), cap.vMax);
-    return absorbed;
-}
-
-double
-SoaEngine::udebSoc(std::size_t r) const
-{
-    const auto &cap = config_.udeb.cap;
-    const Joules usableCap =
-        0.5 * cap.capacitanceF *
-        (cap.vMax * cap.vMax - cap.vMin * cap.vMin);
-    return std::clamp(capUsableEnergy(r) / usableCap, 0.0, 1.0);
-}
-
-bool
-SoaEngine::udebDepleted(std::size_t r) const
-{
-    return capUsableEnergy(r) <= kEps;
-}
-
-Watts
-SoaEngine::udebShave(std::size_t r, Watts excess, double dt)
-{
-    PAD_ASSERT(excess >= 0.0 && dt >= 0.0);
-    if (excess <= 0.0 || dt == 0.0) {
-        udebEngagedFor_[r] = 0.0;
-        return 0.0;
-    }
-    // Engagement-duration guard: the ORing backs off when the "spike"
-    // turns out to be a sustained peak.
-    if (udebEngagedFor_[r] >= config_.udeb.maxEngagementSec)
-        return 0.0;
-    const double window =
-        std::min(dt, config_.udeb.maxEngagementSec - udebEngagedFor_[r]);
-    const Joules delivered = capDischarge(r, excess, window);
-    udebEngagedFor_[r] += dt;
-    const Watts shaved = delivered / dt;
-    if (shaved > 0.0 && obs::traceEnabled())
-        obs::emit(udebName_[r], "udeb.shave",
-                  {obs::TraceField::num("excess_w", excess),
-                   obs::TraceField::num("shaved_w", shaved),
-                   obs::TraceField::num("soc", udebSoc(r)),
-                   obs::TraceField::num("engaged_sec",
-                                        udebEngagedFor_[r])});
-    return shaved;
-}
-
-Watts
-SoaEngine::udebRecharge(std::size_t r, Watts headroom, double dt)
-{
-    PAD_ASSERT(dt >= 0.0);
-    udebEngagedFor_[r] = 0.0;
-    if (headroom <= 0.0 || dt == 0.0)
-        return 0.0;
-    const Watts offer = std::min(headroom, config_.udeb.rechargePower);
-    return capCharge(r, offer, dt) / dt;
-}
-
-// ---------------------------------------------------------------------
-// Breaker + detector (power/circuit_breaker.cc / power_meter.cc)
-// ---------------------------------------------------------------------
-
-bool
-SoaEngine::breakerObserve(std::size_t r, Watts power, double dt)
-{
-    PAD_ASSERT(dt >= 0.0);
-    if (dt == 0.0)
-        return false;
-    const double ratio = power / breakerRated_;
-    if (ratio >= breakerMagnetic_) {
-        ++breakerTrips_[r];
-        if (obs::traceEnabled())
-            obs::emit(breakerName_[r], "breaker.trip",
-                      {obs::TraceField::str("cause", "magnetic"),
-                       obs::TraceField::num("draw_w", power),
-                       obs::TraceField::num("ratio", ratio)});
-        return true;
-    }
-    if (ratio > breakerHold_) {
-        breakerHeat_[r] += (ratio * ratio - 1.0) * dt;
-        if (breakerHeat_[r] >= breakerThermalCap_) {
-            ++breakerTrips_[r];
-            if (obs::traceEnabled())
-                obs::emit(breakerName_[r], "breaker.trip",
-                          {obs::TraceField::str("cause", "thermal"),
-                           obs::TraceField::num("draw_w", power),
-                           obs::TraceField::num("ratio", ratio),
-                           obs::TraceField::num("heat",
-                                                breakerHeat_[r])});
-            return true;
-        }
-    } else {
-        breakerHeat_[r] *= std::exp(-dt / breakerCoolTau_);
-    }
-    return false;
-}
 
 void
 SoaEngine::detectorStep(Tick dt)
@@ -769,42 +330,29 @@ SoaEngine::detectorStep(Tick dt)
     if (!config_.detectorResponse)
         return;
     for (std::size_t r = 0; r < static_cast<std::size_t>(racks_); ++r) {
-        Tick remaining = dt;
-        while (remaining > 0) {
-            const Tick intervalEnd =
-                meterIntervalStart_[r] + config_.detectorInterval;
-            const Tick slice =
-                std::min(remaining, intervalEnd - meterNow_[r]);
-            meterEnergy_[r] +=
-                rackDraw_[r] * static_cast<double>(slice);
-            meterNow_[r] += slice;
-            remaining -= slice;
-            if (meterNow_[r] != intervalEnd)
-                continue;
-            const Watts avg =
-                meterEnergy_[r] /
-                static_cast<double>(config_.detectorInterval);
-            meterIntervalStart_ [r] += config_.detectorInterval;
-            meterEnergy_[r] = 0.0;
-            // Flag when the metered average rises measurably above
-            // the rack's rolling expectation.
-            if (vpEnergy_[r] > 0.0 &&
-                avg > vpEnergy_[r] * (1.0 + config_.detectorMargin)) {
+        power::meterObserve(
+            meterNow_[r], meterIntervalStart_[r], meterEnergy_[r],
+            config_.detectorInterval, rackDraw_[r], dt,
+            [&](const power::MeterReading &reading) {
+                // Flag when the metered average rises measurably above
+                // the rack's rolling expectation.
+                const Watts avg = reading.average;
+                if (vpEnergy_[r] <= 0.0 ||
+                    avg <= vpEnergy_[r] * (1.0 + config_.detectorMargin))
+                    return;
                 ++detections_;
                 if (firstDetectionTick_ == kTickNever)
                     firstDetectionTick_ = now_;
                 clusterCapUntil_ =
                     now_ + secondsToTicks(config_.detectorCapHoldSec);
                 if (obs::traceEnabled())
-                    obs::emit(
-                        "detector", "detector.anomaly",
-                        {obs::TraceField::integer(
-                             "rack", static_cast<std::int64_t>(r)),
-                         obs::TraceField::num("avg_w", avg),
-                         obs::TraceField::num("expected_w",
-                                              vpEnergy_[r])});
-            }
-        }
+                    obs::emit("detector", "detector.anomaly",
+                              {obs::TraceField::integer(
+                                   "rack", static_cast<std::int64_t>(r)),
+                               obs::TraceField::num("avg_w", avg),
+                               obs::TraceField::num("expected_w",
+                                                    vpEnergy_[r])});
+            });
     }
 }
 
@@ -1144,7 +692,7 @@ SoaEngine::applyShaving(StepView &step, double dtSec)
                 if (excess > 0.0)
                     shaved = rackDischarge(r, excess, dtSec, powerW);
                 else
-                    unitRest(r, dtSec);
+                    unitIdle(r, dtSec);
             }
             rackDraw_[r] = powerW - shaved;
             rackShaved_[r] = shaved;
@@ -1203,7 +751,8 @@ SoaEngine::applyUdeb(StepView &step, double dtSec)
         }
         // A zero-residual step disengages the ORing and resets its
         // engagement-duration guard.
-        const Watts shaved = udebShave(r, residual, dtSec);
+        const Watts shaved = core::udebShave(
+            udebState(r), config_.udeb, udebName_[r], residual, dtSec);
         if (shaved > 0.0) {
             rackDraw_[r] -= shaved;
             step.totalDraw -= shaved;
@@ -1222,7 +771,9 @@ SoaEngine::rechargeAll(const StepView &step, double dtSec)
         // even with zero headroom so an idle step resets the ORing
         // engagement guard.
         if (hasUdeb_ && rackDraw_[r] <= budget)
-            headroom -= udebRecharge(r, headroom, dtSec);
+            headroom -= core::udebRecharge(udebVoltage_[r],
+                                           udebEngagedFor_[r], config_.udeb,
+                                           headroom, dtSec);
         if (headroom <= 0.0)
             continue;
         // A unit that discharged this step cannot also charge.
@@ -1297,7 +848,7 @@ SoaEngine::controlDecisions(const StepView &step, double dtSec)
         bool udebOk = !traits_.udebSpikes;
         if (hasUdeb_)
             for (std::size_t r = 0; r < nRacks; ++r)
-                if (!udebDepleted(r))
+                if (!battery::capDepleted(udebVoltage_[r], config_.udeb.cap))
                     udebOk = true;
 
         core::PolicyInputs in;
@@ -1372,8 +923,7 @@ SoaEngine::telemetrySample(const StepView &step)
         hub.record(powerName_[r], now_, rackPower_[r]);
         hub.record(drawName_[r], now_, rackDraw_[r]);
         hub.record(socName_[r], now_, rackSoc(r));
-        hub.record(udebSocName_[r], now_,
-                   hasUdeb_ ? udebSoc(r) : 1.0);
+        hub.record(udebSocName_[r], now_, rackUdebSoc(r));
         if (budget > 0.0)
             score = std::max(score, vpEnergy_[r] / budget);
     }
@@ -1560,7 +1110,9 @@ SoaEngine::runAttack(attack::TwoPhaseAttacker &attacker,
              ++r) {
             if (now_ < downUntil_[r])
                 continue;
-            if (breakerObserve(r, rackDraw_[r], dtSec)) {
+            if (power::breakerStep(breakerHeat_[r], breakerTrips_[r],
+                                   breaker_, breakerName_[r], rackDraw_[r],
+                                   dtSec)) {
                 anyTrip = true;
                 downUntil_[r] =
                     now_ + secondsToTicks(config_.outageRecoverySec);
@@ -1621,8 +1173,7 @@ SoaEngine::runAttack(attack::TwoPhaseAttacker &attacker,
             out.rackPower.record(now_, rackPower_[target]);
             out.rackDraw.record(now_, rackDraw_[target]);
             out.rackSoc.record(now_, rackSoc(target));
-            out.udebSoc.record(now_,
-                               hasUdeb_ ? udebSoc(target) : 1.0);
+            out.udebSoc.record(now_, rackUdebSoc(target));
             out.level.record(now_, static_cast<double>(level_));
             out.maxShedRatio = std::max(
                 out.maxShedRatio,
@@ -1646,9 +1197,8 @@ SoaEngine::runAttack(attack::TwoPhaseAttacker &attacker,
                         {obs::TraceField::integer(
                              "rack", static_cast<std::int64_t>(r)),
                          obs::TraceField::num("soc", rackSoc(r)),
-                         obs::TraceField::num(
-                             "udeb_soc",
-                             hasUdeb_ ? udebSoc(r) : 1.0),
+                         obs::TraceField::num("udeb_soc",
+                                              rackUdebSoc(r)),
                          obs::TraceField::num("power_w",
                                               rackPower_[r]),
                          obs::TraceField::num("draw_w", rackDraw_[r]),
@@ -1749,7 +1299,7 @@ SoaEngine::unitSocs() const
     std::vector<double> socs;
     socs.reserve(y1_.size());
     for (std::size_t u = 0; u < y1_.size(); ++u)
-        socs.push_back(unitStored(u) / capJ_);
+        socs.push_back(unitStored(u) / kibam_.capacity);
     return socs;
 }
 
@@ -1798,20 +1348,15 @@ SoaEngine::setAllSoc(double soc)
 {
     PAD_ASSERT(soc >= 0.0 && soc <= 1.0);
     for (std::size_t u = 0; u < y1_.size(); ++u) {
-        y1_[u] = soc * kibamC_ * capJ_;
-        y2_[u] = soc * (1.0 - kibamC_) * capJ_;
+        battery::kibamSetSoc(y1_[u], y2_[u], kibam_, soc);
         lvdTripped_[u] = 0;
-        updateLvd(u);
+        battery::unitLvdUpdate(unitState(u), debUnit_, kibam_);
     }
-    for (std::size_t r = 0; r < static_cast<std::size_t>(racks_); ++r) {
-        if (hasUdeb_) {
-            const auto &cap = config_.udeb.cap;
-            const double udeb = soc > 0.0 ? 1.0 : 0.0;
-            const double vmin2 = cap.vMin * cap.vMin;
-            const double vmax2 = cap.vMax * cap.vMax;
-            udebVoltage_[r] = std::sqrt(vmin2 + udeb * (vmax2 - vmin2));
-            udebEngagedFor_[r] = 0.0;
-        }
+    if (hasUdeb_) {
+        const double voltage =
+            battery::capVoltageAtSoc(config_.udeb.cap, soc > 0.0 ? 1.0 : 0.0);
+        std::fill(udebVoltage_.begin(), udebVoltage_.end(), voltage);
+        std::fill(udebEngagedFor_.begin(), udebEngagedFor_.end(), 0.0);
     }
     benignDirty_ = true; // LVD state feeds no demand, but stay safe
 }

@@ -30,19 +30,19 @@
  *    never the physics, so `n` shards produce exactly the serial
  *    engine's bytes.
  *
- * Parity contract (asserted by engine_parity_test / soa_backend_test):
- * the physics per battery unit — KiBaM wells, LVD, charger, wear —
- * and per rack — µDEB, breaker, meter — uses the scalar components'
- * arithmetic verbatim, but rack power is summed benign-first rather
- * than in server order, and throughput is accounted per rack rather
- * than per server, so outputs against the scalar engine agree
- * physically (energy conservation, SoC bounds, survival within
- * tolerance) without being bit-identical. Battery aging replicates
- * battery/aging_model.cc per unit (cycle + calendar wear arrays,
- * hooks at the same unitDischarge/unitCharge/unitRest sites as
- * BatteryUnit), so `deb.wear` matches the scalar engine within the
- * parity-test tolerance; everything else in exportStats matches the
- * scalar names too.
+ * Parity contract (asserted by engine_parity_test / soa_backend_test,
+ * and by the golden-output ctests): the per-unit physics has one copy.
+ * KiBaM wells, LVD, charger latch and wear (battery/), the µDEB guard
+ * (core/udeb.h), the breaker and the interval meter (power/) are free
+ * kernels over plain state; this engine runs them on one slot of its
+ * arrays and the scalar components on their members, so a unit fed
+ * the same requests ends in bit-equal state. The engines differ only
+ * in rack logic: rack power is summed benign-first rather than in
+ * server order, and throughput is accounted per rack rather than per
+ * server, so outputs against the scalar engine agree physically
+ * (energy conservation, SoC bounds, survival within tolerance)
+ * without being bit-identical, and every figure and table prints the
+ * same bytes on both.
  *
  * Both DEB placements run here. The battery arrays hold
  * units-per-rack slots per rack: one cabinet per rack (RackCabinet,
@@ -57,15 +57,17 @@
 #ifndef PAD_ENGINE_SOA_ENGINE_H
 #define PAD_ENGINE_SOA_ENGINE_H
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "battery/battery_unit.h"
+#include "battery/charge_policy.h"
 #include "core/security_policy.h"
+#include "core/udeb.h"
 #include "core/vdeb.h"
 #include "engine/backend.h"
+#include "power/circuit_breaker.h"
 #include "power/server_power_model.h"
 #include "sched/load_shedding.h"
 #include "sched/perf_monitor.h"
@@ -127,14 +129,6 @@ class SoaEngine final : public ClusterEngine
     std::vector<double> unitSocs() const;
 
   private:
-    /** Memoized KiBaM closed-form coefficients for one dt. */
-    struct Coeffs {
-        double dt = -1.0;
-        double r = 1.0;       ///< exp(-k * dt)
-        double kt = 0.0;      ///< k * dt
-        double mspDenom = 0.0;
-    };
-
     /** Per-tick power snapshot (arena members, assigned per step). */
     struct StepView {
         double totalPower = 0.0;
@@ -142,32 +136,47 @@ class SoaEngine final : public ClusterEngine
         double shedSuppressed = 0.0;
     };
 
-    // --- KiBaM batch physics (arithmetic verbatim battery/kibam.cc:
-    //     coefficient cache + scalar bisection) ---
-    const Coeffs &coeffsFor(double dt) const;
-    void kibamAdvance(std::size_t u, Watts power, double cr, double ckt);
-    double availableAfter(std::size_t u, Watts power, double t) const;
-    double crossingBisect(std::size_t u, Watts power, double dt) const;
-    void clampWells(std::size_t u);
-    Watts kibamMsp(std::size_t u, double dt) const;
-    Joules kibamStep(std::size_t u, Watts power, double dt);
-
-    // --- DEB unit protection (battery/battery_unit.cc) ---
-    void updateLvd(std::size_t u);
-    void agingOnDischarge(std::size_t u, Watts power, double dt);
-    void agingOnElapsed(std::size_t u, double dt)
+    // --- per-unit physics: the battery/ kernels over one slot of the
+    //     unit arrays ---
+    battery::UnitState unitState(std::size_t u)
     {
-        calendarWear_[u] += dt * agingCalendarPerSec_;
+        return battery::UnitState{y1_[u],          y2_[u],
+                                  lvdTripped_[u],  lvdTrips_[u],
+                                  cycleWear_[u],   calendarWear_[u],
+                                  dischargedJ_[u], chargedJ_[u]};
     }
-    Joules unitDischarge(std::size_t u, Watts requested, double dt);
-    Joules unitCharge(std::size_t u, Watts offered, double dt);
-    void unitRest(std::size_t u, double dt);
-    Watts unitAvailablePower(std::size_t u, double dt) const;
-
     Joules unitStored(std::size_t u) const { return y1_[u] + y2_[u]; }
     double unitSoc(std::size_t u) const
     {
-        return std::clamp(unitStored(u) / capJ_, 0.0, 1.0);
+        return battery::kibamSoc(y1_[u], y2_[u], kibam_);
+    }
+    Watts unitAvailable(std::size_t u, double dt) const
+    {
+        return battery::unitAvailablePower(y1_[u], y2_[u], lvdTripped_[u],
+                                           debUnit_, kibam_, coeffs_, dt);
+    }
+    void unitIdle(std::size_t u, double dtSec)
+    {
+        battery::unitRest(unitState(u), debUnit_, kibam_, coeffs_, dtSec);
+    }
+    /** Discharge unit @p u; @return average power delivered, watts. */
+    Watts unitDraw(std::size_t u, Watts ask, double dtSec)
+    {
+        return battery::unitDischarge(unitState(u), debUnit_, kibam_,
+                                      coeffs_, ask, dtSec) /
+               dtSec;
+    }
+    /** Charge unit @p u; @return average power absorbed, watts. */
+    Watts unitFill(std::size_t u, Watts offer, double dtSec)
+    {
+        return battery::unitCharge(unitState(u), debUnit_, kibam_,
+                                   coeffs_, offer, dtSec) /
+               dtSec;
+    }
+    bool unitWantsCharge(std::size_t u)
+    {
+        return battery::chargeWanted(chargerLatch_[u], config_.charge,
+                                     unitSoc(u));
     }
 
     // --- a rack's units (core::DataCenter::RackState): a cabinet is
@@ -178,15 +187,14 @@ class SoaEngine final : public ClusterEngine
     }
     Watts rackAvailablePower(std::size_t r, double dt) const
     {
-        return perServer_ ? bbuAvailablePower(r, dt)
-                          : unitAvailablePower(r, dt);
+        return perServer_ ? bbuAvailablePower(r, dt) : unitAvailable(r, dt);
     }
     void rackRest(std::size_t r, double dtSec)
     {
         if (perServer_)
             bbuRest(r, dtSec);
         else
-            unitRest(r, dtSec);
+            unitIdle(r, dtSec);
     }
     /**
      * Discharge up to @p want watts from rack @p r's units: a cabinet
@@ -197,7 +205,6 @@ class SoaEngine final : public ClusterEngine
                         Watts boundW);
     /** ChargeController::recharge over rack @p r's units. */
     void rackRecharge(std::size_t r, Watts headroom, double dtSec);
-    bool wantsCharge(std::size_t u);
 
     // Per-server BBU loops, one unit per server.
     Joules bbuStored(std::size_t r) const;
@@ -207,17 +214,20 @@ class SoaEngine final : public ClusterEngine
     Watts bbuShaveOwnExcess(std::size_t r, Watts budgetW, double dtSec);
     void bbuRecharge(std::size_t r, Watts headroom, double dtSec);
 
-    // --- µDEB (core/udeb.cc + battery/supercap.cc) ---
-    Joules capUsableEnergy(std::size_t r) const;
-    Joules capDischarge(std::size_t r, Watts requested, double dt);
-    Joules capCharge(std::size_t r, Watts offered, double dt);
-    double udebSoc(std::size_t r) const;
-    bool udebDepleted(std::size_t r) const;
-    Watts udebShave(std::size_t r, Watts excess, double dt);
-    Watts udebRecharge(std::size_t r, Watts headroom, double dt);
+    // --- µDEB (core/udeb.h kernels over the per-rack arrays) ---
+    core::UdebState udebState(std::size_t r)
+    {
+        return core::UdebState{udebVoltage_[r], udebDischargedJ_[r],
+                               udebEngagements_[r], udebEngagedFor_[r]};
+    }
+    /** Rack @p r's µDEB state of charge (1 when the scheme has none). */
+    double rackUdebSoc(std::size_t r) const
+    {
+        return hasUdeb_ ? battery::capSoc(udebVoltage_[r], config_.udeb.cap)
+                        : 1.0;
+    }
 
-    // --- breaker + detector (power/circuit_breaker.cc / power_meter.cc) ---
-    bool breakerObserve(std::size_t r, Watts power, double dt);
+    // --- detector (power/power_meter.h kernel per rack) ---
     void detectorStep(Tick dt);
 
     // --- demand + benign cache ---
@@ -270,19 +280,13 @@ class SoaEngine final : public ClusterEngine
     std::size_t unitsPerRack_;
     Joules rackCapJ_; ///< summed unit capacity, RackState::capacity()
 
-    // KiBaM parameters shared by every unit (per-unit capacity and
-    // rate limits: a cabinet's, or a cabinet's split across servers).
-    double capJ_;
-    double kibamC_;
-    double kibamK_;
-    double maxDischarge_;
-    double maxCharge_;
-    double lvdDisconnectSoc_;
-    double lvdReconnectSoc_;
-    mutable std::array<Coeffs, 4> coeffs_;
-    mutable std::size_t coeffsNext_ = 0;
+    // One parameterization shared by every unit (a cabinet's, or a
+    // cabinet split across servers), with one coefficient memo.
+    battery::BatteryUnitConfig debUnit_;
+    battery::KibamParams kibam_;
+    mutable battery::KibamCoeffCache coeffs_;
 
-    // --- battery wells + protection, one slot per unit ---
+    // --- battery wells, protection and wear, one slot per unit ---
     std::vector<double> y1_;
     std::vector<double> y2_;
     std::vector<double> dischargedJ_;
@@ -290,12 +294,6 @@ class SoaEngine final : public ClusterEngine
     std::vector<std::uint8_t> lvdTripped_;
     std::vector<int> lvdTrips_;
     std::vector<std::uint8_t> chargerLatch_; ///< offline-policy state
-
-    // --- battery aging (battery/aging_model.cc arithmetic) ---
-    double agingReferenceRateC_;
-    double agingStressExponent_;
-    double agingThroughputInv_;   ///< 1 / (cycleLife * capacity)
-    double agingCalendarPerSec_;  ///< 1 / (calendarLifeHours * 3600)
     std::vector<double> cycleWear_;
     std::vector<double> calendarWear_;
 
@@ -312,11 +310,7 @@ class SoaEngine final : public ClusterEngine
     std::vector<double> udebDischargedJ_;
 
     // --- breaker ---
-    double breakerRated_;
-    double breakerHold_;
-    double breakerMagnetic_;
-    double breakerThermalCap_;
-    double breakerCoolTau_;
+    power::CircuitBreakerConfig breaker_;
     std::vector<double> breakerHeat_;
     std::vector<int> breakerTrips_;
     std::vector<Tick> downUntil_;

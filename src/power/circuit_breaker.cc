@@ -1,9 +1,7 @@
 #include "power/circuit_breaker.h"
 
-#include <cmath>
 #include <limits>
 
-#include "obs/tracer.h"
 #include "util/logging.h"
 
 namespace pad::power {
@@ -22,38 +20,10 @@ CircuitBreaker::CircuitBreaker(std::string name,
 bool
 CircuitBreaker::observe(Watts power, double dt)
 {
-    PAD_ASSERT(dt >= 0.0);
-    if (tripped_ || dt == 0.0)
+    if (tripped_)
         return false;
-
-    const double r = power / config_.ratedPower;
-    if (r >= config_.magneticRatio) {
-        tripped_ = true;
-        ++trips_;
-        if (obs::traceEnabled())
-            obs::emit(name_, "breaker.trip",
-                      {obs::TraceField::str("cause", "magnetic"),
-                       obs::TraceField::num("draw_w", power),
-                       obs::TraceField::num("ratio", r)});
-        return true;
-    }
-    if (r > config_.holdRatio) {
-        heat_ += (r * r - 1.0) * dt;
-        if (heat_ >= config_.thermalCapacity) {
-            tripped_ = true;
-            ++trips_;
-            if (obs::traceEnabled())
-                obs::emit(name_, "breaker.trip",
-                          {obs::TraceField::str("cause", "thermal"),
-                           obs::TraceField::num("draw_w", power),
-                           obs::TraceField::num("ratio", r),
-                           obs::TraceField::num("heat", heat_)});
-            return true;
-        }
-    } else {
-        heat_ *= std::exp(-dt / config_.coolTau);
-    }
-    return false;
+    tripped_ = breakerStep(heat_, trips_, config_, name_, power, dt);
+    return tripped_;
 }
 
 void

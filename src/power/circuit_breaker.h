@@ -17,8 +17,11 @@
 #ifndef PAD_POWER_CIRCUIT_BREAKER_H
 #define PAD_POWER_CIRCUIT_BREAKER_H
 
+#include <cmath>
 #include <string>
 
+#include "obs/tracer.h"
+#include "util/logging.h"
 #include "util/types.h"
 
 namespace pad::power {
@@ -41,6 +44,49 @@ struct CircuitBreakerConfig {
 };
 
 /**
+ * Inverse-time trip kernel over plain breaker state: observe a
+ * constant draw of @p power for @p dt seconds, heating @p heat above
+ * the hold ratio and cooling it below, and count a trip in @p trips.
+ * @p name labels the trace event. CircuitBreaker and the SoA engine's
+ * per-rack arrays both call it.
+ * @retval true the breaker tripped during this interval
+ */
+inline bool
+breakerStep(double &heat, int &trips, const CircuitBreakerConfig &config,
+            const std::string &name, Watts power, double dt)
+{
+    PAD_ASSERT(dt >= 0.0);
+    if (dt == 0.0)
+        return false;
+    const double r = power / config.ratedPower;
+    if (r >= config.magneticRatio) {
+        ++trips;
+        if (obs::traceEnabled())
+            obs::emit(name, "breaker.trip",
+                      {obs::TraceField::str("cause", "magnetic"),
+                       obs::TraceField::num("draw_w", power),
+                       obs::TraceField::num("ratio", r)});
+        return true;
+    }
+    if (r > config.holdRatio) {
+        heat += (r * r - 1.0) * dt;
+        if (heat >= config.thermalCapacity) {
+            ++trips;
+            if (obs::traceEnabled())
+                obs::emit(name, "breaker.trip",
+                          {obs::TraceField::str("cause", "thermal"),
+                           obs::TraceField::num("draw_w", power),
+                           obs::TraceField::num("ratio", r),
+                           obs::TraceField::num("heat", heat)});
+            return true;
+        }
+    } else {
+        heat *= std::exp(-dt / config.coolTau);
+    }
+    return false;
+}
+
+/**
  * Stateful breaker: feed it (power, dt) observations; it trips when
  * the inverse-time curve is exceeded.
  */
@@ -54,8 +100,8 @@ class CircuitBreaker
     CircuitBreaker(std::string name, const CircuitBreakerConfig &config);
 
     /**
-     * Observe a constant draw of @p power for @p dt seconds.
-     * @retval true the breaker tripped during this interval
+     * breakerStep() on this breaker, which then stays tripped until
+     * reset(). @retval true the breaker tripped during this interval
      */
     bool observe(Watts power, double dt);
 

@@ -1,7 +1,5 @@
 #include "power/power_meter.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 
 namespace pad::power {
@@ -10,31 +8,6 @@ PowerMeter::PowerMeter(std::string name, Tick interval)
     : name_(std::move(name)), interval_(interval)
 {
     PAD_ASSERT(interval_ > 0);
-}
-
-void
-PowerMeter::closeInterval()
-{
-    const Watts avg =
-        energyInInterval_ / static_cast<double>(interval_);
-    readings_.push_back(MeterReading{intervalStart_ + interval_, avg});
-    intervalStart_ += interval_;
-    energyInInterval_ = 0.0;
-}
-
-void
-PowerMeter::observe(Watts power, Tick dt)
-{
-    PAD_ASSERT(dt >= 0);
-    while (dt > 0) {
-        const Tick intervalEnd = intervalStart_ + interval_;
-        const Tick step = std::min(dt, intervalEnd - now_);
-        energyInInterval_ += power * static_cast<double>(step);
-        now_ += step;
-        dt -= step;
-        if (now_ == intervalEnd)
-            closeInterval();
-    }
 }
 
 Watts

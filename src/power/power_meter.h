@@ -12,9 +12,11 @@
 #ifndef PAD_POWER_POWER_METER_H
 #define PAD_POWER_POWER_METER_H
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "util/logging.h"
 #include "util/types.h"
 
 namespace pad::power {
@@ -28,6 +30,35 @@ struct MeterReading {
 };
 
 /**
+ * Interval-meter kernel over plain state: integrate a constant draw
+ * of @p power for @p dt ticks from the meter clock @p now, in the
+ * interval that began at @p intervalStart with @p energy watt-ticks
+ * so far. Each interval boundary crossed publishes its average via
+ * @p onReading(MeterReading). PowerMeter and the SoA engine's
+ * per-rack detector meters both call it.
+ */
+template <typename OnReading>
+inline void
+meterObserve(Tick &now, Tick &intervalStart, double &energy, Tick interval,
+             Watts power, Tick dt, OnReading &&onReading)
+{
+    PAD_ASSERT(dt >= 0);
+    while (dt > 0) {
+        const Tick intervalEnd = intervalStart + interval;
+        const Tick step = std::min(dt, intervalEnd - now);
+        energy += power * static_cast<double>(step);
+        now += step;
+        dt -= step;
+        if (now == intervalEnd) {
+            const Watts avg = energy / static_cast<double>(interval);
+            intervalStart += interval;
+            energy = 0.0;
+            onReading(MeterReading{intervalEnd, avg});
+        }
+    }
+}
+
+/**
  * Integrating meter with a fixed reporting interval.
  */
 class PowerMeter
@@ -39,12 +70,14 @@ class PowerMeter
      */
     PowerMeter(std::string name, Tick interval);
 
-    /**
-     * Feed a constant draw of @p power from the meter's current
-     * position for @p dt ticks. Crossing one or more interval
-     * boundaries publishes the corresponding readings.
-     */
-    void observe(Watts power, Tick dt);
+    /** meterObserve() on this meter, keeping every reading. */
+    void observe(Watts power, Tick dt)
+    {
+        meterObserve(now_, intervalStart_, energyInInterval_, interval_,
+                     power, dt, [this](const MeterReading &reading) {
+                         readings_.push_back(reading);
+                     });
+    }
 
     /** All published readings so far. */
     const std::vector<MeterReading> &readings() const { return readings_; }
@@ -62,8 +95,6 @@ class PowerMeter
     const std::string &name() const { return name_; }
 
   private:
-    void closeInterval();
-
     std::string name_;
     Tick interval_;
     Tick now_ = 0;

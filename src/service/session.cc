@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "core/config.h"
 #include "util/json.h"
 #include "util/json_writer.h"
 
@@ -191,7 +192,8 @@ parseConfigNode(const JsonValue &node, ServiceConfig &out,
             return false;
         }
     }
-    return true;
+    what = core::checkRunInputs(out.budget);
+    return what.empty();
 }
 
 } // namespace

@@ -68,17 +68,6 @@ makeDirs(const std::string &path)
     return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
 }
 
-/** SplitMix64 step: deterministic jitter without <random>. */
-std::uint64_t
-splitMix64(std::uint64_t &state)
-{
-    state += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -440,7 +429,7 @@ RemoteWriteShipper::start(std::string *error)
 
     intervalTicks_ =
         std::max<Tick>(1, secondsToTicks(opts_.intervalS));
-    jitterState_ = opts_.jitterSeed ^ 0x5851f42d4c957f2dULL;
+    jitter_ = SplitMix64(opts_.jitterSeed ^ 0x5851f42d4c957f2dULL);
     started_ = true;
     sender_ = std::thread(&RemoteWriteShipper::senderLoop, this);
     return true;
@@ -910,9 +899,8 @@ RemoteWriteShipper::backoffWait()
     const long jitterSpan = delay / 2;
     if (jitterSpan > 0)
         delay = delay - jitterSpan +
-                static_cast<long>(splitMix64(jitterState_) %
-                                  static_cast<std::uint64_t>(
-                                      jitterSpan + 1));
+                static_cast<long>(jitter_() %
+                                  static_cast<std::uint64_t>(jitterSpan + 1));
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait_for(lock, std::chrono::milliseconds(delay),
                  [this] { return stop_; });

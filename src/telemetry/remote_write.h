@@ -45,6 +45,7 @@
 
 #include "telemetry/hub.h"
 #include "telemetry/time_series.h"
+#include "util/random.h"
 
 namespace pad::sim {
 class StatsRegistry;
@@ -273,7 +274,7 @@ class RemoteWriteShipper
     int fd_ = -1;
     std::string recvBuf_;
     int failureStreak_ = 0;
-    std::uint64_t jitterState_ = 0;
+    SplitMix64 jitter_; ///< deterministic backoff jitter
     int spoolNext_ = 0;       ///< next spool file index
     std::string spoolOpen_;   ///< file currently appended to
     std::uint64_t spoolOpenBytes_ = 0;

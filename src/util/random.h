@@ -96,11 +96,9 @@ class SplitMix64
     result_type
     operator()()
     {
+        const result_type out = splitmix64(state_);
         state_ += kSplitMix64Gamma;
-        std::uint64_t z = state_;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return z ^ (z >> 31);
+        return out;
     }
 
     static constexpr result_type min() { return 0; }

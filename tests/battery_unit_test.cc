@@ -5,6 +5,9 @@
  * super-capacitor model and the charge policies.
  */
 
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "battery/battery_unit.h"
@@ -95,6 +98,90 @@ TEST(BatteryUnit, LifetimeCountersAccumulate)
     EXPECT_NEAR(deb.lifetimeCharged(), 30000.0, 1e-6);
     EXPECT_NEAR(deb.equivalentFullCycles(),
                 60000.0 / deb.capacity(), 1e-9);
+}
+
+TEST(UnitKernels, SoaArraySlotMatchesBatteryUnitBitForBit)
+{
+    // The SoA engine keeps each unit as one slot of parallel arrays
+    // and shares one coefficient memo across units; BatteryUnit keeps
+    // its own. Both run the same kernels, so the same request
+    // sequence -- discharge into the LVD, requests while tripped,
+    // rest, recharge past reconnect, coarse overdraws that cross
+    // depletion mid-step -- must leave bit-equal state.
+    const BatteryUnitConfig cfg = rackDeb();
+    const KibamParams params{wattHoursToJoules(cfg.capacityWh),
+                             cfg.kibamC, cfg.kibamK};
+    constexpr std::size_t kUnits = 3, kSlot = 1;
+    std::vector<double> y1(kUnits), y2(kUnits), cycle(kUnits, 0.0),
+        calendar(kUnits, 0.0), discharged(kUnits, 0.0),
+        charged(kUnits, 0.0);
+    std::vector<std::uint8_t> tripped(kUnits, 0);
+    std::vector<int> trips(kUnits, 0);
+    for (std::size_t u = 0; u < kUnits; ++u)
+        kibamSetSoc(y1[u], y2[u], params, 1.0);
+    KibamCoeffCache cache;
+    const UnitState slot{y1[kSlot],         y2[kSlot],
+                         tripped[kSlot],    trips[kSlot],
+                         cycle[kSlot],      calendar[kSlot],
+                         discharged[kSlot], charged[kSlot]};
+
+    BatteryUnit deb("t.deb", cfg);
+    const auto expectSame = [&](int step) {
+        ASSERT_EQ(deb.stored(), y1[kSlot] + y2[kSlot]) << step;
+        ASSERT_EQ(deb.soc(), kibamSoc(y1[kSlot], y2[kSlot], params))
+            << step;
+        ASSERT_EQ(deb.disconnected(), tripped[kSlot] != 0) << step;
+        ASSERT_EQ(deb.lvdTrips(), trips[kSlot]) << step;
+        ASSERT_EQ(deb.wear(), cycle[kSlot] + calendar[kSlot]) << step;
+        ASSERT_EQ(deb.lifetimeDischarged(), discharged[kSlot]) << step;
+        ASSERT_EQ(deb.lifetimeCharged(), charged[kSlot]) << step;
+        // The sustainable power reads both wells, not just their sum.
+        ASSERT_EQ(deb.availablePower(0.1),
+                  unitAvailablePower(y1[kSlot], y2[kSlot],
+                                     tripped[kSlot], cfg, params, cache,
+                                     0.1))
+            << step;
+    };
+
+    int step = 0;
+    // Fine-tick drain at full rack load until the LVD trips, then a
+    // few more requests the tripped LVD refuses.
+    for (; step < 1200; ++step) {
+        const Joules a = deb.discharge(5210.0, 0.1);
+        const Joules b =
+            unitDischarge(slot, cfg, params, cache, 5210.0, 0.1);
+        ASSERT_EQ(a, b) << step;
+        expectSame(step);
+    }
+    ASSERT_GE(deb.lvdTrips(), 1);
+    // Rest, then recharge (through reconnect) at fine and coarse dt.
+    for (int i = 0; i < 50; ++i, ++step) {
+        deb.rest(1.0);
+        unitRest(slot, cfg, params, cache, 1.0);
+        expectSame(step);
+    }
+    for (int i = 0; i < 40; ++i, ++step) {
+        const double dt = i % 2 ? 300.0 : 0.1;
+        ASSERT_EQ(deb.charge(1300.0, dt),
+                  unitCharge(slot, cfg, params, cache, 1300.0, dt))
+            << step;
+        expectSame(step);
+    }
+    ASSERT_FALSE(deb.disconnected());
+    // Coarse overdraws: the step delivers until the available well
+    // empties part-way through, then rests.
+    for (int i = 0; i < 6; ++i, ++step) {
+        ASSERT_EQ(deb.discharge(6000.0, 300.0),
+                  unitDischarge(slot, cfg, params, cache, 6000.0, 300.0))
+            << step;
+        expectSame(step);
+        deb.charge(1300.0, 300.0);
+        unitCharge(slot, cfg, params, cache, 1300.0, 300.0);
+        expectSame(step);
+    }
+    // The neighbouring slots were never touched.
+    EXPECT_EQ(y1[0], y1[2]);
+    EXPECT_EQ(trips[0] + trips[2], 0);
 }
 
 TEST(SuperCap, EnergyFollowsHalfCVSquared)

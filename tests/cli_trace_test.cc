@@ -14,6 +14,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -223,6 +225,46 @@ TEST_F(CliTraceTest, RemovedBackendInputsExitWithUsage)
                               "err_c.txt"),
               2);
     EXPECT_EQ(slurp("err_c.txt"), flagErr);
+}
+
+TEST_F(CliTraceTest, HostileBudgetAndPercentileExitWithUsage)
+{
+    // A budget fraction that is zero, negative, non-finite or not a
+    // number at all (atof reads "abc" as 0), and a victim percentile
+    // outside [0, 100], are rejected at the command line with a
+    // message and exit 2 -- never an engine assertion.
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"--budget 0", "budget"},          {"--budget -1", "budget"},
+        {"--budget abc", "budget"},        {"--budget nan", "budget"},
+        {"--budget inf", "budget"},        {"--victim-pct 150", "victim"},
+        {"--victim-pct -1", "victim"},     {"--victim-pct nan", "victim"},
+    };
+    for (const auto &[args, what] : cases) {
+        EXPECT_EQ(runPadsimStatus(args + " --duration 5 --quiet",
+                                  "err_flag.txt"),
+                  2)
+            << args;
+        const std::string err = slurp("err_flag.txt");
+        EXPECT_EQ(err.rfind("padsim: " + what, 0), 0u) << args << ": " << err;
+        EXPECT_NE(err.find("usage: padsim"), std::string::npos) << err;
+    }
+    // The same values through the config file's keys (the kv parser
+    // already rejects a non-numeric value on its own).
+    for (const std::string line : {"budget = 0", "budget = -1",
+                                   "budget = nan", "victim_pct = 150",
+                                   "victim_pct = -1"}) {
+        {
+            std::ofstream cfg("hostile.cfg");
+            cfg << line << "\n";
+        }
+        EXPECT_EQ(runPadsimStatus("--config hostile.cfg --duration 5 --quiet",
+                                  "err_cfg.txt"),
+                  2)
+            << line;
+        const std::string err = slurp("err_cfg.txt");
+        EXPECT_EQ(err.rfind("padsim: ", 0), 0u) << line << ": " << err;
+        EXPECT_NE(err.find("usage: padsim"), std::string::npos) << err;
+    }
 }
 
 } // namespace

@@ -5,8 +5,7 @@
  *  - The scalar engine against goldens: bit-identical. The goldens
  *    were captured before the pre-optimization scalar code paths were
  *    deleted, from a build where both paths still produced the same
- *    bits, so any change to the scalar arithmetic shows up here —
- *    plus event-queue ordering stability under the pooled allocator.
+ *    bits, so any change to the scalar arithmetic shows up here.
  *  - Scalar vs SoA: physically equivalent, not bit-identical. The
  *    SoA engine sums rack power benign-first and accounts throughput
  *    per rack, so floating-point folds reorder by design; the tests
@@ -30,89 +29,10 @@
 #include "engine/backend.h"
 #include "engine/soa_engine.h"
 #include "runner/experiment.h"
-#include "sim/event_queue.h"
 
 using namespace pad;
 
 namespace {
-
-// ---------------------------------------------------------------------
-// EventQueue: ordering under the pooled allocator
-// ---------------------------------------------------------------------
-
-/**
- * Drive one deterministic schedule/cancel/reschedule script and
- * record the firing order. Same-tick events carry distinct ids so
- * the order exposes any instability.
- */
-std::vector<int>
-eventScript()
-{
-    sim::EventQueue q;
-    std::vector<int> fired;
-    std::vector<sim::EventHandle> handles;
-
-    // A burst of same-timestamp events across priorities.
-    for (int i = 0; i < 40; ++i)
-        handles.push_back(q.schedule(
-            10, [&fired, i] { fired.push_back(i); },
-            static_cast<sim::EventPriority>(i % 4)));
-    // Cancel a few mid-burst (forces pooled entries back to the free
-    // list before anything fires).
-    q.cancel(handles[3]);
-    q.cancel(handles[17]);
-    q.cancel(handles[36]);
-    // Reschedule on the same tick: pooled mode recycles the freed
-    // entries; order must still be insertion order within priority.
-    for (int i = 100; i < 106; ++i)
-        q.schedule(10, [&fired, i] { fired.push_back(i); });
-    // Self-rescheduling callback, exercising allocation while firing.
-    q.schedule(5, [&] {
-        q.schedule(10, [&fired] { fired.push_back(-1); });
-    });
-    q.runUntil(20);
-    EXPECT_TRUE(q.empty());
-    return fired;
-}
-
-TEST(EngineParity, EventQueueOrderingStableUnderPooling)
-{
-    const std::vector<int> pooled = eventScript();
-
-    // The whole firing order: priority class first, then insertion
-    // order within a class (the recycled entries of the rescheduled
-    // events and the event scheduled while firing come last in
-    // Control); the cancelled ids never fire.
-    std::vector<int> expected;
-    for (int priority = 0; priority < 4; ++priority) {
-        for (int i = priority; i < 40; i += 4)
-            if (i != 3 && i != 17 && i != 36)
-                expected.push_back(i);
-        if (priority == static_cast<int>(sim::EventPriority::Control)) {
-            for (int i = 100; i < 106; ++i)
-                expected.push_back(i);
-            expected.push_back(-1);
-        }
-    }
-    EXPECT_EQ(pooled, expected);
-}
-
-TEST(EngineParity, EventQueueReserveAndBoundsSurviveReuse)
-{
-    sim::EventQueue q;
-    q.reserve(4096);
-    int sink = 0;
-    // Several generations through the free list, far past one block.
-    for (int round = 0; round < 4; ++round) {
-        for (int i = 0; i < 2000; ++i)
-            q.schedule(q.now() + 1 + i % 7,
-                       [&sink] { ++sink; });
-        q.runUntil(q.now() + 10);
-        EXPECT_TRUE(q.empty());
-    }
-    EXPECT_EQ(sink, 8000);
-    EXPECT_EQ(q.executed(), 8000u);
-}
 
 // ---------------------------------------------------------------------
 // DataCenter: full-simulation goldens

@@ -202,6 +202,18 @@ TEST(BasicRng, SplitMixHashMatchesEngineStep)
         SplitMix64 engine(x);
         EXPECT_EQ(engine(), splitmix64(x));
     }
+    // The reference sequence for seed 0, and the remote-write
+    // shipper's backoff jitter stream at its default seed
+    // (jitterSeed 1 ^ 0x5851f42d4c957f2d): pinned so the shipper's
+    // reconnect delays stay bit-identical.
+    SplitMix64 zero(0);
+    EXPECT_EQ(zero(), 0xe220a8397b1dcdafULL);
+    EXPECT_EQ(zero(), 0x6e789e6aa1b965f4ULL);
+    SplitMix64 jitter(1ULL ^ 0x5851f42d4c957f2dULL);
+    for (const std::uint64_t want :
+         {0xc1b4bb728dd96dc3ULL, 0xfc94d6cba1d4622cULL,
+          0xe3a8c9088ca4fd45ULL, 0xe71034030f5597c4ULL})
+        EXPECT_EQ(jitter(), want);
 }
 
 } // namespace

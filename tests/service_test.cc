@@ -8,6 +8,7 @@
  */
 
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include <arpa/inet.h>
+#include <sys/wait.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -203,6 +205,12 @@ TEST(SessionCodec, ParserRejectsMalformedSessions)
          "record after end"},
         {"{\"type\":\"header\",\"version\":2,\"config\":{}}\n",
          "unsupported version"},
+        {"{\"type\":\"header\",\"version\":1,\"config\":"
+         "{\"budget\":0}}\n",
+         "zero budget"},
+        {"{\"type\":\"header\",\"version\":1,\"config\":"
+         "{\"budget\":-0.5}}\n",
+         "negative budget"},
     };
     for (const auto &c : cases) {
         std::string error;
@@ -575,6 +583,46 @@ TEST(ServiceDaemon, StartFailsCleanlyOnBadInputs)
     ServiceDaemon bad(std::move(badRules));
     EXPECT_FALSE(bad.start(&error));
     EXPECT_NE(error.find("alert rules"), std::string::npos) << error;
+}
+
+TEST(PaddCli, HostileBudgetIsRejectedAtTheBoundary)
+{
+    // A budget the engine cannot run with is a usage error on the
+    // command line and a parse error on replay -- never an engine
+    // assertion (exit 134).
+    test::ScopedTempDir tmp;
+    ASSERT_TRUE(tmp.enter());
+    const auto padd = [](const std::string &args) {
+        const std::string cmd = std::string(PADD_BIN) + " " + args +
+                                " > /dev/null 2> padd_err.txt";
+        const int rc = std::system(cmd.c_str());
+        return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+    };
+    const auto slurp = [] {
+        std::ifstream in("padd_err.txt");
+        std::stringstream buf;
+        buf << in.rdbuf();
+        return buf.str();
+    };
+    for (const char *budget : {"0", "-1", "abc"}) {
+        EXPECT_EQ(padd(std::string("--budget ") + budget +
+                       " --speed max --duration 10"),
+                  2)
+            << budget;
+        const std::string err = slurp();
+        EXPECT_EQ(err.rfind("padd: budget", 0), 0u) << err;
+        EXPECT_NE(err.find("usage: padd"), std::string::npos) << err;
+    }
+
+    {
+        std::ofstream out("session.jsonl");
+        out << "{\"type\":\"header\",\"version\":1,\"tool\":\"padd\","
+               "\"config\":{\"budget\":0},\"rules\":\"\"}\n"
+            << "{\"type\":\"end\",\"tick\":10}\n";
+    }
+    EXPECT_EQ(padd("--replay session.jsonl"), 1);
+    const std::string err = slurp();
+    EXPECT_NE(err.find("budget"), std::string::npos) << err;
 }
 
 TEST(ServiceDaemon, RequestShutdownStopsALiveLoop)
