@@ -7,7 +7,7 @@
  * loop (ns/tick), and whole experiments (single-run and sweep
  * throughput) — under every engine backend:
  *
- *   perfbench --backend all --json BENCH_PR18.json
+ *   perfbench --backend all --json BENCH_PR19.json
  *
  * The engine-level rows (fine_tick, single_run*, sweep*) run through
  * engine::makeClusterEngine, one column per backend: optimized is the

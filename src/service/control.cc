@@ -9,25 +9,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "telemetry/http.h"
+
 namespace pad::service {
 
-namespace {
-
-bool
-sendAll(int fd, const std::string &data)
-{
-    std::size_t sent = 0;
-    while (sent < data.size()) {
-        const ssize_t n =
-            ::send(fd, data.data() + sent, data.size() - sent, 0);
-        if (n <= 0)
-            return false;
-        sent += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-} // namespace
+using telemetry::sendAll;
 
 ControlServer::ControlServer(int port, Handler handler)
     : requestedPort_(port), handler_(std::move(handler))

@@ -11,22 +11,19 @@
 
 namespace pad::telemetry {
 
-namespace {
-
-void
-sendAll(int fd, const std::string &data)
+bool
+sendAll(int fd, std::string_view data)
 {
     std::size_t sent = 0;
     while (sent < data.size()) {
-        const ssize_t n =
-            ::send(fd, data.data() + sent, data.size() - sent, 0);
+        const ssize_t n = ::send(fd, data.data() + sent,
+                                 data.size() - sent, MSG_NOSIGNAL);
         if (n <= 0)
-            return;
+            return false;
         sent += static_cast<std::size_t>(n);
     }
+    return true;
 }
-
-} // namespace
 
 MetricsHttpServer::MetricsHttpServer(int port, Renderer renderer)
     : requestedPort_(port), renderer_(std::move(renderer))

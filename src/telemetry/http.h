@@ -29,9 +29,16 @@
 #include <atomic>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <thread>
 
 namespace pad::telemetry {
+
+/**
+ * Write all of @p data to socket @p fd. Sends use MSG_NOSIGNAL, so a
+ * closed peer is a false return rather than SIGPIPE.
+ */
+bool sendAll(int fd, std::string_view data);
 
 class MetricsHttpServer
 {

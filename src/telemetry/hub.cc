@@ -5,6 +5,16 @@ namespace pad::telemetry {
 void
 TelemetryHub::record(std::string_view name, Tick when, double value)
 {
+    const Sample s{when, value};
+    recordMany(name, &s, 1);
+}
+
+void
+TelemetryHub::recordMany(std::string_view name, const Sample *samples,
+                         std::size_t n)
+{
+    if (n == 0)
+        return;
     std::lock_guard<std::mutex> lock(mu_);
     auto it = series_.find(name);
     if (it == series_.end())
@@ -12,9 +22,13 @@ TelemetryHub::record(std::string_view name, Tick when, double value)
                  .emplace(std::string(name),
                           Entry{TimeSeries(opts_), nextId_++})
                  .first;
-    it->second.series.record(when, value);
-    if (listener_)
-        listener_->onSample(it->second.id, name, when, value);
+    Entry &entry = it->second;
+    for (std::size_t i = 0; i < n; ++i) {
+        entry.series.record(samples[i].when, samples[i].value);
+        if (listener_)
+            listener_->onSample(entry.id, name, samples[i].when,
+                                samples[i].value);
+    }
 }
 
 void

@@ -71,6 +71,14 @@ class TelemetryHub
     void record(std::string_view name, Tick when, double value);
 
     /**
+     * Record @p n samples into the series @p name in order, under one
+     * lock and one lookup: the same result, listener calls included,
+     * as n record() calls. n == 0 creates no series.
+     */
+    void recordMany(std::string_view name, const Sample *samples,
+                    std::size_t n);
+
+    /**
      * Attach @p listener (or detach with nullptr): every subsequent
      * record() also invokes the listener. Not owned; the caller must
      * detach before the listener is destroyed.

@@ -1,7 +1,6 @@
 #include "telemetry/receiver.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cstring>
 #include <sstream>
@@ -12,6 +11,7 @@
 #include <unistd.h>
 
 #include "sim/stats_registry.h"
+#include "telemetry/http.h"
 #include "telemetry/remote_write.h"
 #include "util/json_writer.h"
 
@@ -19,23 +19,8 @@ namespace pad::telemetry {
 
 namespace {
 
-constexpr std::string_view kFramePrefix = "pad-rw-v1 ";
-/** A connection buffering this much without a complete frame is gone. */
-constexpr std::size_t kMaxConnBuffer = 16u << 20;
-
-bool
-sendAll(int fd, const std::string &data)
-{
-    std::size_t sent = 0;
-    while (sent < data.size()) {
-        const ssize_t n = ::send(fd, data.data() + sent,
-                                 data.size() - sent, MSG_NOSIGNAL);
-        if (n <= 0)
-            return false;
-        sent += static_cast<std::size_t>(n);
-    }
-    return true;
-}
+/** Bytes read per recv(): a 1.3 MB batch frame takes ~20 reads. */
+constexpr std::size_t kRecvChunk = 64u << 10;
 
 } // namespace
 
@@ -118,6 +103,7 @@ void
 ReceiverServer::serveLoop()
 {
     std::vector<Connection> conns;
+    std::vector<char> chunk(kRecvChunk);
     while (!stop_) {
         std::vector<pollfd> pfds;
         pfds.reserve(conns.size() + 1);
@@ -146,11 +132,11 @@ ReceiverServer::serveLoop()
             if (!(pfds[i + 1].revents & (POLLIN | POLLHUP | POLLERR)))
                 continue;
             Connection &conn = conns[i];
-            char chunk[4096];
-            const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
+            const ssize_t n =
+                ::recv(conn.fd, chunk.data(), chunk.size(), 0);
             bool keep = n > 0;
             if (keep) {
-                conn.buffer.append(chunk,
+                conn.buffer.append(chunk.data(),
                                    static_cast<std::size_t>(n));
                 keep = drainFrames(conn);
             }
@@ -173,42 +159,21 @@ bool
 ReceiverServer::drainFrames(Connection &conn)
 {
     for (;;) {
-        const std::size_t nl = conn.buffer.find('\n');
-        if (nl == std::string::npos) {
-            if (conn.buffer.size() > kMaxConnBuffer) {
-                protocolErrors_.fetch_add(1,
-                                          std::memory_order_relaxed);
-                return false;
-            }
+        const RwFrameHeader h = parseRwFrameHeader(conn.buffer);
+        if (h.status == RwFrameHeader::Status::Bad) {
+            protocolErrors_.fetch_add(1, std::memory_order_relaxed);
+            return false;
+        }
+        const std::size_t total = h.headerBytes + h.payloadBytes;
+        if (h.status == RwFrameHeader::Status::Incomplete ||
+            conn.buffer.size() < total)
             return true; // need more bytes
-        }
-        if (conn.buffer.rfind(kFramePrefix, 0) != 0) {
-            protocolErrors_.fetch_add(1, std::memory_order_relaxed);
-            return false;
-        }
-        std::size_t len = 0;
-        for (std::size_t i = kFramePrefix.size(); i < nl; ++i) {
-            const char c = conn.buffer[i];
-            if (!std::isdigit(static_cast<unsigned char>(c))) {
-                protocolErrors_.fetch_add(1,
-                                          std::memory_order_relaxed);
-                return false;
-            }
-            len = len * 10 + static_cast<std::size_t>(c - '0');
-        }
-        if (len == 0 || len > kMaxConnBuffer) {
-            protocolErrors_.fetch_add(1, std::memory_order_relaxed);
-            return false;
-        }
-        const std::size_t total = nl + 1 + len;
-        if (conn.buffer.size() < total)
-            return true; // frame not complete yet
         if (conn.buffer[total - 1] != '\n') {
             protocolErrors_.fetch_add(1, std::memory_order_relaxed);
             return false;
         }
-        const std::string_view line(conn.buffer.data() + nl + 1,
-                                    len - 1);
+        const std::string_view line(conn.buffer.data() + h.headerBytes,
+                                    h.payloadBytes - 1);
         bool ok = false;
         const std::string ack = handleLine(line, &ok);
         if (!sendAll(conn.fd, ack + "\n"))
@@ -244,9 +209,9 @@ ReceiverServer::handleLine(std::string_view line, bool *ok)
             const std::string prefix = "fleet." + batch->source + ".";
             if (batch->type == "batch") {
                 for (const RwSeriesChunk &chunk : batch->series) {
-                    const std::string name = prefix + chunk.name;
-                    for (const Sample &s : chunk.samples)
-                        hub_.record(name, s.when, s.value);
+                    hub_.recordMany(prefix + chunk.name,
+                                    chunk.samples.data(),
+                                    chunk.samples.size());
                     samples_.fetch_add(chunk.samples.size(),
                                        std::memory_order_relaxed);
                 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -17,6 +18,7 @@
 #include <unistd.h>
 
 #include "sim/stats_registry.h"
+#include "telemetry/http.h"
 #include "util/json.h"
 #include "util/json_writer.h"
 #include "util/types.h"
@@ -26,24 +28,13 @@ namespace pad::telemetry {
 namespace {
 
 constexpr std::string_view kFramePrefix = "pad-rw-v1 ";
+/** Enough digits for any length up to kMaxConnBuffer, and no more. */
+constexpr std::size_t kMaxFrameDigits = 8;
+static_assert(kMaxConnBuffer < 100000000, "raise kMaxFrameDigits");
 constexpr std::string_view kSpoolPrefix = "rw_spool-";
 constexpr std::string_view kSpoolSuffix = ".jsonl";
 /** Rotate the open spool file past this size. */
 constexpr std::uint64_t kSpoolRotateBytes = 4u << 20;
-
-bool
-sendAll(int fd, const std::string &data)
-{
-    std::size_t sent = 0;
-    while (sent < data.size()) {
-        const ssize_t n = ::send(fd, data.data() + sent,
-                                 data.size() - sent, MSG_NOSIGNAL);
-        if (n <= 0)
-            return false;
-        sent += static_cast<std::size_t>(n);
-    }
-    return true;
-}
 
 /** mkdir -p for a relative or absolute path (POSIX, no deps). */
 bool
@@ -68,6 +59,288 @@ makeDirs(const std::string &path)
     return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
 }
 
+template <typename Int>
+void
+appendInt(std::string &out, Int v)
+{
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+void
+appendString(std::string &out, std::string_view s)
+{
+    out += '"';
+    out += JsonWriter::escape(s);
+    out += '"';
+}
+
+constexpr double kTwoPow63 = 9223372036854775808.0;
+constexpr double kTwoPow64 = 18446744073709551616.0;
+
+/** @p d as a Tick; false unless finite and inside Tick's range. */
+bool
+tickFrom(double d, Tick &out)
+{
+    if (!(d >= -kTwoPow63 && d < kTwoPow63))
+        return false;
+    out = static_cast<Tick>(d);
+    return true;
+}
+
+/** @p d as a count; false unless finite and inside uint64's range. */
+bool
+countFrom(double d, std::uint64_t &out)
+{
+    if (!(d >= 0.0 && d < kTwoPow64))
+        return false;
+    out = static_cast<std::uint64_t>(d);
+    return true;
+}
+
+/**
+ * One pad-rw-v1 line read in a single pass through a JsonReader,
+ * straight into an RwBatch. It accepts exactly what a JSON DOM plus
+ * the schema checks would: any key order, the first of duplicate
+ * keys wins, and unknown keys (or sections the batch type does not
+ * use) are validated and skipped. A section met before "type" is
+ * skipped and its span read once the type is known.
+ */
+class RwLineReader
+{
+  public:
+    explicit RwLineReader(std::string_view text)
+        : text_(text), in_(text, &syntax_)
+    {
+    }
+
+    std::optional<RwBatch>
+    parse(std::string *error)
+    {
+        RwBatch b;
+        if (readBatch(b))
+            return b;
+        if (error)
+            *error = message();
+        return std::nullopt;
+    }
+
+  private:
+    enum Field { kV, kType, kSource, kSeq, kTick, kSeries, kScalars,
+                 kCounters, kFieldCount };
+
+    static constexpr std::string_view kNames[kFieldCount] = {
+        "v", "type", "source", "seq", "tick", "series", "scalars",
+        "counters"};
+    /** The error for a field that is missing or malformed. */
+    static constexpr const char *kBadField[kFieldCount] = {
+        "missing or unsupported schema version",
+        "type must be \"batch\" or \"stats\"",
+        "missing source",
+        "missing or out-of-range seq",
+        "missing or out-of-range tick",
+        "batch without series array",
+        "stats without scalars/counters objects",
+        "stats without scalars/counters objects"};
+
+    static int
+    fieldOf(std::string_view key)
+    {
+        for (int f = 0; f < kFieldCount; ++f)
+            if (key == kNames[f])
+                return f;
+        return -1;
+    }
+
+    /** Header fields always; a section only for its batch type. */
+    static bool
+    wanted(int f, const std::string &type)
+    {
+        return f < kSeries || (f == kSeries) == (type == "batch");
+    }
+
+    std::string
+    message() const
+    {
+        return in_.failed() ? "not a JSON object: " + syntax_ : why_;
+    }
+
+    bool
+    reject(std::string why)
+    {
+        why_ = std::move(why);
+        return false;
+    }
+
+    /** A number at the cursor; false if none is there. */
+    bool
+    number(double &out)
+    {
+        const char c = in_.peek();
+        return (c == '-' || (c >= '0' && c <= '9')) && in_.readNumber(out);
+    }
+
+    bool
+    string(std::string &out)
+    {
+        return in_.peek() == '"' && in_.readString(out);
+    }
+
+    /** Read the header field @p f (kV..kTick) into @p b. */
+    bool
+    header(int f, RwBatch &b)
+    {
+        double num = 0.0;
+        switch (f) {
+          case kV:
+            return number(num) && num == 1.0;
+          case kType:
+            return string(b.type) && (b.type == "batch" || b.type == "stats");
+          case kSource:
+            return string(b.source) && !b.source.empty();
+          case kSeq:
+            return number(num) && countFrom(num, b.seq);
+          default:
+            return number(num) && tickFrom(num, b.tick);
+        }
+    }
+
+    bool
+    readBatch(RwBatch &b)
+    {
+        if (!in_.beginObject())
+            return reject("not a JSON object");
+        bool seen[kFieldCount] = {};
+        std::string_view deferred[kFieldCount];
+        while (in_.nextKey(key_)) {
+            const int f = fieldOf(key_);
+            if (f < 0 || seen[f]) {
+                if (!in_.skipValue())
+                    return false;
+                continue;
+            }
+            seen[f] = true;
+            if (f < kSeries) {
+                if (!header(f, b))
+                    return reject(kBadField[f]);
+            } else if (!seen[kType]) {
+                in_.peek();
+                const std::size_t start = in_.offset();
+                if (!in_.skipValue())
+                    return false;
+                deferred[f] = text_.substr(start, in_.offset() - start);
+            } else if (wanted(f, b.type) ? !section(f, b)
+                                         : !in_.skipValue()) {
+                return false;
+            }
+        }
+        if (in_.failed() || !in_.finish())
+            return false;
+        for (int f = 0; f < kFieldCount; ++f) {
+            if (!wanted(f, b.type))
+                continue;
+            if (!seen[f])
+                return reject(kBadField[f]);
+            if (!deferred[f].empty()) {
+                RwLineReader sub(deferred[f]);
+                if (!sub.section(f, b))
+                    return reject(sub.message());
+            }
+        }
+        return true;
+    }
+
+    /** Read the section @p f (kSeries..kCounters) into @p b. */
+    bool
+    section(int f, RwBatch &b)
+    {
+        if (f == kSeries)
+            return series(b.series);
+        if (!in_.beginObject())
+            return reject(kBadField[f]);
+        while (in_.nextKey(key_)) {
+            double v = 0.0;
+            if (f == kScalars) {
+                if (!number(v))
+                    return reject("non-numeric scalar " + key_);
+                b.scalars.emplace_back(key_, v);
+            } else {
+                std::uint64_t count = 0;
+                if (!number(v) || !countFrom(v, count))
+                    return reject("non-numeric or out-of-range counter " +
+                                  key_);
+                b.counters.emplace_back(key_, count);
+            }
+        }
+        return !in_.failed();
+    }
+
+    bool
+    series(std::vector<RwSeriesChunk> &out)
+    {
+        if (!in_.beginArray())
+            return reject(kBadField[kSeries]);
+        while (in_.nextElement()) {
+            RwSeriesChunk chunk;
+            if (!seriesEntry(chunk))
+                return false;
+            out.push_back(std::move(chunk));
+        }
+        return !in_.failed();
+    }
+
+    bool
+    seriesEntry(RwSeriesChunk &chunk)
+    {
+        if (!in_.beginObject())
+            return reject("malformed series entry");
+        bool haveName = false, haveSamples = false;
+        while (in_.nextKey(key_)) {
+            if (key_ == "name" && !haveName) {
+                haveName = true;
+                if (!string(chunk.name) || chunk.name.empty())
+                    return reject("malformed series entry");
+            } else if (key_ == "samples" && !haveSamples) {
+                haveSamples = true;
+                if (!samples(chunk))
+                    return false;
+            } else if (!in_.skipValue()) {
+                return false;
+            }
+        }
+        if (in_.failed())
+            return false;
+        if (!haveName || !haveSamples)
+            return reject("malformed series entry");
+        return true;
+    }
+
+    /** The [[tick, value], ...] array of one series entry. */
+    bool
+    samples(RwSeriesChunk &chunk)
+    {
+        if (!in_.beginArray())
+            return reject("malformed series entry");
+        double when = 0.0;
+        Sample s;
+        while (in_.nextElement()) {
+            if (!in_.beginArray() || !in_.nextElement() || !number(when) ||
+                !in_.nextElement() || !number(s.value) ||
+                in_.nextElement() || in_.failed() ||
+                !tickFrom(when, s.when))
+                return reject("malformed sample in series " + chunk.name);
+            chunk.samples.push_back(s);
+        }
+        return !in_.failed();
+    }
+
+    std::string_view text_;
+    std::string syntax_;
+    JsonReader in_;
+    std::string why_;
+    std::string key_;
+};
+
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -86,130 +359,73 @@ RwBatch::sampleCount() const
 std::string
 renderRwBatchLine(const RwBatch &b)
 {
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.beginObject();
-    w.key("v").value(1);
-    w.key("type").value(b.type);
-    w.key("source").value(b.source);
-    w.key("seq").value(static_cast<std::uint64_t>(b.seq));
-    w.key("tick").value(static_cast<std::int64_t>(b.tick));
+    // Upper bounds per item, so the line is built without regrowing:
+    // a sample is at most "[" + 20-char tick + "," + 24-char double
+    // + "],".
+    std::size_t size = 96 + b.type.size() + b.source.size();
+    for (const auto &chunk : b.series)
+        size += 32 + chunk.name.size() + 48 * chunk.samples.size();
+    for (const auto &[name, value] : b.scalars)
+        size += 32 + name.size();
+    for (const auto &[name, value] : b.counters)
+        size += 32 + name.size();
+    std::string out;
+    out.reserve(size);
+
+    out += "{\"v\":1,\"type\":";
+    appendString(out, b.type);
+    out += ",\"source\":";
+    appendString(out, b.source);
+    out += ",\"seq\":";
+    appendInt(out, b.seq);
+    out += ",\"tick\":";
+    appendInt(out, b.tick);
     if (b.type == "batch") {
-        w.key("series").beginArray();
-        for (const auto &chunk : b.series) {
-            w.beginObject();
-            w.key("name").value(chunk.name);
-            w.key("samples").beginArray();
-            for (const Sample &s : chunk.samples) {
-                w.beginArray();
-                w.value(static_cast<std::int64_t>(s.when));
-                w.value(s.value);
-                w.endArray();
+        out += ",\"series\":[";
+        for (std::size_t c = 0; c < b.series.size(); ++c) {
+            if (c > 0)
+                out += ',';
+            out += "{\"name\":";
+            appendString(out, b.series[c].name);
+            out += ",\"samples\":[";
+            const std::vector<Sample> &samples = b.series[c].samples;
+            for (std::size_t k = 0; k < samples.size(); ++k) {
+                out += k > 0 ? ",[" : "[";
+                appendInt(out, samples[k].when);
+                out += ',';
+                JsonWriter::appendDouble(out, samples[k].value);
+                out += ']';
             }
-            w.endArray();
-            w.endObject();
+            out += "]}";
         }
-        w.endArray();
+        out += ']';
     } else {
-        w.key("scalars").beginObject();
-        for (const auto &[name, value] : b.scalars)
-            w.key(name).value(value);
-        w.endObject();
-        w.key("counters").beginObject();
-        for (const auto &[name, value] : b.counters)
-            w.key(name).value(value);
-        w.endObject();
+        out += ",\"scalars\":{";
+        for (std::size_t k = 0; k < b.scalars.size(); ++k) {
+            if (k > 0)
+                out += ',';
+            appendString(out, b.scalars[k].first);
+            out += ':';
+            JsonWriter::appendDouble(out, b.scalars[k].second);
+        }
+        out += "},\"counters\":{";
+        for (std::size_t k = 0; k < b.counters.size(); ++k) {
+            if (k > 0)
+                out += ',';
+            appendString(out, b.counters[k].first);
+            out += ':';
+            appendInt(out, b.counters[k].second);
+        }
+        out += '}';
     }
-    w.endObject();
-    return os.str();
+    out += '}';
+    return out;
 }
 
 std::optional<RwBatch>
 parseRwBatchLine(std::string_view line, std::string *error)
 {
-    const auto fail = [error](const std::string &why) {
-        if (error)
-            *error = why;
-        return std::nullopt;
-    };
-
-    std::string parseError;
-    const auto doc = parseJson(line, &parseError);
-    if (!doc || !doc->isObject())
-        return fail("not a JSON object: " + parseError);
-
-    const JsonValue *v = doc->find("v");
-    if (!v || !v->isNumber() || v->number != 1.0)
-        return fail("missing or unsupported schema version");
-
-    RwBatch b;
-    const JsonValue *type = doc->find("type");
-    if (!type || !type->isString() ||
-        (type->str != "batch" && type->str != "stats"))
-        return fail("type must be \"batch\" or \"stats\"");
-    b.type = type->str;
-
-    const JsonValue *source = doc->find("source");
-    if (!source || !source->isString() || source->str.empty())
-        return fail("missing source");
-    b.source = source->str;
-
-    const JsonValue *seq = doc->find("seq");
-    if (!seq || !seq->isNumber() || seq->number < 0)
-        return fail("missing seq");
-    b.seq = static_cast<std::uint64_t>(seq->number);
-
-    const JsonValue *tick = doc->find("tick");
-    if (!tick || !tick->isNumber())
-        return fail("missing tick");
-    b.tick = static_cast<Tick>(tick->number);
-
-    if (b.type == "batch") {
-        const JsonValue *series = doc->find("series");
-        if (!series || !series->isArray())
-            return fail("batch without series array");
-        for (const JsonValue &entry : series->array) {
-            const JsonValue *name =
-                entry.isObject() ? entry.find("name") : nullptr;
-            const JsonValue *samples =
-                entry.isObject() ? entry.find("samples") : nullptr;
-            if (!name || !name->isString() || name->str.empty() ||
-                !samples || !samples->isArray())
-                return fail("malformed series entry");
-            RwSeriesChunk chunk;
-            chunk.name = name->str;
-            chunk.samples.reserve(samples->array.size());
-            for (const JsonValue &pair : samples->array) {
-                if (!pair.isArray() || pair.array.size() != 2 ||
-                    !pair.array[0].isNumber() ||
-                    !pair.array[1].isNumber())
-                    return fail("malformed sample in series " +
-                                chunk.name);
-                chunk.samples.push_back(
-                    Sample{static_cast<Tick>(pair.array[0].number),
-                           pair.array[1].number});
-            }
-            b.series.push_back(std::move(chunk));
-        }
-    } else {
-        const JsonValue *scalars = doc->find("scalars");
-        const JsonValue *counters = doc->find("counters");
-        if (!scalars || !scalars->isObject() || !counters ||
-            !counters->isObject())
-            return fail("stats without scalars/counters objects");
-        for (const auto &[name, value] : scalars->members) {
-            if (!value.isNumber())
-                return fail("non-numeric scalar " + name);
-            b.scalars.emplace_back(name, value.number);
-        }
-        for (const auto &[name, value] : counters->members) {
-            if (!value.isNumber() || value.number < 0)
-                return fail("non-numeric counter " + name);
-            b.counters.emplace_back(
-                name, static_cast<std::uint64_t>(value.number));
-        }
-    }
-    return b;
+    return RwLineReader(line).parse(error);
 }
 
 std::string
@@ -221,6 +437,36 @@ frameRwLine(const std::string &line)
     out += line;
     out += '\n';
     return out;
+}
+
+RwFrameHeader
+parseRwFrameHeader(std::string_view buf)
+{
+    RwFrameHeader h;
+    const auto bad = [&h](const char *why) {
+        h.status = RwFrameHeader::Status::Bad;
+        h.error = why;
+        return h;
+    };
+    const std::size_t n = std::min(buf.size(), kFramePrefix.size());
+    if (buf.substr(0, n) != kFramePrefix.substr(0, n))
+        return bad("bad frame header");
+    std::size_t len = 0;
+    std::size_t i = kFramePrefix.size();
+    for (; i < buf.size() && buf[i] != '\n'; ++i) {
+        if (buf[i] < '0' || buf[i] > '9' ||
+            i - kFramePrefix.size() == kMaxFrameDigits)
+            return bad("bad frame length");
+        len = len * 10 + static_cast<std::size_t>(buf[i] - '0');
+    }
+    if (i >= buf.size())
+        return h; // no newline yet: could still become a header
+    if (len == 0 || len > kMaxConnBuffer)
+        return bad("bad frame length");
+    h.status = RwFrameHeader::Status::Ok;
+    h.headerBytes = i + 1;
+    h.payloadBytes = len;
+    return h;
 }
 
 bool
@@ -244,33 +490,20 @@ validateRwStream(std::string_view text, std::string *error,
     while (pos < text.size()) {
         std::string_view line;
         if (out.framed) {
-            const std::size_t nl = text.find('\n', pos);
-            if (nl == std::string_view::npos) {
-                out.truncatedTail = true; // header cut mid-write
+            const RwFrameHeader h = parseRwFrameHeader(text.substr(pos));
+            if (h.status == RwFrameHeader::Status::Bad)
+                return fail(record + 1, h.error);
+            const std::size_t start = pos + h.headerBytes;
+            if (h.status == RwFrameHeader::Status::Incomplete ||
+                h.payloadBytes > text.size() - start) {
+                out.truncatedTail = true; // cut mid-write
                 break;
             }
-            const std::string_view header = text.substr(pos, nl - pos);
-            if (header.rfind(kFramePrefix, 0) != 0)
-                return fail(record + 1, "bad frame header");
-            std::size_t len = 0;
-            for (const char c :
-                 header.substr(kFramePrefix.size())) {
-                if (!std::isdigit(static_cast<unsigned char>(c)))
-                    return fail(record + 1, "bad frame length");
-                len = len * 10 + static_cast<std::size_t>(c - '0');
-            }
-            if (len == 0)
-                return fail(record + 1, "bad frame length");
-            const std::size_t start = nl + 1;
-            if (start + len > text.size()) {
-                out.truncatedTail = true; // payload cut mid-write
-                break;
-            }
-            if (text[start + len - 1] != '\n')
+            if (text[start + h.payloadBytes - 1] != '\n')
                 return fail(record + 1, "frame payload not newline-"
                                         "terminated");
-            line = text.substr(start, len - 1);
-            pos = start + len;
+            line = text.substr(start, h.payloadBytes - 1);
+            pos = start + h.payloadBytes;
         } else {
             const std::size_t nl = text.find('\n', pos);
             if (nl == std::string_view::npos) {
@@ -789,11 +1022,21 @@ RemoteWriteShipper::awaitAck()
     }
     const std::string ack = recvBuf_.substr(0, nl);
     recvBuf_.erase(0, nl + 1);
-    const auto doc = parseJson(ack);
-    if (!doc || !doc->isObject())
+    // {"ok":true,...}: the first "ok" member decides.
+    JsonReader r(ack);
+    std::string key;
+    bool ok = false, seenOk = false;
+    if (!r.beginObject())
         return false;
-    const JsonValue *ok = doc->find("ok");
-    return ok && ok->isBool() && ok->boolean;
+    while (r.nextKey(key)) {
+        if (key == "ok" && !seenOk) {
+            seenOk = true;
+            ok = r.peek() == 't';
+        }
+        if (!r.skipValue())
+            return false;
+    }
+    return ok && !r.failed() && r.finish();
 }
 
 void

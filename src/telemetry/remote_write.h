@@ -94,11 +94,38 @@ struct RwBatch {
 std::string renderRwBatchLine(const RwBatch &b);
 
 /**
- * Parse one JSON line previously produced by renderRwBatchLine().
- * Returns nullopt (and sets @p error) on malformed input.
+ * Parse one JSON line previously produced by renderRwBatchLine(), in
+ * one pass with no JSON tree. Keys may come in any order; for a
+ * duplicate key the first wins; unknown keys are validated and
+ * skipped. Ticks, seq and counters must be finite and inside their
+ * integer type's range. Returns nullopt (and sets @p error) on
+ * malformed input.
  */
 std::optional<RwBatch> parseRwBatchLine(std::string_view line,
                                         std::string *error = nullptr);
+
+/**
+ * Largest frame a receiver buffers: a frame header declaring a longer
+ * payload is a protocol error.
+ */
+inline constexpr std::size_t kMaxConnBuffer = 16u << 20;
+
+/** One `pad-rw-v1 <N>\n` frame header at the start of a buffer. */
+struct RwFrameHeader {
+    enum class Status { Incomplete, Bad, Ok };
+    Status status = Status::Incomplete;
+    std::size_t headerBytes = 0;  ///< through the header's '\n' (Ok)
+    std::size_t payloadBytes = 0; ///< N: the line plus its '\n' (Ok)
+    const char *error = "";       ///< why (Bad)
+};
+
+/**
+ * Parse the frame header at the start of @p buf. Incomplete while
+ * more bytes could still complete a valid header; Bad as soon as they
+ * cannot: a wrong prefix, a non-digit, more digits than
+ * kMaxConnBuffer has, or a length of 0 or above kMaxConnBuffer.
+ */
+RwFrameHeader parseRwFrameHeader(std::string_view buf);
 
 /**
  * Wrap a rendered batch line in the wire framing:

@@ -1,8 +1,10 @@
 #include "util/json_writer.h"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <ostream>
@@ -128,20 +130,28 @@ formatDoubleInto(double v, char *out)
         std::memcpy(out, "null", 4);
         return 4;
     }
-    // The shortest round-trip form's digit count is a lower bound on
-    // p: no shorter string parses back to v.
+    // The shortest round-trip form's digit count P is a lower bound
+    // on p: no shorter string parses back to v.
     char shortest[kDoubleChars];
     char *shortestEnd =
         std::to_chars(shortest, shortest + sizeof(shortest), v,
                       std::chars_format::scientific)
             .ptr;
+    // "%.{P}g" prints the correctly rounded P-digit value, the P-digit
+    // decimal nearest v. With a non-zero significand field v's
+    // rounding interval is symmetric, so that nearest decimal lies
+    // inside it whenever any P-digit decimal does; it is then the
+    // shortest form itself (both break ties to even). Lay it out
+    // directly.
+    constexpr std::uint64_t kSignificand = (std::uint64_t{1} << 52) - 1;
+    if ((std::bit_cast<std::uint64_t>(v) & kSignificand) != 0)
+        return layoutLikePrintfG(shortest, shortestEnd, out);
+    // A power of two (or zero) has a narrower interval below than
+    // above, so the P-digit value can miss v: check it and step p up
+    // until it parses back.
     int p = static_cast<int>(std::count_if(
         shortest, std::find(shortest, shortestEnd, 'e'),
         [](char c) { return c >= '0' && c <= '9'; }));
-    // "%.{p}g" prints the correctly rounded p-digit value. At p = P
-    // that is usually the shortest form itself, which round-trips by
-    // construction; otherwise (next to a power of two) it can miss v,
-    // so check it and step p up until it parses back.
     char sci[kDoubleChars];
     for (;; ++p) {
         char *sciEnd =
@@ -164,6 +174,13 @@ JsonWriter::formatDouble(double v)
 {
     char buf[kDoubleChars];
     return std::string(buf, formatDoubleInto(v, buf));
+}
+
+void
+JsonWriter::appendDouble(std::string &out, double v)
+{
+    char buf[kDoubleChars];
+    out.append(buf, formatDoubleInto(v, buf));
 }
 
 void

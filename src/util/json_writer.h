@@ -75,17 +75,22 @@ class JsonWriter
      * parses back to the same bits. Non-finite values render as null
      * (JSON has no Inf/NaN).
      *
-     * Computed without printf: the digit count of the shortest
-     * round-trip form (std::to_chars) is a lower bound on p, since no
-     * shorter string parses back. From there, std::to_chars with
-     * precision p-1 gives the correctly rounded p-digit value that
-     * "%.{p}g" prints, and std::from_chars checks it; p only steps
-     * up when that value misses, which happens next to powers of
-     * two. The digits are then laid out as "%g" does (fixed or
-     * exponent form, two-digit minimum exponent), so the output is
-     * byte-identical to a printf loop over p.
+     * Computed without printf from the shortest round-trip form
+     * (std::to_chars), whose digit count P is a lower bound on p.
+     * When the significand field is non-zero the rounding interval
+     * is symmetric, so the correctly rounded P-digit value "%.{P}g"
+     * prints is the shortest form itself and is laid out directly.
+     * Next to a power of two the P-digit value can miss v; there
+     * std::to_chars at precision p-1 is checked with std::from_chars
+     * and p steps up until it parses back. The digits are laid out
+     * as "%g" does (fixed or exponent form, two-digit minimum
+     * exponent), so the output is byte-identical to a printf loop
+     * over p.
      */
     static std::string formatDouble(double v);
+
+    /** Append formatDouble(@p v) to @p out without a temporary. */
+    static void appendDouble(std::string &out, double v);
 
   private:
     struct Level {

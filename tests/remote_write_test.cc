@@ -13,8 +13,12 @@
 #include <cfloat>
 #include <chrono>
 #include <cmath>
+#include <algorithm>
+#include <iterator>
+#include <limits>
 #include <dirent.h>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <sys/stat.h>
@@ -36,6 +40,9 @@
 #include "telemetry/prom.h"
 #include "telemetry/remote_write.h"
 #include "telemetry/receiver.h"
+#include "util/json.h"
+#include "util/json_writer.h"
+#include "util/random.h"
 
 using namespace pad;
 using namespace pad::telemetry;
@@ -185,6 +192,144 @@ goldenBatches()
     stats.counters.emplace_back("attack.spikes_launched", 17);
     stats.counters.emplace_back("edge.two_pow_53", 9007199254740992ULL);
     return {batch, stats};
+}
+
+constexpr double kTwoPow63 = 9223372036854775808.0;
+constexpr double kTwoPow64 = 18446744073709551616.0;
+
+/**
+ * The pad-rw-v1 parser as it was before the codec stopped building a
+ * JSON tree: parseJson, then JsonValue::find for each field (so the
+ * first of duplicate keys wins and unknown keys are only
+ * syntax-checked), plus the range rule for every integer field. The
+ * one-pass parser must accept exactly the lines this accepts, with
+ * bit-equal results.
+ */
+std::optional<RwBatch>
+referenceParse(std::string_view line)
+{
+    const auto doc = parseJson(line);
+    if (!doc || !doc->isObject())
+        return std::nullopt;
+    const auto inRange = [](const JsonValue *n, double lo, double hi) {
+        return n && n->isNumber() && n->number >= lo && n->number < hi;
+    };
+
+    const JsonValue *v = doc->find("v");
+    if (!v || !v->isNumber() || v->number != 1.0)
+        return std::nullopt;
+    RwBatch b;
+    const JsonValue *type = doc->find("type");
+    if (!type || !type->isString() ||
+        (type->str != "batch" && type->str != "stats"))
+        return std::nullopt;
+    b.type = type->str;
+    const JsonValue *source = doc->find("source");
+    if (!source || !source->isString() || source->str.empty())
+        return std::nullopt;
+    b.source = source->str;
+    const JsonValue *seq = doc->find("seq");
+    if (!inRange(seq, 0.0, kTwoPow64))
+        return std::nullopt;
+    b.seq = static_cast<std::uint64_t>(seq->number);
+    const JsonValue *tick = doc->find("tick");
+    if (!inRange(tick, -kTwoPow63, kTwoPow63))
+        return std::nullopt;
+    b.tick = static_cast<Tick>(tick->number);
+
+    if (b.type == "batch") {
+        const JsonValue *series = doc->find("series");
+        if (!series || !series->isArray())
+            return std::nullopt;
+        for (const JsonValue &entry : series->array) {
+            const JsonValue *name =
+                entry.isObject() ? entry.find("name") : nullptr;
+            const JsonValue *samples =
+                entry.isObject() ? entry.find("samples") : nullptr;
+            if (!name || !name->isString() || name->str.empty() ||
+                !samples || !samples->isArray())
+                return std::nullopt;
+            RwSeriesChunk chunk;
+            chunk.name = name->str;
+            for (const JsonValue &pair : samples->array) {
+                if (!pair.isArray() || pair.array.size() != 2 ||
+                    !inRange(&pair.array[0], -kTwoPow63, kTwoPow63) ||
+                    !pair.array[1].isNumber())
+                    return std::nullopt;
+                chunk.samples.push_back(
+                    Sample{static_cast<Tick>(pair.array[0].number),
+                           pair.array[1].number});
+            }
+            b.series.push_back(std::move(chunk));
+        }
+    } else {
+        const JsonValue *scalars = doc->find("scalars");
+        const JsonValue *counters = doc->find("counters");
+        if (!scalars || !scalars->isObject() || !counters ||
+            !counters->isObject())
+            return std::nullopt;
+        for (const auto &[name, value] : scalars->members) {
+            if (!value.isNumber())
+                return std::nullopt;
+            b.scalars.emplace_back(name, value.number);
+        }
+        for (const auto &[name, value] : counters->members) {
+            if (!inRange(&value, 0.0, kTwoPow64))
+                return std::nullopt;
+            b.counters.emplace_back(
+                name, static_cast<std::uint64_t>(value.number));
+        }
+    }
+    return b;
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/** Field-by-field equality, doubles compared bit for bit. */
+::testing::AssertionResult
+sameBatch(const RwBatch &a, const RwBatch &b)
+{
+    const auto differ = [](const std::string &what) {
+        return ::testing::AssertionFailure() << what << " differs";
+    };
+    if (a.type != b.type || a.source != b.source)
+        return differ("type or source");
+    if (a.seq != b.seq || a.tick != b.tick)
+        return differ("seq or tick");
+    if (a.series.size() != b.series.size())
+        return differ("series count");
+    for (std::size_t c = 0; c < a.series.size(); ++c) {
+        const auto &x = a.series[c];
+        const auto &y = b.series[c];
+        if (x.name != y.name || x.samples.size() != y.samples.size())
+            return differ("series " + std::to_string(c));
+        for (std::size_t k = 0; k < x.samples.size(); ++k)
+            if (x.samples[k].when != y.samples[k].when ||
+                !sameBits(x.samples[k].value, y.samples[k].value))
+                return differ("series " + x.name + " sample " +
+                              std::to_string(k));
+    }
+    if (a.scalars.size() != b.scalars.size())
+        return differ("scalar count");
+    for (std::size_t k = 0; k < a.scalars.size(); ++k)
+        if (a.scalars[k].first != b.scalars[k].first ||
+            !sameBits(a.scalars[k].second, b.scalars[k].second))
+            return differ("scalar " + a.scalars[k].first);
+    if (a.counters != b.counters)
+        return differ("counters");
+    return ::testing::AssertionSuccess();
+}
+
+/** "2^64 + n" in decimal, for length prefixes that wrap a size_t. */
+std::string
+twoPow64Plus(unsigned n)
+{
+    EXPECT_LT(n, 384u);
+    return "18446744073709551" + std::to_string(616 + n);
 }
 
 } // namespace
@@ -433,6 +578,390 @@ TEST(RwCodec, ParseHostPortValidation)
     }
 }
 
+TEST(RwCodec, RejectsNonFiniteAndOutOfRangeIntegers)
+{
+    // Each integer field is cast from a JSON number; a value outside
+    // the target type's range must be rejected before the cast.
+    const std::string head = "{\"v\":1,\"type\":\"batch\",\"source\":\"a\",";
+    const std::string stats = "{\"v\":1,\"type\":\"stats\",\"source\":\"a\","
+                              "\"seq\":0,\"tick\":0,\"scalars\":{},";
+    const std::string bad[] = {
+        head + "\"seq\":1e999,\"tick\":0,\"series\":[]}",
+        head + "\"seq\":18446744073709551616,\"tick\":0,\"series\":[]}",
+        head + "\"seq\":1e20,\"tick\":0,\"series\":[]}",
+        head + "\"seq\":0,\"tick\":1e300,\"series\":[]}",
+        head + "\"seq\":0,\"tick\":-1e999,\"series\":[]}",
+        head + "\"seq\":0,\"tick\":9223372036854775808,\"series\":[]}",
+        head + "\"seq\":0,\"tick\":-9.3e18,\"series\":[]}",
+        head + "\"seq\":0,\"tick\":0,\"series\":[{\"name\":\"x\","
+               "\"samples\":[[1e300,1]]}]}",
+        head + "\"seq\":0,\"tick\":0,\"series\":[{\"name\":\"x\","
+               "\"samples\":[[-1e999,1]]}]}",
+        stats + "\"counters\":{\"c\":1e999}}",
+        stats + "\"counters\":{\"c\":18446744073709551616}}",
+    };
+    for (const std::string &line : bad) {
+        std::string error;
+        EXPECT_FALSE(parseRwBatchLine(line, &error).has_value()) << line;
+        EXPECT_FALSE(error.empty()) << line;
+        EXPECT_FALSE(referenceParse(line).has_value()) << line;
+    }
+
+    // The largest in-range values still parse; values stay doubles.
+    const std::string edge =
+        head + "\"seq\":18446744073709549568,"
+               "\"tick\":-9223372036854775808,\"series\":[{\"name\":"
+               "\"x\",\"samples\":[[9223372036854774784,1e999]]}]}";
+    std::string error;
+    const auto b = parseRwBatchLine(edge, &error);
+    ASSERT_TRUE(b.has_value()) << error;
+    EXPECT_EQ(b->seq, 18446744073709549568ULL);
+    EXPECT_EQ(b->tick, std::numeric_limits<Tick>::min());
+    EXPECT_EQ(b->series[0].samples[0].when, 9223372036854774784LL);
+    EXPECT_EQ(b->series[0].samples[0].value, HUGE_VAL);
+}
+
+TEST(RwCodec, ValidateRejectsOutOfRangeSeqAndTick)
+{
+    std::string error;
+    EXPECT_FALSE(validateRwStream(
+        "{\"v\":1,\"type\":\"batch\",\"source\":\"a\",\"seq\":1e999,"
+        "\"tick\":0,\"series\":[]}\n",
+        &error));
+    EXPECT_NE(error.find("record 1"), std::string::npos) << error;
+    EXPECT_FALSE(validateRwStream(
+        "{\"v\":1,\"type\":\"batch\",\"source\":\"a\",\"seq\":0,"
+        "\"tick\":1e300,\"series\":[]}\n",
+        &error));
+}
+
+TEST(RwCodec, AcceptsAnyKeyOrderDuplicatesAndForeignKeys)
+{
+    const RwBatch want = sampleBatch("a", 3, 5000);
+    const std::string series =
+        "[{\"samples\":[[4000,50000],[5000,50125.5]],\"name\":"
+        "\"rack0.power\",\"extra\":{\"deep\":[1,[2]]}},{\"name\":"
+        "\"rack1.power\",\"samples\":[[5000,49000.25]],\"samples\":7}]";
+    const std::string lines[] = {
+        // Sections before "type", fields in reverse order.
+        "{\"series\":" + series + ",\"tick\":5000,\"seq\":3,"
+        "\"source\":\"a\",\"type\":\"batch\",\"v\":1}",
+        // Duplicates: the first wins, later ones are only checked as
+        // JSON; foreign keys and the other type's sections likewise.
+        " {\"v\":1.0,\"v\":\"two\",\"type\":\"batch\",\"type\":\"stats\","
+        "\"source\":\"\\u0061\",\"source\":\"\",\"seq\":3,\"seq\":-1,"
+        "\"tick\":5000,\"tick\":1e999,\"scalars\":\"ignored\","
+        "\"counters\":[true,false,null],\"series\":" + series +
+        ",\"series\":{},\"x\":{}} \n",
+    };
+    for (const std::string &line : lines) {
+        std::string error;
+        const auto got = parseRwBatchLine(line, &error);
+        ASSERT_TRUE(got.has_value()) << error << "\n" << line;
+        EXPECT_TRUE(sameBatch(*got, want)) << line;
+        const auto ref = referenceParse(line);
+        ASSERT_TRUE(ref.has_value()) << line;
+        EXPECT_TRUE(sameBatch(*got, *ref)) << line;
+    }
+
+    // A stats dump ignores a malformed "series" in either position.
+    for (const std::string &line :
+         {std::string("{\"series\":[1],\"v\":1,\"type\":\"stats\","
+                      "\"source\":\"s\",\"seq\":0,\"tick\":0,"
+                      "\"counters\":{\"c\":2},\"scalars\":{\"x\":0.5,"
+                      "\"x\":-0}}"),
+          std::string("{\"v\":1,\"type\":\"stats\",\"source\":\"s\","
+                      "\"seq\":0,\"tick\":0,\"series\":[1],"
+                      "\"scalars\":{\"x\":0.5,\"x\":-0},"
+                      "\"counters\":{\"c\":2}}")}) {
+        std::string error;
+        const auto got = parseRwBatchLine(line, &error);
+        ASSERT_TRUE(got.has_value()) << error << "\n" << line;
+        ASSERT_EQ(got->scalars.size(), 2u); // duplicates inside stay
+        EXPECT_TRUE(std::signbit(got->scalars[1].second));
+        EXPECT_TRUE(sameBatch(*got, *referenceParse(line)));
+    }
+    // ...but a batch does not ignore a malformed first "series".
+    EXPECT_FALSE(parseRwBatchLine(
+                     "{\"series\":[1],\"series\":[],\"v\":1,\"type\":"
+                     "\"batch\",\"source\":\"s\",\"seq\":0,\"tick\":0}")
+                     .has_value());
+}
+
+namespace {
+
+/** Bytes a mutation inserts: JSON structure, digits and junk. */
+constexpr std::string_view kMutationBytes =
+    "{}[]\",:\\ \t\n0123456789-+.eEtrufalsn\x01\x7f\xc3";
+
+/** Numbers spliced over sample, seq and tick values. */
+constexpr double kHostileNumbers[] = {
+    1e300, -1e300, HUGE_VAL, -HUGE_VAL, kTwoPow63, -kTwoPow63,
+    kTwoPow64, -0.0, 0.5, 1.0, -1.0, 1e-320};
+
+/** Keys a mutation adds: real field names and foreign ones. */
+constexpr const char *kMutationKeys[] = {
+    "v", "type", "source", "seq", "tick", "series", "scalars",
+    "counters", "name", "samples", "zz", "v\\u0000", "\\u0074ype"};
+
+/** Every node of @p v, pre-order. */
+void
+collectNodes(JsonValue &v, std::vector<JsonValue *> &out)
+{
+    out.push_back(&v);
+    for (JsonValue &e : v.array)
+        collectNodes(e, out);
+    for (auto &[key, member] : v.members)
+        collectNodes(member, out);
+}
+
+/** Serialize @p v; with @p spaces, sprinkle JSON whitespace. */
+void
+emitJson(const JsonValue &v, std::string &out, CounterRng &rng,
+         bool spaces)
+{
+    const auto ws = [&] {
+        if (spaces && rng.next() % 3 == 0)
+            out += " \t\n\r"[rng.next() % 4];
+    };
+    ws();
+    switch (v.kind) {
+      case JsonValue::Kind::Null:
+        out += "null";
+        break;
+      case JsonValue::Kind::Bool:
+        out += v.boolean ? "true" : "false";
+        break;
+      case JsonValue::Kind::Number:
+        if (std::isinf(v.number))
+            out += v.number > 0 ? "1e999" : "-1e999";
+        else
+            out += JsonWriter::formatDouble(v.number);
+        break;
+      case JsonValue::Kind::String:
+        out += '"' + JsonWriter::escape(v.str) + '"';
+        break;
+      case JsonValue::Kind::Array:
+        out += '[';
+        for (std::size_t i = 0; i < v.array.size(); ++i) {
+            if (i > 0)
+                out += ',';
+            emitJson(v.array[i], out, rng, spaces);
+        }
+        ws();
+        out += ']';
+        break;
+      case JsonValue::Kind::Object:
+        out += '{';
+        for (std::size_t i = 0; i < v.members.size(); ++i) {
+            if (i > 0)
+                out += ',';
+            ws();
+            // Keys are emitted raw so escaped names stay escaped.
+            out += '"' + v.members[i].first + '"';
+            ws();
+            out += ':';
+            emitJson(v.members[i].second, out, rng, spaces);
+        }
+        ws();
+        out += '}';
+        break;
+    }
+    ws();
+}
+
+/** A random small value: scalars of each kind, or a copy of @p like. */
+JsonValue
+randomValue(CounterRng &rng, const JsonValue &like)
+{
+    JsonValue v;
+    switch (rng.next() % 6) {
+      case 0:
+        v.kind = JsonValue::Kind::Number;
+        v.number = kHostileNumbers[rng.next() % std::size(kHostileNumbers)];
+        break;
+      case 1:
+        v.kind = JsonValue::Kind::String;
+        v.str = rng.next() % 2 ? "batch" : "";
+        break;
+      case 2:
+        v.kind = JsonValue::Kind::Array;
+        break;
+      case 3:
+        v.kind = JsonValue::Kind::Object;
+        break;
+      case 4:
+        v.kind = JsonValue::Kind::Bool;
+        break;
+      default:
+        v = like;
+    }
+    return v;
+}
+
+/** One structural mutation of @p doc: permute, duplicate, add, splice. */
+void
+mutateTree(JsonValue &doc, CounterRng &rng)
+{
+    std::vector<JsonValue *> nodes;
+    collectNodes(doc, nodes);
+    std::vector<JsonValue *> objects, numbers;
+    for (JsonValue *n : nodes) {
+        if (n->isObject() && !n->members.empty())
+            objects.push_back(n);
+        if (n->isNumber())
+            numbers.push_back(n);
+    }
+    const int op = static_cast<int>(rng.next() % 4);
+    if (op == 3 && !numbers.empty()) {
+        numbers[rng.next() % numbers.size()]->number =
+            kHostileNumbers[rng.next() % std::size(kHostileNumbers)];
+        return;
+    }
+    if (objects.empty())
+        return;
+    auto &members = objects[rng.next() % objects.size()]->members;
+    const std::size_t i = rng.next() % members.size();
+    const std::size_t at = rng.next() % (members.size() + 1);
+    if (op == 0) {
+        std::shuffle(members.begin(), members.end(), rng);
+    } else if (op == 1) {
+        auto copy = members[i];
+        if (rng.next() % 2)
+            copy.second = randomValue(rng, members[i].second);
+        members.insert(members.begin() + static_cast<std::ptrdiff_t>(at),
+                       std::move(copy));
+    } else {
+        members.insert(
+            members.begin() + static_cast<std::ptrdiff_t>(at),
+            {kMutationKeys[rng.next() % std::size(kMutationKeys)],
+             randomValue(rng, members[i].second)});
+    }
+}
+
+/** One byte-level mutation: flip, insert, delete or truncate. */
+void
+mutateBytes(std::string &text, CounterRng &rng)
+{
+    if (text.empty())
+        return;
+    const std::size_t at = rng.next() % text.size();
+    switch (rng.next() % 4) {
+      case 0:
+        text[at] = static_cast<char>(text[at] ^ (1 << (rng.next() % 8)));
+        break;
+      case 1:
+        text.insert(text.begin() + static_cast<std::ptrdiff_t>(at),
+                    kMutationBytes[rng.next() % kMutationBytes.size()]);
+        break;
+      case 2:
+        text.erase(at, 1 + rng.next() % 3);
+        break;
+      default:
+        text.resize(at);
+    }
+}
+
+} // namespace
+
+TEST(RwCodec, MutatedLinesParseLikeTheReferenceParser)
+{
+    // Corpus: the golden pair plus a rendered snapshot of a small hub.
+    TelemetryHub hub;
+    for (int t = 0; t < 4; ++t) {
+        hub.record("rack0.power", t * 1000, 50000.0 + t * 0.1);
+        hub.record("rack1.soc", t * 1000, 1.0 - t / 3.0);
+    }
+    RwBatch snap;
+    snap.source = "fuzz";
+    snap.seq = 9;
+    snap.tick = 3000;
+    for (const auto &s : hub.rawSnapshot())
+        snap.series.push_back({s.name, s.raw});
+    const std::string corpus[] = {kGoldenBatchLine, kGoldenStatsLine,
+                                  renderRwBatchLine(snap)};
+
+    // Every failure replays from (seed, iteration) alone.
+    constexpr std::uint64_t kSeed = 0x5eed19;
+    constexpr std::uint64_t kIterations = 24000;
+    const CounterRng root(kSeed);
+    std::uint64_t accepted = 0;
+    for (std::uint64_t it = 0; it < kIterations; ++it) {
+        CounterRng rng = root.split(it);
+        std::string text = corpus[rng.next() % std::size(corpus)];
+        if (rng.next() % 4 != 0) {
+            auto doc = parseJson(text);
+            ASSERT_TRUE(doc.has_value());
+            const int edits = 1 + static_cast<int>(rng.next() % 2);
+            for (int e = 0; e < edits; ++e)
+                mutateTree(*doc, rng);
+            text.clear();
+            emitJson(*doc, text, rng, rng.next() % 2 == 0);
+        }
+        const int flips = static_cast<int>(rng.next() % 3);
+        for (int f = 0; f < flips; ++f)
+            mutateBytes(text, rng);
+
+        const auto want = referenceParse(text);
+        std::string error;
+        const auto got = parseRwBatchLine(text, &error);
+        ASSERT_EQ(got.has_value(), want.has_value())
+            << "seed " << kSeed << " iteration " << it << ": " << error
+            << "\n" << text;
+        if (got) {
+            ++accepted;
+            ASSERT_TRUE(sameBatch(*got, *want))
+                << "seed " << kSeed << " iteration " << it << "\n" << text;
+        } else {
+            ASSERT_FALSE(error.empty());
+        }
+    }
+    // Both outcomes must be well represented, or the corpus has
+    // drifted away from the parser's interesting edges.
+    EXPECT_GT(accepted, kIterations / 10);
+    EXPECT_LT(accepted, kIterations * 9 / 10);
+}
+
+TEST(RwCodec, FrameHeaderParserCapsTheLength)
+{
+    using Status = RwFrameHeader::Status;
+    const auto status = [](std::string_view buf) {
+        return parseRwFrameHeader(buf).status;
+    };
+    EXPECT_EQ(status(""), Status::Incomplete);
+    EXPECT_EQ(status("pad-r"), Status::Incomplete);
+    EXPECT_EQ(status("pad-rw-v1 1234"), Status::Incomplete);
+    EXPECT_EQ(status("pad-rw-v1 16777216\n"), Status::Ok);
+    EXPECT_EQ(parseRwFrameHeader("pad-rw-v1 42\nxyz").headerBytes, 13u);
+    EXPECT_EQ(parseRwFrameHeader("pad-rw-v1 42\nxyz").payloadBytes, 42u);
+    for (const std::string bad :
+         {"pad-rx", "pad\n", "pad-rw-v1 \n", "pad-rw-v1 0\n",
+          "pad-rw-v1 12x", "pad-rw-v1 -1\n", "pad-rw-v1 16777217\n",
+          "pad-rw-v1 123456789", "pad-rw-v1 000000001\n"}) {
+        const RwFrameHeader h = parseRwFrameHeader(bad);
+        EXPECT_EQ(h.status, Status::Bad) << bad;
+        EXPECT_NE(std::string(h.error), "") << bad;
+    }
+    // A length that would wrap a size_t back to a small number.
+    EXPECT_EQ(status("pad-rw-v1 " + twoPow64Plus(66) + "\n"), Status::Bad);
+}
+
+TEST(RwCodec, ValidateRejectsWrappingFrameLength)
+{
+    // 2^64 + N: a size_t accumulator wraps to exactly N, the size of
+    // the record that follows, and the stream would look valid.
+    const std::string line = renderRwBatchLine(sampleBatch("a", 0, 1000));
+    const std::string wrapped = "pad-rw-v1 " +
+                                twoPow64Plus(static_cast<unsigned>(
+                                    line.size() + 1)) +
+                                "\n" + line + "\n";
+    std::string error;
+    EXPECT_FALSE(validateRwStream(wrapped, &error));
+    EXPECT_NE(error.find("bad frame length"), std::string::npos) << error;
+    // The same record with its true length validates.
+    EXPECT_TRUE(validateRwStream(frameRwLine(line), &error)) << error;
+}
+
 // ---------------------------------------------------------------------
 // Shipper <-> receiver happy path
 // ---------------------------------------------------------------------
@@ -537,6 +1066,32 @@ TEST(RemoteWrite, ReceiverSkipsButAcksDuplicateSeq)
     EXPECT_TRUE(eventually([&] { return rx.counters().batches == 1; }));
     EXPECT_EQ(rx.counters().duplicates, 1u);
     EXPECT_EQ(rx.counters().samples, 3u);
+    rx.stop();
+}
+
+TEST(RemoteWrite, ReceiverDropsWrappingFrameLength)
+{
+    ReceiverServer rx(0);
+    std::string error;
+    ASSERT_TRUE(rx.start(&error)) << error;
+    const int fd = connectLoopback(rx.port());
+    ASSERT_GE(fd, 0);
+
+    // 2^64 + N wraps a size_t to N, the true size of the record that
+    // follows; the receiver must drop the connection, not merge it.
+    const std::string line =
+        renderRwBatchLine(sampleBatch("wrap", 0, 1000));
+    const std::string frame =
+        "pad-rw-v1 " +
+        twoPow64Plus(static_cast<unsigned>(line.size() + 1)) + "\n" +
+        line + "\n";
+    EXPECT_EQ(sendFrameForAck(fd, frame).find("\"ok\":true"),
+              std::string::npos);
+    ::close(fd);
+    EXPECT_TRUE(
+        eventually([&] { return rx.counters().protocolErrors == 1; }));
+    EXPECT_EQ(rx.counters().batches, 0u);
+    EXPECT_EQ(rx.sourceCount(), 0u);
     rx.stop();
 }
 

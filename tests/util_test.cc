@@ -434,6 +434,44 @@ TEST_P(FormatDoubleRandom, MatchesPrintfLoopOnSeededBitPatterns)
 INSTANTIATE_TEST_SUITE_P(Shards, FormatDoubleRandom,
                          ::testing::Range(0, 8));
 
+/**
+ * 2^20 decimal-grid values k / 10^n and their neighbours one ulp
+ * away, over eight cases. k has 1 to 15 digits and n is 0..22, so
+ * both are exact doubles and the quotient is the double nearest the
+ * decimal: the short values telemetry carries, where formatDouble
+ * lays out the shortest form without the printf loop's check, and
+ * the 17-digit values right next to them. A failure names the
+ * (seed, draw) pair that replays it.
+ */
+class FormatDoubleDecimalGrid : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(FormatDoubleDecimalGrid, MatchesPrintfLoopOnDecimalsAndNeighbours)
+{
+    constexpr std::uint64_t kDraws = 1u << 17;
+    const std::uint64_t seed = 0xdec1a1 + GetParam();
+    const CounterRng rng(seed);
+    for (std::uint64_t n = 0; n < kDraws; ++n) {
+        const std::uint64_t bits = rng.at(n);
+        std::uint64_t kRange = 1;
+        for (std::uint64_t d = 0; d <= bits % 15; ++d)
+            kRange *= 10;
+        double divisor = 1.0; // 10^n, exact through 10^22
+        for (std::uint64_t d = 0; d < (bits >> 4) % 23; ++d)
+            divisor *= 10.0;
+        const auto k = static_cast<double>((bits >> 12) % kRange);
+        const double v = (bits >> 63 ? -k : k) / divisor;
+        for (const double s : {v, std::nextafter(v, -HUGE_VAL),
+                               std::nextafter(v, HUGE_VAL)})
+            ASSERT_EQ(JsonWriter::formatDouble(s), referenceFormatDouble(s))
+                << "seed " << seed << " draw " << n;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, FormatDoubleDecimalGrid,
+                         ::testing::Range(0, 8));
+
 /** Bit-exact equality (distinguishes -0 from 0, matches NaN payloads). */
 ::testing::AssertionResult
 sameBits(double a, double b)
