@@ -70,7 +70,7 @@ evaluate(const std::vector<trace::TaskEvent> &events)
         row.hotRacks += h;
 
     // Battery pressure after a day of PS operation.
-    core::DataCenter dc(cfg, &workload);
+    engine::ClusterEngine dc(cfg, &workload);
     dc.runCoarseUntil(kTicksPerDay + 15 * kTicksPerHour);
     for (double s : dc.allSocs())
         row.minSoc = std::min(row.minSoc, s);

@@ -27,24 +27,10 @@ usage(const char *argv0)
         << "       [--stats-json FILE] [--prom FILE] [--manifest FILE]\n"
         << "       [--alerts RULES] [--incidents FILE]\n"
         << "       [--incident-html FILE]\n"
-        << "       [--backend optimized|soa]\n"
         << "       [--log-level silent|error|warn|info|debug]\n"
         << "  --jobs N  worker threads for the sweep (0 = all cores);\n"
-        << "            results are bit-identical for every N\n"
-        << "  --backend NAME  engine backend for every cluster job\n"
-        << "                  (default soa, the batch engine;\n"
-        << "                  optimized is the scalar reference)\n";
+        << "            results are bit-identical for every N\n";
     std::exit(2);
-}
-
-/** Parse --backend values; exits with usage on junk. */
-engine::BackendKind
-parseBackend(const char *argv0, const std::string &name)
-{
-    if (const auto kind = engine::backendFromName(name))
-        return *kind;
-    std::cerr << argv0 << ": unknown backend: " << name << "\n";
-    usage(argv0);
 }
 
 } // namespace
@@ -87,8 +73,6 @@ parseBenchArgs(int argc, char **argv)
             opts.incidents = need(i);
         } else if (arg == "--incident-html") {
             opts.incidentHtml = need(i);
-        } else if (arg == "--backend") {
-            opts.backend = parseBackend(argv[0], need(i));
         } else if (arg == "--log-level") {
             const std::string name = need(i);
             if (const auto level = logLevelFromName(name)) {
@@ -142,18 +126,15 @@ runSweep(const std::string &tool, const BenchOptions &opts,
             std::move(*loaded));
     }
 
-    // --prom needs per-job telemetry hubs, --alerts needs per-job
-    // engines, and --backend selects the engine every cluster job
-    // runs on; set all three on a copy of the grid so the caller's
-    // experiments stay untouched. The backend is stamped on every
-    // run, default or not, so the manifest's backend is the one that
-    // ran. Observability never alters results, only records them.
+    // --prom needs per-job telemetry hubs and --alerts per-job
+    // engines; set both on a copy of the grid so the caller's
+    // experiments stay untouched. Observability never alters
+    // results, only records them.
     std::vector<runner::Experiment> observed = grid;
     for (auto &experiment : observed) {
         if (!opts.prom.empty())
             experiment.telemetryEnabled = true;
         experiment.alertRules = rules;
-        experiment.backend = opts.backend;
     }
     runner::SweepReport report = pool.runWithReport(observed);
 
@@ -208,7 +189,7 @@ runSweep(const std::string &tool, const BenchOptions &opts,
         manifest.config = {
             {"jobs", std::to_string(pool.threadCount())},
             {"grid_size", std::to_string(grid.size())},
-            {"backend", engine::backendName(opts.backend)},
+            {"backend", engine::kEngineName},
         };
         manifest.argv = opts.argv;
         manifest.traceFile = opts.trace;

@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "engine/backend.h"
+#include "engine/cluster_engine.h"
 #include "obs/trace_sink.h"
 #include "obs/tracer.h"
 #include "runner/experiment.h"
@@ -111,13 +111,6 @@ struct BenchOptions {
     std::string incidents;
     /** --incident-html FILE: HTML dashboard (needs --alerts). */
     std::string incidentHtml;
-    /**
-     * --backend optimized|soa: engine backend stamped onto every
-     * cluster experiment in the sweep (default soa). The figure
-     * outputs are the same on both; the engines agree within the
-     * documented physical tolerances.
-     */
-    engine::BackendKind backend = engine::BackendKind::Soa;
     /** Raw command line, for the manifest. */
     std::vector<std::string> argv;
 
@@ -133,7 +126,7 @@ struct BenchOptions {
  * Parse the common bench flags (`--jobs N` / `-j N`, `--trace FILE`,
  * `--trace-format jsonl|chrome`, `--stats-json FILE`, `--prom FILE`,
  * `--manifest FILE`, `--alerts RULES`, `--incidents FILE`,
- * `--incident-html FILE`, `--backend NAME`, `--log-level L`); exits
+ * `--incident-html FILE`, `--log-level L`); exits
  * with usage on anything unrecognized. Also applies the
  * PAD_LOG_LEVEL environment fallback.
  * Sweep output is independent of --jobs by the SweepRunner

@@ -31,7 +31,7 @@ runPolicy(const bench::ClusterWorkload &cw,
     core::DataCenterConfig cfg =
         bench::clusterConfig(core::SchemeKind::PS);
     cfg.charge.kind = policy;
-    core::DataCenter dc(cfg, cw.workload.get());
+    engine::ClusterEngine dc(cfg, cw.workload.get());
     dc.setRecordHistory(true);
     dc.runCoarseUntil(static_cast<Tick>(days * kTicksPerDay));
 

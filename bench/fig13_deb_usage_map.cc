@@ -49,7 +49,7 @@ runScheme(core::SchemeKind scheme, const bench::ClusterWorkload &cw)
     // shallow) pool usage is visible next to the conventional
     // design's deep per-rack strips.
     cfg.clusterBudgetFraction = 0.70;
-    core::DataCenter dc(cfg, cw.workload.get());
+    engine::ClusterEngine dc(cfg, cw.workload.get());
     dc.setRecordHistory(true);
     dc.runCoarseUntil(kTicksPerDay + 13 * kTicksPerHour);
 

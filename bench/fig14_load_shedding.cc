@@ -30,7 +30,7 @@ runScheme(core::SchemeKind scheme, const bench::ClusterWorkload &cw,
           double days)
 {
     core::DataCenterConfig cfg = bench::clusterConfig(scheme);
-    core::DataCenter dc(cfg, cw.workload.get());
+    engine::ClusterEngine dc(cfg, cw.workload.get());
     dc.setRecordHistory(true);
     dc.runCoarseUntil(static_cast<Tick>(days * kTicksPerDay));
 

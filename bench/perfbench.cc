@@ -5,25 +5,23 @@
  * Times the simulator's hot paths at three granularities — component
  * microbenchmarks (KiBaM step, alert evaluation), the fine-grained attack
  * loop (ns/tick), and whole experiments (single-run and sweep
- * throughput) — under every engine backend:
+ * throughput):
  *
- *   perfbench --backend all --json BENCH_PR19.json
+ *   perfbench --json BENCH_PR21.json
  *
- * The engine-level rows (fine_tick, single_run*, sweep*) run through
- * engine::makeClusterEngine, one column per backend: optimized is the
- * scalar engine, soa is the structure-of-arrays batch engine (the
- * default everywhere else). The component micro-rows (kibam_step,
- * alert_eval) time standalone objects, so they report an optimized
- * column only.
+ * Each row has one measurement column. The engine-level rows
+ * (fine_tick, single_run*, sweep*) file it under "soa", the
+ * component micro-rows (kibam_step, alert_eval), which time
+ * standalone objects, under "optimized": the keys these rows have
+ * carried since the files had one column per engine, so
+ * `padtrace perf --compare` still matches every row against older
+ * BENCH files.
  *
  * Results are wall-clock medians over repeated runs (see
  * perf_timing.h). Benchmark only Release builds (see README); the
  * default RelWithDebInfo build is fine for the ctest smoke, which
  * uses --quick to shrink repetitions and only asserts the harness
  * runs.
- *
- * SoA speedup is reported as optimized-time / soa-time (equivalently
- * the throughput ratio), so > 1 means the SoA engine is faster.
  *
  * Schema v3 adds engine self-profiling: the single_run_profiled row
  * re-times the standard attack with the EngineProfiler attached
@@ -38,7 +36,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <optional>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -47,7 +45,7 @@
 #include "attack/attacker.h"
 #include "battery/kibam.h"
 #include "core/datacenter.h"
-#include "engine/backend.h"
+#include "engine/cluster_engine.h"
 #include "obs/prof.h"
 #include "runner/experiment.h"
 #include "runner/sweep_runner.h"
@@ -65,8 +63,6 @@ using namespace pad::bench;
 namespace {
 
 struct PerfOptions {
-    /** The optimized column always runs; soa is optional. */
-    bool runSoa = true;
     bool quick = false;
     std::string jsonPath;
 };
@@ -79,7 +75,7 @@ struct PhaseBreak {
     std::uint64_t laps = 0;
 };
 
-/** One backend's measurement: raw timing plus the derived value. */
+/** One row's measurement: raw timing plus the derived value. */
 struct ProfileMeasure {
     TimingResult timing;
     /** Value in the benchmark's unit (ns/op or runs/s). */
@@ -94,24 +90,14 @@ struct BenchRow {
     std::string unit;
     /** True when larger values are better (throughput units). */
     bool higherIsBetter = false;
-    std::optional<ProfileMeasure> optimized;
-    std::optional<ProfileMeasure> soa;
-
-    /** optimized-time / soa-time; 0 when a column is missing. */
-    double
-    speedupSoa() const
-    {
-        if (!optimized || !soa || optimized->value <= 0.0 ||
-            soa->value <= 0.0)
-            return 0.0;
-        return higherIsBetter ? soa->value / optimized->value
-                              : optimized->value / soa->value;
-    }
+    /** JSON key of the measurement (see the file comment). */
+    const char *column = "soa";
+    ProfileMeasure measure;
 };
 
 // ---------------------------------------------------------------------
 // Benchmark bodies. The component micro-rows time standalone objects;
-// the engine-level rows take an explicit engine::BackendKind.
+// the engine-level rows drive engine::ClusterEngine.
 // ---------------------------------------------------------------------
 
 ProfileMeasure
@@ -139,12 +125,11 @@ benchKibamStep(const PerfOptions &opt)
 
 /**
  * Fine-grained attack loop, ns per fine tick. Each repetition warms
- * a fresh data center up to the attack hour untimed, then times only
- * DataCenter::runAttack.
+ * a fresh engine up to the attack hour untimed, then times only
+ * ClusterEngine::runAttack.
  */
 ProfileMeasure
-benchFineTick(const PerfOptions &opt, const runner::ClusterWorkload &cw,
-              engine::BackendKind backend)
+benchFineTick(const PerfOptions &opt, const runner::ClusterWorkload &cw)
 {
     const double durationSec = opt.quick ? 30.0 : 120.0;
     const int reps = opt.quick ? 2 : 5;
@@ -155,10 +140,9 @@ benchFineTick(const PerfOptions &opt, const runner::ClusterWorkload &cw,
 
     std::vector<double> samples;
     for (int i = 0; i < reps; ++i) {
-        auto dc = engine::makeClusterEngine(backend, cfg,
-                                            cw.workload.get());
-        dc->runCoarseUntil(kTicksPerDay +
-                           static_cast<Tick>(11.0 * kTicksPerHour));
+        engine::ClusterEngine dc(cfg, cw.workload.get());
+        dc.runCoarseUntil(kTicksPerDay +
+                          static_cast<Tick>(11.0 * kTicksPerHour));
         attack::AttackerConfig ac;
         ac.controlledNodes = 4;
         attack::TwoPhaseAttacker attacker(ac);
@@ -166,7 +150,7 @@ benchFineTick(const PerfOptions &opt, const runner::ClusterWorkload &cw,
         sc.targetPolicy = core::TargetPolicy::MostVulnerable;
         sc.durationSec = durationSec;
         const double t0 = nowSec();
-        const core::AttackOutcome out = dc->runAttack(attacker, sc);
+        const core::AttackOutcome out = dc.runAttack(attacker, sc);
         samples.push_back(nowSec() - t0);
         keep(out.survivalSec);
     }
@@ -188,12 +172,10 @@ standardAttack(const runner::ClusterWorkload &cw, bool quick)
 
 ProfileMeasure
 benchSingleRun(const PerfOptions &opt,
-               const runner::ClusterWorkload &cw,
-               engine::BackendKind backend)
+               const runner::ClusterWorkload &cw)
 {
     const int reps = opt.quick ? 2 : 9;
     runner::Experiment e = standardAttack(cw, opt.quick);
-    e.backend = backend;
     ProfileMeasure m;
     m.timing = timeIt(
         [&] {
@@ -214,12 +196,10 @@ benchSingleRun(const PerfOptions &opt,
  */
 ProfileMeasure
 benchSingleRunProfiled(const PerfOptions &opt,
-                       const runner::ClusterWorkload &cw,
-                       engine::BackendKind backend)
+                       const runner::ClusterWorkload &cw)
 {
     const int reps = opt.quick ? 2 : 9;
     runner::Experiment e = standardAttack(cw, opt.quick);
-    e.backend = backend;
     e.profileEngine = true;
     ProfileMeasure m;
     std::shared_ptr<sim::StatsRegistry> last;
@@ -311,12 +291,10 @@ benchAlertEval(const PerfOptions &opt)
  */
 ProfileMeasure
 benchSingleRunTelemetry(const PerfOptions &opt,
-                        const runner::ClusterWorkload &cw,
-                        engine::BackendKind backend)
+                        const runner::ClusterWorkload &cw)
 {
     const int reps = opt.quick ? 2 : 9;
     runner::Experiment e = standardAttack(cw, opt.quick);
-    e.backend = backend;
     e.telemetryEnabled = true;
     ProfileMeasure m;
     m.timing = timeIt(
@@ -337,12 +315,10 @@ benchSingleRunTelemetry(const PerfOptions &opt,
  */
 ProfileMeasure
 benchSingleRunAlerts(const PerfOptions &opt,
-                     const runner::ClusterWorkload &cw,
-                     engine::BackendKind backend)
+                     const runner::ClusterWorkload &cw)
 {
     const int reps = opt.quick ? 2 : 9;
     runner::Experiment e = standardAttack(cw, opt.quick);
-    e.backend = backend;
     e.telemetryEnabled = true;
     e.alertRules = defaultRules();
     ProfileMeasure m;
@@ -366,12 +342,10 @@ benchSingleRunAlerts(const PerfOptions &opt,
  */
 ProfileMeasure
 benchSingleRunPush(const PerfOptions &opt,
-                   const runner::ClusterWorkload &cw,
-                   engine::BackendKind backend)
+                   const runner::ClusterWorkload &cw)
 {
     const int reps = opt.quick ? 2 : 9;
     runner::Experiment e = standardAttack(cw, opt.quick);
-    e.backend = backend;
     e.telemetryEnabled = true;
 
     telemetry::ReceiverServer rx(0);
@@ -408,7 +382,7 @@ benchSingleRunPush(const PerfOptions &opt,
 
 ProfileMeasure
 benchSweep(const PerfOptions &opt, const runner::ClusterWorkload &cw,
-           int jobs, engine::BackendKind backend)
+           int jobs)
 {
     const int n = opt.quick ? 2 : 8;
     const int reps = opt.quick ? 1 : 3;
@@ -417,8 +391,7 @@ benchSweep(const PerfOptions &opt, const runner::ClusterWorkload &cw,
     for (int i = 0; i < n; ++i) {
         runner::Experiment e = standardAttack(cw, opt.quick);
         e.seed = static_cast<std::uint64_t>(i + 1);
-        e.backend = backend;
-        grid.push_back(e);
+            grid.push_back(e);
     }
     runner::SweepRunner runner(runner::SweepRunner::Options{jobs});
     ProfileMeasure m;
@@ -439,71 +412,55 @@ benchSweep(const PerfOptions &opt, const runner::ClusterWorkload &cw,
 void
 printRow(const BenchRow &row)
 {
-    auto print = [&](const char *label,
-                     const std::optional<ProfileMeasure> &pm) {
-        if (!pm)
-            return;
-        std::printf("  %-9s %12.2f %-12s (median %.6f s, min %.6f s, "
-                    "%d reps)\n",
-                    label, pm->value, row.unit.c_str(),
-                    pm->timing.medianSec, pm->timing.minSec,
-                    pm->timing.reps);
-        if (pm->phases.empty())
-            return;
-        double total = 0.0;
-        for (const PhaseBreak &p : pm->phases)
-            total += p.seconds;
-        for (const PhaseBreak &p : pm->phases)
-            std::printf("    %-16s %10.6f s %5.1f%% (%llu laps)\n",
-                        p.name.c_str(), p.seconds,
-                        total > 0.0 ? 100.0 * p.seconds / total : 0.0,
-                        static_cast<unsigned long long>(p.laps));
-    };
+    const ProfileMeasure &pm = row.measure;
     std::printf("%s\n", row.name.c_str());
-    print("optimized", row.optimized);
-    print("soa", row.soa);
-    if (row.speedupSoa() > 0.0)
-        std::printf("  %-9s %12.2fx (soa vs optimized)\n",
-                    "soa_gain", row.speedupSoa());
+    std::printf("  %12.2f %-12s (median %.6f s, min %.6f s, %d reps)\n",
+                pm.value, row.unit.c_str(), pm.timing.medianSec,
+                pm.timing.minSec, pm.timing.reps);
+    double total = 0.0;
+    for (const PhaseBreak &p : pm.phases)
+        total += p.seconds;
+    for (const PhaseBreak &p : pm.phases)
+        std::printf("    %-16s %10.6f s %5.1f%% (%llu laps)\n",
+                    p.name.c_str(), p.seconds,
+                    total > 0.0 ? 100.0 * p.seconds / total : 0.0,
+                    static_cast<unsigned long long>(p.laps));
     std::fflush(stdout);
 }
 
-/**
- * Component micro-row: the SoA engine has no standalone equivalent
- * of these components, so only the optimized column is produced.
- */
+/** Run @p body for one row, print it and return it. */
 template <typename Fn>
 BenchRow
-runScalarRow(const std::string &name, const std::string &unit,
-             bool higherIsBetter, Fn &&body)
+runRow(const std::string &name, const std::string &unit,
+       bool higherIsBetter, const char *column, Fn &&body)
 {
     BenchRow row;
     row.name = name;
     row.unit = unit;
     row.higherIsBetter = higherIsBetter;
-    row.optimized = body();
+    row.column = column;
+    row.measure = body();
     printRow(row);
     return row;
 }
 
-/**
- * Engine-level row: the body receives an explicit BackendKind and
- * runs once per enabled backend.
- */
+/** Component micro-row: times a standalone object. */
 template <typename Fn>
 BenchRow
-runEngineRow(const PerfOptions &opt, const std::string &name,
-             const std::string &unit, bool higherIsBetter, Fn &&body)
+runComponentRow(const std::string &name, Fn &&body)
 {
-    BenchRow row;
-    row.name = name;
-    row.unit = unit;
-    row.higherIsBetter = higherIsBetter;
-    row.optimized = body(engine::BackendKind::Optimized);
-    if (opt.runSoa)
-        row.soa = body(engine::BackendKind::Soa);
-    printRow(row);
-    return row;
+    return runRow(name, "ns_per_op", false, "optimized",
+                  std::forward<Fn>(body));
+}
+
+/** Engine-level row: drives the cluster engine. */
+template <typename Fn>
+BenchRow
+runEngineRow(const std::string &name, const std::string &unit,
+             bool higherIsBetter, Fn &&body)
+{
+    return runRow(name, unit, higherIsBetter, "soa",
+                  std::forward<Fn>(body));
 }
 
 void
@@ -523,32 +480,24 @@ writeJson(const std::string &path, const PerfOptions &opt,
         w.key("name").value(row.name);
         w.key("unit").value(row.unit);
         w.key("higher_is_better").value(row.higherIsBetter);
-        auto profile = [&](const char *key,
-                           const std::optional<ProfileMeasure> &pm) {
-            if (!pm)
-                return;
-            w.key(key).beginObject();
-            w.key("value").value(pm->value);
-            w.key("median_sec").value(pm->timing.medianSec);
-            w.key("min_sec").value(pm->timing.minSec);
-            w.key("mean_sec").value(pm->timing.meanSec);
-            w.key("reps").value(pm->timing.reps);
-            if (!pm->phases.empty()) {
-                w.key("phases").beginObject();
-                for (const PhaseBreak &p : pm->phases) {
-                    w.key(p.name).beginObject();
-                    w.key("seconds").value(p.seconds);
-                    w.key("laps").value(p.laps);
-                    w.endObject();
-                }
+        const ProfileMeasure &pm = row.measure;
+        w.key(row.column).beginObject();
+        w.key("value").value(pm.value);
+        w.key("median_sec").value(pm.timing.medianSec);
+        w.key("min_sec").value(pm.timing.minSec);
+        w.key("mean_sec").value(pm.timing.meanSec);
+        w.key("reps").value(pm.timing.reps);
+        if (!pm.phases.empty()) {
+            w.key("phases").beginObject();
+            for (const PhaseBreak &p : pm.phases) {
+                w.key(p.name).beginObject();
+                w.key("seconds").value(p.seconds);
+                w.key("laps").value(p.laps);
                 w.endObject();
             }
             w.endObject();
-        };
-        profile("optimized", row.optimized);
-        profile("soa", row.soa);
-        if (row.speedupSoa() > 0.0)
-            w.key("speedup_soa").value(row.speedupSoa());
+        }
+        w.endObject();
         w.endObject();
     }
     w.endArray();
@@ -562,22 +511,9 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--backend optimized|soa|all] "
-        "[--json FILE] [--quick]\n",
+        "usage: %s [--json FILE] [--quick]\n",
         argv0);
     std::exit(2);
-}
-
-/** Map a --backend value onto the enabled-column set. */
-void
-selectBackends(PerfOptions &opt, const std::string &name,
-               const char *argv0)
-{
-    // SoA speedup is reported against optimized, so asking for the
-    // soa column alone still measures the scalar reference.
-    if (name != "optimized" && name != "soa" && name != "all")
-        usage(argv0);
-    opt.runSoa = name != "optimized";
 }
 
 } // namespace
@@ -588,9 +524,7 @@ main(int argc, char **argv)
     PerfOptions opt;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--backend" && i + 1 < argc) {
-            selectBackends(opt, argv[++i], argv[0]);
-        } else if (arg == "--json" && i + 1 < argc) {
+        if (arg == "--json" && i + 1 < argc) {
             opt.jsonPath = argv[++i];
         } else if (arg == "--quick") {
             opt.quick = true;
@@ -608,50 +542,33 @@ main(int argc, char **argv)
         runner::makeClusterWorkload(3.0);
 
     std::vector<BenchRow> rows;
-    rows.push_back(runScalarRow("kibam_step", "ns_per_op", false,
-                                [&] { return benchKibamStep(opt); }));
     rows.push_back(
-        runEngineRow(opt, "fine_tick", "ns_per_tick", false,
-                     [&](engine::BackendKind backend) {
-                         return benchFineTick(opt, cw, backend);
-                     }));
-    rows.push_back(runScalarRow("alert_eval", "ns_per_op", false,
-                                [&] { return benchAlertEval(opt); }));
+        runComponentRow("kibam_step", [&] { return benchKibamStep(opt); }));
+    rows.push_back(runEngineRow("fine_tick", "ns_per_tick", false, [&] {
+        return benchFineTick(opt, cw);
+    }));
     rows.push_back(
-        runEngineRow(opt, "single_run", "runs_per_sec", true,
-                     [&](engine::BackendKind backend) {
-                         return benchSingleRun(opt, cw, backend);
-                     }));
-    rows.push_back(runEngineRow(
-        opt, "single_run_profiled", "runs_per_sec", true,
-        [&](engine::BackendKind backend) {
-            return benchSingleRunProfiled(opt, cw, backend);
-        }));
-    rows.push_back(runEngineRow(
-        opt, "single_run_telemetry", "runs_per_sec", true,
-        [&](engine::BackendKind backend) {
-            return benchSingleRunTelemetry(opt, cw, backend);
-        }));
-    rows.push_back(runEngineRow(
-        opt, "single_run_alerts", "runs_per_sec", true,
-        [&](engine::BackendKind backend) {
-            return benchSingleRunAlerts(opt, cw, backend);
-        }));
-    rows.push_back(runEngineRow(
-        opt, "single_run_push", "runs_per_sec", true,
-        [&](engine::BackendKind backend) {
-            return benchSingleRunPush(opt, cw, backend);
-        }));
+        runComponentRow("alert_eval", [&] { return benchAlertEval(opt); }));
+    rows.push_back(runEngineRow("single_run", "runs_per_sec", true, [&] {
+        return benchSingleRun(opt, cw);
+    }));
     rows.push_back(
-        runEngineRow(opt, "sweep_jobs1", "runs_per_sec", true,
-                     [&](engine::BackendKind backend) {
-                         return benchSweep(opt, cw, 1, backend);
-                     }));
+        runEngineRow("single_run_profiled", "runs_per_sec", true,
+                     [&] { return benchSingleRunProfiled(opt, cw); }));
     rows.push_back(
-        runEngineRow(opt, "sweep_jobs2", "runs_per_sec", true,
-                     [&](engine::BackendKind backend) {
-                         return benchSweep(opt, cw, 2, backend);
-                     }));
+        runEngineRow("single_run_telemetry", "runs_per_sec", true,
+                     [&] { return benchSingleRunTelemetry(opt, cw); }));
+    rows.push_back(
+        runEngineRow("single_run_alerts", "runs_per_sec", true,
+                     [&] { return benchSingleRunAlerts(opt, cw); }));
+    rows.push_back(runEngineRow("single_run_push", "runs_per_sec", true,
+                                [&] { return benchSingleRunPush(opt, cw); }));
+    rows.push_back(runEngineRow("sweep_jobs1", "runs_per_sec", true, [&] {
+        return benchSweep(opt, cw, 1);
+    }));
+    rows.push_back(runEngineRow("sweep_jobs2", "runs_per_sec", true, [&] {
+        return benchSweep(opt, cw, 2);
+    }));
 
     if (!opt.jsonPath.empty()) {
         writeJson(opt.jsonPath, opt, rows);

@@ -18,6 +18,7 @@
 #include "attack/attacker.h"
 #include "core/config.h"
 #include "core/datacenter.h"
+#include "engine/cluster_engine.h"
 #include "core/outage_cost.h"
 #include "trace/synthetic_trace.h"
 #include "trace/workload.h"
@@ -42,7 +43,7 @@ main()
     cfg.scheme = core::SchemeKind::PS; // the undefended state of the art
     cfg.clusterBudgetFraction = 0.70;
     cfg.deb = core::defaultDebConfig(cfg.rackNameplate());
-    core::DataCenter dc(cfg, &workload);
+    engine::ClusterEngine dc(cfg, &workload);
 
     std::cout << "== preparation ==\n"
               << "warming the cluster to 11:00 on day 2; the "

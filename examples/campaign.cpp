@@ -10,9 +10,10 @@
 
 #include <iostream>
 
-#include "core/campaign.h"
+#include "engine/campaign.h"
 #include "core/config.h"
 #include "core/datacenter.h"
+#include "engine/cluster_engine.h"
 #include "trace/synthetic_trace.h"
 #include "trace/workload.h"
 #include "util/table.h"
@@ -21,10 +22,10 @@ using namespace pad;
 
 namespace {
 
-core::CampaignAttack
+engine::CampaignAttack
 strike(Tick at, int nodes)
 {
-    core::CampaignAttack s;
+    engine::CampaignAttack s;
     s.startAt = at;
     s.attacker.controlledNodes = nodes;
     s.attacker.kind = attack::VirusKind::CpuIntensive;
@@ -57,14 +58,14 @@ main()
         cfg.scheme = scheme;
         cfg.clusterBudgetFraction = 0.70;
         cfg.deb = core::defaultDebConfig(cfg.rackNameplate());
-        core::DataCenter dc(cfg, &workload);
+        engine::ClusterEngine dc(cfg, &workload);
 
-        std::vector<core::CampaignAttack> plan{
+        std::vector<engine::CampaignAttack> plan{
             strike(kTicksPerDay + 4 * kTicksPerHour, 4),
             strike(kTicksPerDay + 10 * kTicksPerHour, 4),
             strike(kTicksPerDay + 14 * kTicksPerHour, 4),
         };
-        core::CampaignDriver driver(dc, std::move(plan));
+        engine::CampaignDriver driver(dc, std::move(plan));
         const auto report = driver.run(2 * kTicksPerDay);
 
         TextTable table("campaign against " +

@@ -13,6 +13,7 @@
 #include "attack/virus_trace.h"
 #include "core/config.h"
 #include "core/datacenter.h"
+#include "engine/cluster_engine.h"
 #include "trace/synthetic_trace.h"
 #include "trace/workload.h"
 #include "util/table.h"
@@ -35,7 +36,7 @@ evaluate(core::SchemeKind scheme, const trace::Workload &workload)
     cfg.scheme = scheme;
     cfg.clusterBudgetFraction = 0.70;
     cfg.deb = core::defaultDebConfig(cfg.rackNameplate());
-    core::DataCenter dc(cfg, &workload);
+    engine::ClusterEngine dc(cfg, &workload);
     dc.runCoarseUntil(kTicksPerDay + 11 * kTicksPerHour);
 
     attack::AttackerConfig ac;

@@ -13,7 +13,6 @@
  * Daemon mode:
  *
  *   padd [--scheme Conv|PS|PSPC|uDEB|vDEB|PAD]
- *        [--backend optimized|soa]
  *        [--budget FRAC] [--cluster-budget FRAC]
  *        [--hour H] [--days D] [--duration SEC] [--seed S]
  *        [--detector] [--speed X|max]
@@ -23,10 +22,6 @@
  *        [--push-to HOST:PORT] [--push-interval-s N]
  *        [--push-spool DIR] [--push-source NAME]
  *        [--quiet] [--log-level L]
- *
- * --backend selects the simulation engine: soa (the default) or the
- * scalar reference optimized; the session header records it, so a
- * replay runs on the engine the live session ran on.
  *
  * --speed is sim-seconds per wall-second (default 60, i.e. a sim
  * minute per second; "max" = unpaced). --duration auto-stops after
@@ -73,7 +68,6 @@
 
 #include "core/config.h"
 #include "core/schemes.h"
-#include "engine/backend.h"
 #include "service/control.h"
 #include "service/daemon.h"
 #include "service/session.h"
@@ -102,7 +96,6 @@ usage()
 {
     std::cerr
         << "usage: padd [--scheme Conv|PS|PSPC|uDEB|vDEB|PAD]\n"
-           "            [--backend optimized|soa]\n"
            "            [--budget FRAC] [--cluster-budget FRAC]\n"
            "            [--hour H] [--days D] [--duration SEC]\n"
            "            [--seed S] [--detector] [--speed X|max]\n"
@@ -117,9 +110,7 @@ usage()
            "       padd --replay SESSION [--incidents FILE]\n"
            "            [--stats-json FILE] [--prom FILE]\n"
            "            [--push-to HOST:PORT ...]\n"
-           "       padd --connect PORT --cmd CMD [--cmd CMD ...]\n"
-           "  --backend NAME  simulation engine (default soa, the batch\n"
-           "                  engine; optimized is the scalar reference)\n";
+           "       padd --connect PORT --cmd CMD [--cmd CMD ...]\n";
     std::exit(2);
 }
 
@@ -142,13 +133,6 @@ parseArgs(int argc, char **argv)
                 usage();
             }
             opt.daemon.config.scheme = *scheme;
-        } else if (arg == "--backend") {
-            const auto backend = engine::backendFromName(need(i));
-            if (!backend) {
-                std::cerr << "padd: unknown backend name\n";
-                usage();
-            }
-            opt.daemon.config.backend = *backend;
         } else if (arg == "--budget")
             opt.daemon.config.budget = std::atof(need(i).c_str());
         else if (arg == "--cluster-budget")

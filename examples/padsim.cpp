@@ -9,7 +9,6 @@
  *
  *   padsim [--config FILE]
  *          [--scheme Conv|PS|PSPC|uDEB|vDEB|PAD]
- *          [--backend optimized|soa]
  *          [--virus cpu|mem|io] [--style dense|sparse]
  *          [--nodes N] [--racks K] [--duration SEC]
  *          [--budget FRAC] [--cluster-budget FRAC]
@@ -24,16 +23,11 @@
  *          [--incident-html FILE] [--profile-engine]
  *
  * A --config file supplies the same knobs as `key = value` lines
- * (scheme, backend, virus, style, nodes, racks, duration, budget,
+ * (scheme, virus, style, nodes, racks, duration, budget,
  * cluster_budget, victim_pct, hour, seed, csv, stats, quiet, trace,
  * trace_format, stats_json, manifest, log_level, detector, prom,
  * metrics_port, metrics_linger, alerts, incidents, incident_html,
  * profile_engine); command-line flags override it.
- *
- * --backend selects the simulation engine (src/engine): soa, the
- * structure-of-arrays batch engine, is the default; optimized is the
- * scalar reference engine (physically equivalent, not
- * bit-identical).
  *
  * Observability: --prom dumps the final stats registry plus telemetry
  * time-series in Prometheus text exposition format; --metrics-port
@@ -81,7 +75,7 @@
 #include "attack/virus_trace.h"
 #include "core/config.h"
 #include "core/datacenter.h"
-#include "engine/backend.h"
+#include "engine/cluster_engine.h"
 #include "engine/prof_stats.h"
 #include "obs/manifest.h"
 #include "obs/prof.h"
@@ -105,7 +99,6 @@ namespace {
 
 struct Options {
     core::SchemeKind scheme = core::SchemeKind::Pad;
-    engine::BackendKind backend = engine::BackendKind::Soa;
     attack::VirusKind virus = attack::VirusKind::CpuIntensive;
     attack::AttackStyle style = attack::AttackStyle::Dense;
     int nodes = 4;
@@ -142,7 +135,6 @@ usage()
     std::cerr
         << "usage: padsim [--config FILE]\n"
            "              [--scheme Conv|PS|PSPC|uDEB|vDEB|PAD]\n"
-           "              [--backend optimized|soa]\n"
            "              [--virus cpu|mem|io] [--style dense|sparse]\n"
            "              [--nodes N] [--racks K] [--duration SEC]\n"
            "              [--budget FRAC] [--cluster-budget FRAC]\n"
@@ -155,9 +147,7 @@ usage()
            "              [--metrics-port N] [--metrics-linger SEC]\n"
            "              [--alerts RULES] [--incidents FILE]\n"
            "              [--incident-html FILE] [--profile-engine]\n"
-           "              [--push-to HOST:PORT] [--push-source NAME]\n"
-           "  --backend NAME  simulation engine (default soa, the batch\n"
-           "                  engine; optimized is the scalar reference)\n";
+           "              [--push-to HOST:PORT] [--push-source NAME]\n";
     std::exit(2);
 }
 
@@ -177,16 +167,6 @@ requireScheme(const std::string &name)
     usage();
 }
 
-/** Same CLI edge for engine-backend names. */
-engine::BackendKind
-requireBackend(const std::string &name)
-{
-    if (const auto kind = engine::backendFromName(name))
-        return *kind;
-    std::cerr << "padsim: unknown backend name: " << name << "\n";
-    usage();
-}
-
 /** Apply a key = value config file as option defaults. */
 void
 applyConfig(Options &opt, const std::string &path)
@@ -194,8 +174,12 @@ applyConfig(Options &opt, const std::string &path)
     const KvConfig cfg = KvConfig::fromFile(path);
     if (cfg.has("scheme"))
         opt.scheme = requireScheme(cfg.getString("scheme"));
-    if (cfg.has("backend"))
-        opt.backend = requireBackend(cfg.getString("backend"));
+    // There is one engine; a file still choosing one is rejected
+    // like the removed --backend flag.
+    if (cfg.has("backend")) {
+        std::cerr << "padsim: unknown config key: backend\n";
+        usage();
+    }
     if (cfg.has("virus"))
         opt.virus = parseVirus(cfg.getString("virus"));
     if (cfg.has("style"))
@@ -268,8 +252,6 @@ parseArgs(int argc, char **argv)
             need(i); // already applied
         else if (arg == "--scheme")
             opt.scheme = requireScheme(need(i));
-        else if (arg == "--backend")
-            opt.backend = requireBackend(need(i));
         else if (arg == "--virus")
             opt.virus = parseVirus(need(i));
         else if (arg == "--style")
@@ -415,9 +397,7 @@ main(int argc, char **argv)
     cfg.deb = core::defaultDebConfig(cfg.rackNameplate());
     cfg.seed = opt.seed;
     cfg.detectorResponse = opt.detector;
-    const auto enginePtr =
-        engine::makeClusterEngine(opt.backend, cfg, &workload);
-    engine::ClusterEngine &dc = *enginePtr;
+    engine::ClusterEngine dc(cfg, &workload);
 
     obs::EngineProfiler prof;
     if (opt.profileEngine)
@@ -512,7 +492,7 @@ main(int argc, char **argv)
     TextTable table("padsim result");
     table.setHeader({"metric", "value"});
     table.addRow({"scheme", core::schemeName(opt.scheme)});
-    table.addRow({"backend", engine::backendName(opt.backend)});
+    table.addRow({"backend", engine::kEngineName});
     table.addRow({"virus", attack::virusKindName(opt.virus)});
     table.addRow({"style", attack::attackStyleName(opt.style)});
     table.addRow({"victim rack", std::to_string(sc.targetRack)});
@@ -649,7 +629,7 @@ main(int argc, char **argv)
         manifest.seed = opt.seed;
         manifest.config = {
             {"scheme", std::string(core::schemeName(opt.scheme))},
-            {"backend", std::string(engine::backendName(opt.backend))},
+            {"backend", engine::kEngineName},
             {"virus", std::string(attack::virusKindName(opt.virus))},
             {"style", std::string(attack::attackStyleName(opt.style))},
             {"nodes", std::to_string(opt.nodes)},

@@ -821,14 +821,15 @@ struct PerfInput {
     bool hasCache = false;
 };
 
+/** @p key of @p obj as a count; 0 if absent, not a number or out of range. */
 std::uint64_t
 memberCounter(const JsonValue *obj, const std::string &key)
 {
     if (!obj)
         return 0;
     const JsonValue *v = obj->find(key);
-    return v && v->isNumber() ? static_cast<std::uint64_t>(v->number)
-                              : 0;
+    std::uint64_t n = 0;
+    return v && v->isNumber() && countFrom(v->number, n) ? n : 0;
 }
 
 /**

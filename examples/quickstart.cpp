@@ -7,7 +7,7 @@
  *
  * Walks through the main public APIs:
  *  - trace::SyntheticGoogleTrace / trace::Workload
- *  - core::DataCenterConfig / core::DataCenter
+ *  - core::DataCenterConfig / engine::ClusterEngine
  *  - attack::TwoPhaseAttacker
  */
 
@@ -16,6 +16,7 @@
 #include "attack/attacker.h"
 #include "core/config.h"
 #include "core/datacenter.h"
+#include "engine/cluster_engine.h"
 #include "trace/synthetic_trace.h"
 #include "trace/workload.h"
 #include "util/table.h"
@@ -56,7 +57,7 @@ main()
           core::SchemeKind::Pad}) {
         core::DataCenterConfig cfg = base;
         cfg.scheme = scheme;
-        core::DataCenter dc(cfg, &workload);
+        engine::ClusterEngine dc(cfg, &workload);
         dc.runCoarseUntil(kTicksPerDay + 14 * kTicksPerHour);
 
         attack::AttackerConfig ac;

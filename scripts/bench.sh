@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 #
 # Rebuild the perf harness in Release mode and regenerate the
-# committed benchmark results (BENCH_PR19.json) reproducibly:
+# committed benchmark results (BENCH_PR21.json) reproducibly:
 #
-#   scripts/bench.sh                     # all backends, portable codegen
-#   scripts/bench.sh --backend soa       # one backend column (+ scalar ref)
+#   scripts/bench.sh                     # portable codegen
+#   scripts/bench.sh --quick             # fewer repetitions
 #   PAD_NATIVE=ON scripts/bench.sh       # tune for this machine
 #   BENCH_OUT=my.json scripts/bench.sh
 #
@@ -17,28 +17,22 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-rel}
-BENCH_OUT=${BENCH_OUT:-BENCH_PR19.json}
+BENCH_OUT=${BENCH_OUT:-BENCH_PR21.json}
 PAD_NATIVE=${PAD_NATIVE:-OFF}
 JOBS=${JOBS:-$(nproc)}
 
-# Extra flags (e.g. --backend soa, --quick) pass straight through to
-# perfbench; the default measures every backend column.
-BACKEND_ARGS=("$@")
-if [ ${#BACKEND_ARGS[@]} -eq 0 ]; then
-    BACKEND_ARGS=(--backend all)
-fi
+# Extra flags (e.g. --quick) pass straight through to perfbench.
 
 cmake -B "$BUILD_DIR" -S . \
     -DCMAKE_BUILD_TYPE=Release \
     -DPAD_NATIVE="$PAD_NATIVE" >/dev/null
 cmake --build "$BUILD_DIR" --target perfbench padtrace -j "$JOBS"
 
-"$BUILD_DIR/bench/perfbench" "${BACKEND_ARGS[@]}" --json "$BENCH_OUT" \
+"$BUILD_DIR/bench/perfbench" "$@" --json "$BENCH_OUT" \
     | tee "$BENCH_OUT.txt"
 echo "benchmark results written to $BENCH_OUT"
 
-# Engine rows at a glance. The bars that matter: single_run soa_gain
-# >= 3x over the optimized scalar engine (DESIGN.md §11), alert_eval
+# Engine rows at a glance. The bars that matter: alert_eval
 # stays in the tens of ns per sample, single_run_alerts stays
 # within ~10% of single_run_telemetry (the fair baseline — enabling
 # alerts also turns the telemetry hub on), and single_run_push — the
@@ -53,7 +47,7 @@ rm -f "$BENCH_OUT.txt"
 
 # Per-phase engine breakdown from the profiled row (schema v3), and
 # the profiling-overhead check: single_run_profiled should stay
-# within ~5% of single_run per backend.
+# within ~5% of single_run.
 PADTRACE="$BUILD_DIR/examples/padtrace"
 if [ -x "$PADTRACE" ]; then
     echo

@@ -20,7 +20,7 @@
  * sweeps (DESIGN.md §7).
  *
  * Not thread-safe: one engine belongs to one simulation job and is
- * driven from that job's thread only, like the DataCenter it
+ * driven from that job's thread only, like the cluster engine it
  * monitors.
  */
 

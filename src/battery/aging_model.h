@@ -42,7 +42,7 @@ struct AgingModelConfig {
 
 // ---------------------------------------------------------------------
 // Aging kernels over plain wear counters. AgingModel, BatteryUnit and
-// the SoA engine's per-unit arrays all call these.
+// the cluster engine's per-unit arrays all call these.
 // ---------------------------------------------------------------------
 
 /**

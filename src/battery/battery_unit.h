@@ -58,9 +58,9 @@ void checkUnitConfig(const BatteryUnitConfig &config);
 
 /**
  * One DEB unit's mutable state, by reference: a BatteryUnit's members
- * or one slot of the SoA engine's per-unit arrays. The unit kernels
- * below are the only copy of the discharge, charge, LVD and wear
- * arithmetic; both engines call them.
+ * or one slot of the cluster engine's per-unit arrays. The unit
+ * kernels below are the only copy of the discharge, charge, LVD and
+ * wear arithmetic; both call them.
  */
 struct UnitState {
     Joules &y1;               ///< KiBaM available well

@@ -15,10 +15,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
-
-#include "battery/battery_unit.h"
-#include "util/types.h"
 
 namespace pad::battery {
 
@@ -36,7 +32,7 @@ ChargePolicyKind chargePolicyFromName(const std::string &name);
 /** Human-readable policy name. */
 std::string chargePolicyName(ChargePolicyKind kind);
 
-/** Configuration for the charge controller. */
+/** Recharge-policy configuration, read by chargeWanted(). */
 struct ChargeControllerConfig {
     ChargePolicyKind kind = ChargePolicyKind::Online;
     /** Offline policy: begin recharging at/below this SOC. */
@@ -65,40 +61,6 @@ chargeWanted(std::uint8_t &latch, const ChargeControllerConfig &config,
     }
     return latch != 0;
 }
-
-/**
- * Distributes available charging headroom across a fleet of battery
- * units according to the configured policy.
- */
-class ChargeController
-{
-  public:
-    explicit ChargeController(const ChargeControllerConfig &config);
-
-    /**
-     * Spend up to @p headroom watts for @p dt seconds recharging
-     * @p units.
-     *
-     * Online policy: headroom is split across all non-full units,
-     * lowest SOC first. Offline policy: only units in their recharge
-     * window (below start threshold, or still on the way to the stop
-     * threshold) receive charge.
-     *
-     * @return total energy absorbed across the fleet, joules
-     */
-    Joules recharge(std::vector<BatteryUnit *> &units, Watts headroom,
-                    double dt);
-
-    /** Static configuration. */
-    const ChargeControllerConfig &config() const { return config_; }
-
-  private:
-    ChargeControllerConfig config_;
-    /** Offline policy latch: unit index -> currently recharging. */
-    std::vector<std::uint8_t> recharging_;
-    /** Hot-path sort scratch, reused across calls. */
-    std::vector<std::size_t> orderScratch_;
-};
 
 } // namespace pad::battery
 

@@ -72,7 +72,7 @@ struct KibamCoeffCache {
 };
 
 // ---------------------------------------------------------------------
-// KiBaM kernels over plain wells. The Kibam class and the SoA engine's
+// KiBaM kernels over plain wells. The Kibam class and the cluster engine's
 // per-unit arrays both call these; they are the only copy of the
 // arithmetic.
 // ---------------------------------------------------------------------

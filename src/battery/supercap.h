@@ -43,7 +43,7 @@ struct SuperCapConfig {
 
 // ---------------------------------------------------------------------
 // Super-capacitor kernels over a plain bus voltage. SuperCapacitor,
-// core::MicroDeb and the SoA engine's per-rack arrays all call these.
+// core::MicroDeb and the cluster engine's per-rack arrays all call these.
 // ---------------------------------------------------------------------
 
 /** Usable stored energy above the cutoff voltage, joules. */

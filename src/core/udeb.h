@@ -41,7 +41,7 @@ struct MicroDebConfig {
 
 /**
  * One µDEB's mutable state, by reference: a MicroDeb's members or one
- * slot of the SoA engine's per-rack arrays.
+ * slot of the cluster engine's per-rack arrays.
  */
 struct UdebState {
     double &voltage;      ///< super-capacitor bus voltage

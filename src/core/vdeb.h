@@ -78,8 +78,7 @@ class VdebController
      * assignment into @p out, reusing its vector's capacity and an
      * internal sort scratch. Results are identical to assign(). Not
      * thread-safe across concurrent calls on one controller; the
-     * simulator owns one controller per DataCenter, which is
-     * single-threaded.
+     * cluster engine owns one controller, and is single-threaded.
      */
     void assignInto(const std::vector<Joules> &socJoules,
                     Watts totalPower, Watts maxPower,

@@ -1,12 +1,12 @@
-#include "core/campaign.h"
+#include "engine/campaign.h"
 
 #include <algorithm>
 
 #include "util/logging.h"
 
-namespace pad::core {
+namespace pad::engine {
 
-CampaignDriver::CampaignDriver(DataCenter &dc,
+CampaignDriver::CampaignDriver(ClusterEngine &dc,
                                std::vector<CampaignAttack> attacks)
     : dc_(dc), attacks_(std::move(attacks))
 {
@@ -34,7 +34,8 @@ CampaignDriver::run(Tick until)
             continue;
         dc_.runCoarseUntil(strike.startAt);
         attack::TwoPhaseAttacker attacker(strike.attacker);
-        const AttackOutcome out = dc_.runAttack(attacker, strike.scenario);
+        const core::AttackOutcome out =
+            dc_.runAttack(attacker, strike.scenario);
         CampaignStrike record;
         record.startedAt = strike.startAt;
         record.survivalSec = out.survivalSec;
@@ -53,4 +54,4 @@ CampaignDriver::run(Tick until)
     return report;
 }
 
-} // namespace pad::core
+} // namespace pad::engine

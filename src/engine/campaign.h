@@ -11,15 +11,16 @@
  * day's aggregate damage.
  */
 
-#ifndef PAD_CORE_CAMPAIGN_H
-#define PAD_CORE_CAMPAIGN_H
+#ifndef PAD_ENGINE_CAMPAIGN_H
+#define PAD_ENGINE_CAMPAIGN_H
 
 #include <vector>
 
 #include "attack/attacker.h"
 #include "core/datacenter.h"
+#include "engine/cluster_engine.h"
 
-namespace pad::core {
+namespace pad::engine {
 
 /** One scheduled strike in a campaign. */
 struct CampaignAttack {
@@ -28,7 +29,7 @@ struct CampaignAttack {
     /** Adversary configuration for this strike. */
     attack::AttackerConfig attacker;
     /** Scenario (victim selection, duration, duty cycle). */
-    AttackScenario scenario;
+    core::AttackScenario scenario;
 };
 
 /** Outcome of one campaign strike. */
@@ -50,7 +51,7 @@ struct CampaignReport {
 };
 
 /**
- * Runs a timeline of attacks against a DataCenter.
+ * Runs a timeline of attacks against a ClusterEngine.
  */
 class CampaignDriver
 {
@@ -61,29 +62,28 @@ class CampaignDriver
      *                until recharged)
      * @param attacks strikes, any order; sorted internally
      */
-    CampaignDriver(DataCenter &dc, std::vector<CampaignAttack> attacks);
+    CampaignDriver(ClusterEngine &dc, std::vector<CampaignAttack> attacks);
 
     /**
      * Run normal operation and the scheduled strikes until @p until.
      * Strikes scheduled past the horizon are skipped.
      *
-     * Ownership and lifetime: the driver borrows the DataCenter
-     * passed to the constructor and mutates it in place — battery
-     * state, detector counters and telemetry reflect the campaign
-     * after run() returns, and the caller remains the owner. The
-     * attack list is copied at construction; later changes to the
-     * caller's vector have no effect. run() may be called once per
-     * driver: it drives the DataCenter's own simulator forward and
-     * never rewinds time. Call with a larger @p until on a fresh
-     * driver to continue a campaign.
+     * Ownership and lifetime: the driver borrows the engine passed
+     * to the constructor and mutates it in place — battery state,
+     * detector counters and telemetry reflect the campaign after
+     * run() returns, and the caller remains the owner. The attack
+     * list is copied at construction; later changes to the caller's
+     * vector have no effect. run() may be called once per driver: it
+     * drives the engine forward and never rewinds time. Call with a
+     * larger @p until on a fresh driver to continue a campaign.
      */
     CampaignReport run(Tick until);
 
   private:
-    DataCenter &dc_;
+    ClusterEngine &dc_;
     std::vector<CampaignAttack> attacks_;
 };
 
-} // namespace pad::core
+} // namespace pad::engine
 
-#endif // PAD_CORE_CAMPAIGN_H
+#endif // PAD_ENGINE_CAMPAIGN_H

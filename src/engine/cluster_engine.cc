@@ -1,4 +1,4 @@
-#include "engine/soa_engine.h"
+#include "engine/cluster_engine.h"
 
 #include <algorithm>
 #include <cmath>
@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "obs/tracer.h"
+#include "power/power_meter.h"
 #include "sched/load_shedding.h"
 #include "util/index_sort.h"
 #include "util/logging.h"
@@ -15,7 +16,7 @@ namespace pad::engine {
 
 namespace {
 
-/** Stable pseudo-random shedding priority (core/datacenter.cc). */
+/** Stable pseudo-random shedding priority for a server id. */
 int
 shedPriority(std::size_t serverIdx)
 {
@@ -24,8 +25,8 @@ shedPriority(std::size_t serverIdx)
 
 } // namespace
 
-SoaEngine::SoaEngine(const core::DataCenterConfig &config,
-                     const trace::Workload *workload)
+ClusterEngine::ClusterEngine(const core::DataCenterConfig &config,
+                             const trace::Workload *workload)
     : config_(config),
       traits_(config.overrideTraits ? config.traits
                                     : core::schemeTraits(config.scheme)),
@@ -44,7 +45,7 @@ SoaEngine::SoaEngine(const core::DataCenterConfig &config,
     const auto nm = static_cast<std::size_t>(machines_);
 
     // Every unit shares one parameterization: the cabinet, or the
-    // cabinet split into per-server BBUs (core::DataCenter's units).
+    // cabinet split into per-server BBUs.
     perServer_ = config_.debPlacement ==
                  core::DataCenterConfig::DebPlacement::PerServer;
     unitsPerRack_ =
@@ -137,7 +138,7 @@ SoaEngine::SoaEngine(const core::DataCenterConfig &config,
 }
 
 void
-SoaEngine::setShards(int shards)
+ClusterEngine::setShards(int shards)
 {
     PAD_ASSERT(shards >= 1, "shard count must be positive");
     shards_ = std::min(shards, racks_);
@@ -146,7 +147,7 @@ SoaEngine::setShards(int shards)
 }
 
 void
-SoaEngine::setProfiler(obs::EngineProfiler *prof)
+ClusterEngine::setProfiler(obs::EngineProfiler *prof)
 {
     prof_ = prof;
     if (!prof_)
@@ -188,12 +189,12 @@ SoaEngine::setProfiler(obs::EngineProfiler *prof)
 }
 
 // ---------------------------------------------------------------------
-// A rack's units (core::DataCenter::RackState over the unit kernels)
+// A rack's units (the battery/ unit kernels over the unit arrays)
 // ---------------------------------------------------------------------
 
 Watts
-SoaEngine::rackDischarge(std::size_t r, Watts want, double dtSec,
-                         Watts boundW)
+ClusterEngine::rackDischarge(std::size_t r, Watts want, double dtSec,
+                             Watts boundW)
 {
     if (perServer_)
         return bbuDischarge(r, want, dtSec);
@@ -211,7 +212,7 @@ SoaEngine::rackDischarge(std::size_t r, Watts want, double dtSec,
 }
 
 void
-SoaEngine::rackRecharge(std::size_t r, Watts headroom, double dtSec)
+ClusterEngine::rackRecharge(std::size_t r, Watts headroom, double dtSec)
 {
     PAD_ASSERT(dtSec >= 0.0);
     if (headroom <= 0.0 || dtSec == 0.0)
@@ -225,12 +226,11 @@ SoaEngine::rackRecharge(std::size_t r, Watts headroom, double dtSec)
 }
 
 // ---------------------------------------------------------------------
-// Per-server BBUs (core::DataCenter::RackState over one unit per
-// server; unit index == machine index)
+// Per-server BBUs (one unit per server; unit index == machine index)
 // ---------------------------------------------------------------------
 
 Joules
-SoaEngine::bbuStored(std::size_t r) const
+ClusterEngine::bbuStored(std::size_t r) const
 {
     Joules total = 0.0;
     for (std::size_t u = r * unitsPerRack_; u < (r + 1) * unitsPerRack_;
@@ -240,7 +240,7 @@ SoaEngine::bbuStored(std::size_t r) const
 }
 
 Watts
-SoaEngine::bbuAvailablePower(std::size_t r, double dt) const
+ClusterEngine::bbuAvailablePower(std::size_t r, double dt) const
 {
     Watts total = 0.0;
     for (std::size_t u = r * unitsPerRack_; u < (r + 1) * unitsPerRack_;
@@ -250,7 +250,7 @@ SoaEngine::bbuAvailablePower(std::size_t r, double dt) const
 }
 
 void
-SoaEngine::bbuRest(std::size_t r, double dtSec)
+ClusterEngine::bbuRest(std::size_t r, double dtSec)
 {
     for (std::size_t u = r * unitsPerRack_; u < (r + 1) * unitsPerRack_;
          ++u)
@@ -258,7 +258,7 @@ SoaEngine::bbuRest(std::size_t r, double dtSec)
 }
 
 Watts
-SoaEngine::bbuDischarge(std::size_t r, Watts want, double dtSec)
+ClusterEngine::bbuDischarge(std::size_t r, Watts want, double dtSec)
 {
     if (want <= 0.0) {
         bbuRest(r, dtSec);
@@ -281,7 +281,7 @@ SoaEngine::bbuDischarge(std::size_t r, Watts want, double dtSec)
 }
 
 Watts
-SoaEngine::bbuShaveOwnExcess(std::size_t r, Watts budgetW, double dtSec)
+ClusterEngine::bbuShaveOwnExcess(std::size_t r, Watts budgetW, double dtSec)
 {
     // Each BBU shaves only its own server's excess over the
     // per-server share of the rack budget.
@@ -300,7 +300,7 @@ SoaEngine::bbuShaveOwnExcess(std::size_t r, Watts budgetW, double dtSec)
 }
 
 void
-SoaEngine::bbuRecharge(std::size_t r, Watts headroom, double dtSec)
+ClusterEngine::bbuRecharge(std::size_t r, Watts headroom, double dtSec)
 {
     // Lowest SoC first, so the most drained units recover first when
     // headroom is scarce.
@@ -325,7 +325,7 @@ SoaEngine::bbuRecharge(std::size_t r, Watts headroom, double dtSec)
 // ---------------------------------------------------------------------
 
 void
-SoaEngine::detectorStep(Tick dt)
+ClusterEngine::detectorStep(Tick dt)
 {
     if (!config_.detectorResponse)
         return;
@@ -361,7 +361,7 @@ SoaEngine::detectorStep(Tick dt)
 // ---------------------------------------------------------------------
 
 void
-SoaEngine::rebuildBenign(bool attackMode, int maliciousNodes)
+ClusterEngine::rebuildBenign(bool attackMode, int maliciousNodes)
 {
     if (attackMode != benignAttackMode_ ||
         maliciousNodes != benignMaliciousNodes_) {
@@ -372,11 +372,11 @@ SoaEngine::rebuildBenign(bool attackMode, int maliciousNodes)
 }
 
 void
-SoaEngine::refreshShardRange(std::size_t rackLo, std::size_t rackHi,
-                             bool rebuildBase, bool rebuildValues,
-                             bool fine, std::uint64_t second,
-                             bool rebuildSums, bool attackMode,
-                             int maliciousNodes)
+ClusterEngine::refreshShardRange(std::size_t rackLo, std::size_t rackHi,
+                                 bool rebuildBase, bool rebuildValues,
+                                 bool fine, std::uint64_t second,
+                                 bool rebuildSums, bool attackMode,
+                                 int maliciousNodes)
 {
     const auto perRack = static_cast<std::size_t>(serversPerRack_);
     if (rebuildBase) {
@@ -450,7 +450,7 @@ SoaEngine::refreshShardRange(std::size_t rackLo, std::size_t rackHi,
 }
 
 void
-SoaEngine::refreshDemand(Tick t, bool fine)
+ClusterEngine::refreshDemand(Tick t, bool fine)
 {
     const std::size_t slot = workload_->slotAt(t);
     const auto second =
@@ -514,15 +514,15 @@ SoaEngine::refreshDemand(Tick t, bool fine)
 }
 
 // ---------------------------------------------------------------------
-// Per-step pipeline (core/datacenter.cc order)
+// Per-step pipeline
 // ---------------------------------------------------------------------
 
 void
-SoaEngine::computeStep(StepView &step, Tick t, double dtSec, bool fine,
-                       const attack::TwoPhaseAttacker *attacker,
-                       const core::AttackScenario *scenario,
-                       double attackRelSec, bool attackerActive,
-                       sched::PerfMonitor *windowPerf)
+ClusterEngine::computeStep(StepView &step, Tick t, double dtSec, bool fine,
+                           const attack::TwoPhaseAttacker *attacker,
+                           const core::AttackScenario *scenario,
+                           double attackRelSec, bool attackerActive,
+                           sched::PerfMonitor *windowPerf)
 {
     refreshDemand(t, fine);
     step.totalPower = 0.0;
@@ -595,9 +595,7 @@ SoaEngine::computeStep(StepView &step, Tick t, double dtSec, bool fine,
                 }
             }
         }
-        // Benign work is charged per rack from the cached sums; the
-        // scalar engine charges it per server (same totals, different
-        // FP fold — the documented tolerance-parity point).
+        // Benign work is charged per rack from the cached sums.
         perf_.record(cacheDemand_[r], cacheExecuted_[r], dtSec);
         if (windowPerf)
             windowPerf->record(cacheDemand_[r], cacheExecuted_[r],
@@ -611,8 +609,8 @@ SoaEngine::computeStep(StepView &step, Tick t, double dtSec, bool fine,
 }
 
 void
-SoaEngine::fillServerPower(Tick t, const core::AttackScenario *scenario,
-                           double atkUtil)
+ClusterEngine::fillServerPower(Tick t, const core::AttackScenario *scenario,
+                               double atkUtil)
 {
     // The same per-server draw computeStep summed per rack: benign
     // servers from the per-second cache, the attacker's slots at this
@@ -645,7 +643,7 @@ SoaEngine::fillServerPower(Tick t, const core::AttackScenario *scenario,
 }
 
 void
-SoaEngine::applyShaving(StepView &step, double dtSec)
+ClusterEngine::applyShaving(StepView &step, double dtSec)
 {
     const Watts budget = config_.rackBudget();
     const Watts hardLimit = budget * config_.rackBreakerMargin;
@@ -704,7 +702,7 @@ SoaEngine::applyShaving(StepView &step, double dtSec)
 }
 
 void
-SoaEngine::fillRackLimits()
+ClusterEngine::fillRackLimits()
 {
     const Watts budget = config_.rackBudget();
     const Watts hardLimit = budget * config_.rackBreakerMargin;
@@ -731,10 +729,20 @@ SoaEngine::fillRackLimits()
 }
 
 void
-SoaEngine::applyUdeb(StepView &step, double dtSec)
+ClusterEngine::applyUdeb(StepView &step, double dtSec)
 {
-    // µDEB automatic ORing response; engages only against hidden
-    // spikes (or pool shortfall under sharing). See core/datacenter.cc.
+    // µDEB: automatic ORing response.
+    //
+    // Without sharing it lets sustained above-budget (but
+    // below-limit) operation pass -- those visible peaks belong to
+    // peak shaving/capping -- and absorbs only the offending part of
+    // hidden spikes.
+    //
+    // Under vDEB sharing the pool normally holds every rack at its
+    // budget, so anything still above budget after shaving is pool
+    // shortfall (e.g. a synchronized LVD cascade mid-spike); the
+    // µDEB bridges those seconds until the software policy escalates
+    // -- the "last line of defense against hidden spikes".
     if (!traits_.udebSpikes)
         return;
     const Watts budget = config_.rackBudget();
@@ -761,7 +769,7 @@ SoaEngine::applyUdeb(StepView &step, double dtSec)
 }
 
 void
-SoaEngine::rechargeAll(const StepView &step, double dtSec)
+ClusterEngine::rechargeAll(const StepView &step, double dtSec)
 {
     (void)step;
     const Watts budget = config_.rackBudget();
@@ -784,7 +792,7 @@ SoaEngine::rechargeAll(const StepView &step, double dtSec)
 }
 
 void
-SoaEngine::controlDecisions(const StepView &step, double dtSec)
+ClusterEngine::controlDecisions(const StepView &step, double dtSec)
 {
     const Watts budget = config_.rackBudget();
     const auto nRacks = static_cast<std::size_t>(racks_);
@@ -912,7 +920,7 @@ SoaEngine::controlDecisions(const StepView &step, double dtSec)
 }
 
 void
-SoaEngine::telemetrySample(const StepView &step)
+ClusterEngine::telemetrySample(const StepView &step)
 {
     if (!telemetry_)
         return;
@@ -936,7 +944,7 @@ SoaEngine::telemetrySample(const StepView &step)
 }
 
 void
-SoaEngine::stepCoarse()
+ClusterEngine::stepCoarse()
 {
     obs::setTraceClock(now_);
     if (prof_)
@@ -983,15 +991,15 @@ SoaEngine::stepCoarse()
 }
 
 void
-SoaEngine::runCoarseUntil(Tick until)
+ClusterEngine::runCoarseUntil(Tick until)
 {
     while (now_ < until)
         stepCoarse();
 }
 
 core::AttackOutcome
-SoaEngine::runAttack(attack::TwoPhaseAttacker &attacker,
-                     const core::AttackScenario &scenario)
+ClusterEngine::runAttack(attack::TwoPhaseAttacker &attacker,
+                         const core::AttackScenario &scenario)
 {
     core::AttackScenario sc = scenario;
     switch (sc.targetPolicy) {
@@ -1278,13 +1286,13 @@ SoaEngine::runAttack(attack::TwoPhaseAttacker &attacker,
 // ---------------------------------------------------------------------
 
 double
-SoaEngine::rackSoc(std::size_t r) const
+ClusterEngine::rackSoc(std::size_t r) const
 {
     return rackStored(r) / std::max(rackCapJ_, 1e-9);
 }
 
 std::vector<double>
-SoaEngine::allSocs() const
+ClusterEngine::allSocs() const
 {
     std::vector<double> socs;
     socs.reserve(static_cast<std::size_t>(racks_));
@@ -1294,7 +1302,7 @@ SoaEngine::allSocs() const
 }
 
 std::vector<double>
-SoaEngine::unitSocs() const
+ClusterEngine::unitSocs() const
 {
     std::vector<double> socs;
     socs.reserve(y1_.size());
@@ -1304,7 +1312,7 @@ SoaEngine::unitSocs() const
 }
 
 double
-SoaEngine::socStdDevPercent() const
+ClusterEngine::socStdDevPercent() const
 {
     const auto socs = allSocs();
     double mean = 0.0;
@@ -1319,7 +1327,7 @@ SoaEngine::socStdDevPercent() const
 }
 
 int
-SoaEngine::medianSocRack() const
+ClusterEngine::medianSocRack() const
 {
     std::vector<std::pair<Joules, int>> byEnergy;
     byEnergy.reserve(static_cast<std::size_t>(racks_));
@@ -1330,7 +1338,7 @@ SoaEngine::medianSocRack() const
 }
 
 int
-SoaEngine::mostVulnerableRack() const
+ClusterEngine::mostVulnerableRack() const
 {
     int best = 0;
     Joules lowest = rackStored(0);
@@ -1344,7 +1352,7 @@ SoaEngine::mostVulnerableRack() const
 }
 
 void
-SoaEngine::setAllSoc(double soc)
+ClusterEngine::setAllSoc(double soc)
 {
     PAD_ASSERT(soc >= 0.0 && soc <= 1.0);
     for (std::size_t u = 0; u < y1_.size(); ++u) {
@@ -1362,14 +1370,14 @@ SoaEngine::setAllSoc(double soc)
 }
 
 int
-SoaEngine::sheddedServers() const
+ClusterEngine::sheddedServers() const
 {
     return static_cast<int>(
         std::count(shed_.begin(), shed_.end(), std::uint8_t{1}));
 }
 
 void
-SoaEngine::exportStats(sim::StatsRegistry &stats) const
+ClusterEngine::exportStats(sim::StatsRegistry &stats) const
 {
     auto scalar = [&](const std::string &name, double value,
                       const std::string &desc) {
@@ -1442,7 +1450,7 @@ SoaEngine::exportStats(sim::StatsRegistry &stats) const
 }
 
 void
-SoaEngine::dumpStats(std::ostream &os) const
+ClusterEngine::dumpStats(std::ostream &os) const
 {
     sim::StatsRegistry stats;
     exportStats(stats);

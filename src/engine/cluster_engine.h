@@ -1,17 +1,28 @@
 /**
  * @file
- * Structure-of-arrays batch engine.
+ * The cluster simulation engine (paper Fig. 11-B).
  *
- * The scalar core::DataCenter keeps per-rack state behind unique_ptr
- * components (BatteryUnit, MicroDeb, CircuitBreaker, PowerMeter) and
- * walks every server's power curve on every tick. This engine lays
- * the same physics out as parallel arrays over racks and servers so
- * the per-tick KiBaM step, demand evaluation and µDEB shaving run as
+ * Binds the substrates together: a Workload drives per-server
+ * utilization; the ServerPowerModel turns it into electrical power;
+ * DEB units (KiBaM) shave peaks under the configured management
+ * scheme; µDEB super-caps absorb hidden spikes; the security policy
+ * escalates through L1/L2/L3; breakers, meters and attack statistics
+ * observe the outcome. Two time scales are simulated: coarse steps at
+ * the trace's 5-minute granularity for days of normal operation, and
+ * fine 100 ms steps inside an attack window.
+ *
+ * Rack, battery and server state live in parallel arrays, so the
+ * per-tick KiBaM step, demand evaluation and µDEB shaving run as
  * tight batch loops over flat state, with every scratch buffer
  * allocated once at construction (the per-run arena) and reused for
- * the engine's lifetime.
+ * the engine's lifetime. The per-unit physics — KiBaM wells, LVD,
+ * charger latch and wear (battery/), the µDEB guard (core/udeb.h),
+ * the breaker and the interval meter (power/) — are free kernels over
+ * plain state, run here on one slot of the arrays; the rack-lab
+ * components (battery::BatteryUnit and friends) call the same
+ * kernels.
  *
- * Two structural optimizations carry the speedup:
+ * Two structural optimizations carry the speed:
  *
  *  - Per-second benign caching. Benign demand changes only when the
  *    trace slot or the jitter second changes, and the shed/DVFS
@@ -30,85 +41,143 @@
  *    never the physics, so `n` shards produce exactly the serial
  *    engine's bytes.
  *
- * Parity contract (asserted by engine_parity_test / soa_backend_test,
- * and by the golden-output ctests): the per-unit physics has one copy.
- * KiBaM wells, LVD, charger latch and wear (battery/), the µDEB guard
- * (core/udeb.h), the breaker and the interval meter (power/) are free
- * kernels over plain state; this engine runs them on one slot of its
- * arrays and the scalar components on their members, so a unit fed
- * the same requests ends in bit-equal state. The engines differ only
- * in rack logic: rack power is summed benign-first rather than in
- * server order, and throughput is accounted per rack rather than per
- * server, so outputs against the scalar engine agree physically
- * (energy conservation, SoC bounds, survival within tolerance)
- * without being bit-identical, and every figure and table prints the
- * same bytes on both.
- *
  * Both DEB placements run here. The battery arrays hold
  * units-per-rack slots per rack: one cabinet per rack (RackCabinet,
  * where unit index == rack index and the hot loops touch one well
  * per rack) or one BBU per server (PerServer, where unit index ==
  * machine index). Per-server units split a rack's discharge in
  * proportion to stored charge, each bounded by its own server's
- * draw, and recharge lowest-SoC first, as core::DataCenter's
- * RackState and battery::ChargeController do.
+ * draw, and recharge lowest-SoC first.
  */
 
-#ifndef PAD_ENGINE_SOA_ENGINE_H
-#define PAD_ENGINE_SOA_ENGINE_H
+#ifndef PAD_ENGINE_CLUSTER_ENGINE_H
+#define PAD_ENGINE_CLUSTER_ENGINE_H
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
+#include "attack/attacker.h"
 #include "battery/battery_unit.h"
 #include "battery/charge_policy.h"
+#include "core/config.h"
+#include "core/datacenter.h"
 #include "core/security_policy.h"
 #include "core/udeb.h"
 #include "core/vdeb.h"
-#include "engine/backend.h"
 #include "power/circuit_breaker.h"
+#include "obs/prof.h"
 #include "power/server_power_model.h"
 #include "sched/load_shedding.h"
 #include "sched/perf_monitor.h"
+#include "sim/stats_registry.h"
+#include "telemetry/hub.h"
+#include "trace/workload.h"
 
 namespace pad::engine {
 
-/** The SoA batch simulation engine. */
-class SoaEngine final : public ClusterEngine
+/**
+ * The engine's name in run manifests, padsim's table and padd's
+ * status: the structure-of-arrays engine. Manifests written while
+ * there was a scalar engine may also say "optimized".
+ */
+inline constexpr const char *kEngineName = "soa";
+
+/** The simulated battery-backed data center. */
+class ClusterEngine
 {
   public:
-    SoaEngine(const core::DataCenterConfig &config,
-              const trace::Workload *workload);
+    /**
+     * @param config   static configuration
+     * @param workload utilization timeline (not owned; must outlive
+     *                 the engine)
+     */
+    ClusterEngine(const core::DataCenterConfig &config,
+                  const trace::Workload *workload);
 
-    void runCoarseUntil(Tick until) override;
-    void stepCoarse() override;
-    void setRecordHistory(bool on) override { recordHistory_ = on; }
-    const std::vector<std::vector<double>> &socHistory() const override
+    /** Run coarse (trace-slot) steps until tick @p until. */
+    void runCoarseUntil(Tick until);
+
+    /**
+     * Advance exactly one coarse (trace-slot) step. The unit of
+     * progress for callers that interleave simulation with external
+     * input — the padd service loop paces and applies control
+     * commands on these boundaries. runCoarseUntil(t) is equivalent
+     * to stepping while now() < t.
+     */
+    void stepCoarse();
+
+    /** Enable per-step SOC history recording for map figures. */
+    void setRecordHistory(bool on) { recordHistory_ = on; }
+
+    /** SOC history: one row per coarse step, one column per rack. */
+    const std::vector<std::vector<double>> &socHistory() const
     {
         return socHistory_;
     }
-    const std::vector<double> &shedHistory() const override
-    {
-        return shedHistory_;
-    }
-    core::AttackOutcome
-    runAttack(attack::TwoPhaseAttacker &attacker,
-              const core::AttackScenario &scenario) override;
-    void setAllSoc(double soc) override;
-    Tick now() const override { return now_; }
-    std::vector<double> allSocs() const override;
-    double socStdDevPercent() const override;
-    std::uint64_t detectionsFlagged() const override { return detections_; }
-    void setTelemetry(telemetry::TelemetryHub *hub) override
-    {
-        telemetry_ = hub;
-    }
-    void setProfiler(obs::EngineProfiler *prof) override;
-    void exportStats(sim::StatsRegistry &stats) const override;
-    void dumpStats(std::ostream &os) const override;
-    const core::DataCenterConfig &config() const override { return config_; }
-    BackendKind kind() const override { return BackendKind::Soa; }
+
+    /** Shed-ratio history aligned with socHistory. */
+    const std::vector<double> &shedHistory() const { return shedHistory_; }
+
+    /**
+     * Run a fine-grained attack window starting at the current
+     * simulation time, using the present battery state.
+     *
+     * @param attacker the adversary strategy (advanced in place)
+     * @param scenario attack parameters
+     */
+    core::AttackOutcome runAttack(attack::TwoPhaseAttacker &attacker,
+                                  const core::AttackScenario &scenario);
+
+    /** Force every DEB and µDEB to a given SOC (scenario setup). */
+    void setAllSoc(double soc);
+
+    /** Present simulation time. */
+    Tick now() const { return now_; }
+
+    /** SOC of every rack. */
+    std::vector<double> allSocs() const;
+
+    /** Standard deviation of SOC across racks, in percent. */
+    double socStdDevPercent() const;
+
+    /** Anomalies flagged by the optional detector response. */
+    std::uint64_t detectionsFlagged() const { return detections_; }
+
+    /** Benign-work throughput accounting since construction. */
+    const sched::PerfMonitor &perf() const { return perf_; }
+
+    /**
+     * Attach a telemetry hub: every control period the engine
+     * records per-rack power/draw/SOC/µDEB-SOC, PDU totals, the
+     * security level, the shed-server count and the detector score
+     * into it. Pass nullptr to detach; the hub is not owned and the
+     * default (no hub) costs nothing.
+     */
+    void setTelemetry(telemetry::TelemetryHub *hub) { telemetry_ = hub; }
+
+    /**
+     * Attach/detach a self-profiler (not owned; nullptr detaches).
+     * Detached — the default — instrumentation is a pointer test and
+     * the engine's outputs are byte-identical to an unprofiled build.
+     */
+    void setProfiler(obs::EngineProfiler *prof);
+
+    /**
+     * Export the full telemetry of the run into @p stats: per-rack
+     * battery state, wear, LVD trips, µDEB engagements, breaker
+     * trips, shedding, policy transitions and throughput accounting.
+     * Registered names are stable; re-exporting into the same
+     * registry overwrites the previous snapshot.
+     */
+    void exportStats(sim::StatsRegistry &stats) const;
+
+    /** exportStats() rendered as a gem5-style text dump. */
+    void dumpStats(std::ostream &os) const;
+
+    /** Static configuration. */
+    const core::DataCenterConfig &config() const { return config_; }
 
     /**
      * Split the per-second demand refresh across @p shards worker
@@ -179,8 +248,8 @@ class SoaEngine final : public ClusterEngine
                                      unitSoc(u));
     }
 
-    // --- a rack's units (core::DataCenter::RackState): a cabinet is
-    //     its rack's one unit; per-server BBUs loop in bbu* ---
+    // --- a rack's units: a cabinet is its rack's one unit;
+    //     per-server BBUs loop in bbu* ---
     Joules rackStored(std::size_t r) const
     {
         return perServer_ ? bbuStored(r) : unitStored(r);
@@ -203,7 +272,10 @@ class SoaEngine final : public ClusterEngine
      */
     Watts rackDischarge(std::size_t r, Watts want, double dtSec,
                         Watts boundW);
-    /** ChargeController::recharge over rack @p r's units. */
+    /**
+     * Recharge rack @p r's units from @p headroom watts, lowest SoC
+     * first, each taking charge only when the charge policy wants it.
+     */
     void rackRecharge(std::size_t r, Watts headroom, double dtSec);
 
     // Per-server BBU loops, one unit per server.
@@ -238,7 +310,7 @@ class SoaEngine final : public ClusterEngine
                            std::uint64_t second, bool rebuildSums,
                            bool attackMode, int maliciousNodes);
 
-    // --- per-step pipeline (core/datacenter.cc order) ---
+    // --- per-step pipeline ---
     void computeStep(StepView &step, Tick t, double dtSec, bool fine,
                      const attack::TwoPhaseAttacker *attacker,
                      const core::AttackScenario *scenario,
@@ -278,7 +350,7 @@ class SoaEngine final : public ClusterEngine
     // (unitsPerRack_ == serversPerRack_, unit index == machine index).
     bool perServer_;
     std::size_t unitsPerRack_;
-    Joules rackCapJ_; ///< summed unit capacity, RackState::capacity()
+    Joules rackCapJ_; ///< summed unit capacity of one rack
 
     // One parameterization shared by every unit (a cabinet's, or a
     // cabinet split across servers), with one coefficient memo.
@@ -389,4 +461,4 @@ class SoaEngine final : public ClusterEngine
 
 } // namespace pad::engine
 
-#endif // PAD_ENGINE_SOA_ENGINE_H
+#endif // PAD_ENGINE_CLUSTER_ENGINE_H

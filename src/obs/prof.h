@@ -2,8 +2,8 @@
  * @file
  * Engine self-profiling: where does simulation time actually go?
  *
- * EngineProfiler is the introspection seam shared by every
- * ClusterEngine backend. It accumulates
+ * EngineProfiler is the cluster engine's introspection seam. It
+ * accumulates
  *
  *   - per-phase wall time (demand eval, KiBaM batch step, µDEB shave,
  *     detector, telemetry flush, shard merge) via RAII PhaseScope,

@@ -13,7 +13,7 @@
  *
  * With no scope bound, traceEnabled() is a thread-local pointer test
  * and nothing — not even the field list — is materialized. Components
- * without their own clock rely on whoever drives them (DataCenter,
+ * without their own clock rely on whoever drives them (the engine,
  * the experiment loop) calling setTraceClock(now) each step.
  */
 

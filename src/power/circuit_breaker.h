@@ -47,7 +47,7 @@ struct CircuitBreakerConfig {
  * Inverse-time trip kernel over plain breaker state: observe a
  * constant draw of @p power for @p dt seconds, heating @p heat above
  * the hold ratio and cooling it below, and count a trip in @p trips.
- * @p name labels the trace event. CircuitBreaker and the SoA engine's
+ * @p name labels the trace event. CircuitBreaker and the cluster engine's
  * per-rack arrays both call it.
  * @retval true the breaker tripped during this interval
  */

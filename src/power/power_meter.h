@@ -34,7 +34,7 @@ struct MeterReading {
  * of @p power for @p dt ticks from the meter clock @p now, in the
  * interval that began at @p intervalStart with @p energy watt-ticks
  * so far. Each interval boundary crossed publishes its average via
- * @p onReading(MeterReading). PowerMeter and the SoA engine's
+ * @p onReading(MeterReading). PowerMeter and the cluster engine's
  * per-rack detector meters both call it.
  */
 template <typename OnReading>

@@ -8,6 +8,7 @@
 #include "attack/power_virus.h"
 #include "battery/battery_unit.h"
 #include "core/udeb.h"
+#include "engine/cluster_engine.h"
 #include "engine/prof_stats.h"
 #include "obs/tracer.h"
 #include "power/server_power_model.h"
@@ -315,16 +316,14 @@ makeProfiler(engine::ClusterEngine &dc, bool profileEngine,
 ExperimentResult
 runClusterAttack(const ClusterAttackSpec &spec,
                  const ClusterWorkload &cw, std::uint64_t seed,
-                 engine::BackendKind backend, bool telemetryEnabled,
+                 bool telemetryEnabled,
                  const alert::RuleSet *rules, bool profileEngine,
                  obs::EngineProfiler::ClockFn profileClock)
 {
     core::DataCenterConfig cfg = resolveConfig(spec);
     if (seed != kSpecSeed)
         cfg.seed = seed;
-    auto enginePtr =
-        engine::makeClusterEngine(backend, cfg, cw.workload.get());
-    engine::ClusterEngine &dc = *enginePtr;
+    engine::ClusterEngine dc(cfg, cw.workload.get());
     auto prof = makeProfiler(dc, profileEngine, profileClock);
     JobMonitoring mon(dc, telemetryEnabled, rules);
     // Warm up through one night and the next morning so batteries
@@ -406,7 +405,7 @@ runClusterAttack(const ClusterAttackSpec &spec,
 ExperimentResult
 runClusterCoarse(const ClusterCoarseSpec &spec,
                  const ClusterWorkload &cw, std::uint64_t seed,
-                 engine::BackendKind backend, bool telemetryEnabled,
+                 bool telemetryEnabled,
                  const alert::RuleSet *rules, bool profileEngine,
                  obs::EngineProfiler::ClockFn profileClock)
 {
@@ -420,9 +419,7 @@ runClusterCoarse(const ClusterCoarseSpec &spec,
     }
     if (seed != kSpecSeed)
         cfg.seed = seed;
-    auto enginePtr =
-        engine::makeClusterEngine(backend, cfg, cw.workload.get());
-    engine::ClusterEngine &dc = *enginePtr;
+    engine::ClusterEngine dc(cfg, cw.workload.get());
     auto prof = makeProfiler(dc, profileEngine, profileClock);
     JobMonitoring mon(dc, telemetryEnabled, rules);
     dc.setRecordHistory(spec.recordHistory);
@@ -593,7 +590,6 @@ runExperiment(const Experiment &experiment)
         return runClusterAttack(experiment.attack,
                                 *experiment.workload,
                                 experiment.seed,
-                                experiment.backend,
                                 experiment.telemetryEnabled,
                                 experiment.alertRules.get(),
                                 experiment.profileEngine,
@@ -604,7 +600,6 @@ runExperiment(const Experiment &experiment)
         return runClusterCoarse(experiment.coarse,
                                 *experiment.workload,
                                 experiment.seed,
-                                experiment.backend,
                                 experiment.telemetryEnabled,
                                 experiment.alertRules.get(),
                                 experiment.profileEngine,

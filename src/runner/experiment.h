@@ -290,7 +290,7 @@ struct Experiment {
      */
     std::uint64_t seed = kSpecSeed;
     /**
-     * Attach a telemetry hub to the job's DataCenter (cluster kinds
+     * Attach a telemetry hub to the job's engine (cluster kinds
      * only): per-rack power/SOC, PDU totals, policy level, shed
      * count and detector score land in ExperimentResult::hub. Off by
      * default — the zero-cost-when-disabled contract — and purely
@@ -308,11 +308,10 @@ struct Experiment {
      */
     std::shared_ptr<const alert::RuleSet> alertRules;
     /**
-     * Engine backend for the cluster kinds. The choice travels with
-     * the job, so concurrent sweep workers can mix backends freely.
-     * Soa, the batch engine, is the default and runs every
-     * configuration; Optimized is the scalar reference engine
-     * (physically equivalent, not bit-identical).
+     * Read by nothing in this tree: every cluster job runs the one
+     * engine::ClusterEngine. The field exists only for the frozen
+     * repository benchmark's makeClusterEngine(e.backend, ...) call
+     * (engine/backend.h) and goes with that benchmark's next revision.
      */
     engine::BackendKind backend = engine::BackendKind::Soa;
     /**
@@ -373,7 +372,7 @@ struct ExperimentResult {
     core::AttackOutcome attackOutcome;
     ClusterTelemetry telemetry;
     /**
-     * The job's full stats registry (DataCenter::exportStats for
+     * The job's full stats registry (ClusterEngine::exportStats for
      * cluster kinds, lab summary stats for the rack kinds). Shared
      * pointer because StatsRegistry is move-only while results are
      * copied around freely; derived purely from the experiment value,

@@ -13,7 +13,7 @@
 #include "attack/virus_trace.h"
 #include "core/config.h"
 #include "core/datacenter.h"
-#include "engine/backend.h"
+#include "engine/cluster_engine.h"
 #include "obs/manifest.h"
 #include "obs/tracer.h"
 #include "service/control.h"
@@ -84,8 +84,8 @@ class SessionRuntime
         cfg_.deb = core::defaultDebConfig(cfg_.rackNameplate());
         cfg_.seed = config_.seed;
         cfg_.detectorResponse = config_.detector;
-        engine_ = engine::makeClusterEngine(config_.backend, cfg_,
-                                            &*workload_);
+        engine_ = std::make_unique<engine::ClusterEngine>(cfg_,
+                                                          &*workload_);
 
         // The daemon exists to be observed, so the hub is always on
         // (live mode serves it over /metrics; replay needs it anyway
@@ -576,8 +576,7 @@ ServiceDaemon::run()
         manifest.config = {
             {"scheme",
              std::string(core::schemeName(opts_.config.scheme))},
-            {"backend",
-             std::string(engine::backendName(opts_.config.backend))},
+            {"backend", engine::kEngineName},
             {"budget", std::to_string(opts_.config.budget)},
             {"cluster_budget",
              std::to_string(opts_.config.clusterBudget)},
@@ -691,7 +690,7 @@ ServiceDaemon::applyCommand(const std::string &line)
                 .key("scheme")
                 .value(core::schemeName(opts_.config.scheme))
                 .key("backend")
-                .value(engine::backendName(opts_.config.backend))
+                .value(engine::kEngineName)
                 .key("attacks")
                 .value(runtime_->attackCount())
                 .key("incidents")

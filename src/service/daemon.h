@@ -47,6 +47,7 @@
 #include <string>
 
 #include "service/session.h"
+#include "sim/stats_registry.h"
 #include "util/types.h"
 
 namespace pad::telemetry {

@@ -52,6 +52,10 @@ styleFromName(std::string_view name)
 
 namespace {
 
+const char *const kSpecRange =
+    "attack spec out of range (nodes 1-10, racks 1-22, "
+    "duration_sec > 0, victim_pct 0-100)";
+
 void
 writeAttackSpec(JsonWriter &w, const AttackSpec &spec)
 {
@@ -98,16 +102,24 @@ parseAttackSpecNode(const JsonValue &node, AttackSpec &out,
                 return false;
             }
             out.style = *s;
-        } else if (key == "nodes") {
-            out.nodes = static_cast<int>(value.number);
-        } else if (key == "racks") {
-            out.racks = static_cast<int>(value.number);
+        } else if (key == "nodes" || key == "racks") {
+            // Bounded before the narrowing cast; the exact ranges are
+            // checked below.
+            Tick n = 0;
+            if (!tickFrom(value.number, n) || n < 0 || n > 1000) {
+                what = kSpecRange;
+                return false;
+            }
+            (key == "nodes" ? out.nodes : out.racks) = static_cast<int>(n);
         } else if (key == "duration_sec") {
             out.durationSec = value.number;
         } else if (key == "victim_pct") {
             out.victimPct = value.number;
         } else if (key == "seed") {
-            out.seed = static_cast<std::uint64_t>(value.number);
+            if (!countFrom(value.number, out.seed)) {
+                what = "\"seed\" out of range";
+                return false;
+            }
         } else {
             what = "unknown attack-spec key \"" + key + "\"";
             return false;
@@ -116,8 +128,7 @@ parseAttackSpecNode(const JsonValue &node, AttackSpec &out,
     if (out.nodes < 1 || out.nodes > 10 || out.racks < 1 ||
         out.racks > 22 || out.durationSec <= 0.0 ||
         out.victimPct < 0.0 || out.victimPct > 100.0) {
-        what = "attack spec out of range (nodes 1-10, racks 1-22, "
-               "duration_sec > 0, victim_pct 0-100)";
+        what = kSpecRange;
         return false;
     }
     return true;
@@ -128,7 +139,6 @@ writeConfig(JsonWriter &w, const ServiceConfig &config)
 {
     w.beginObject()
         .key("scheme").value(core::schemeName(config.scheme))
-        .key("backend").value(engine::backendName(config.backend))
         .key("budget").value(config.budget)
         .key("cluster_budget").value(config.clusterBudget)
         .key("hour").value(config.hour)
@@ -158,14 +168,15 @@ parseConfigNode(const JsonValue &node, ServiceConfig &out,
             }
             out.scheme = *s;
         } else if (key == "backend") {
-            const auto b =
-                value.isString() ? engine::backendFromName(value.str)
-                                 : std::nullopt;
-            if (!b) {
-                what = "unknown backend";
+            // Sessions recorded while padd had a backend choice name
+            // "soa", the one engine there is now. An "optimized"
+            // session ran the deleted scalar engine and would not
+            // replay identically.
+            if (!value.isString() || value.str != "soa") {
+                what = "unknown backend (sessions replay on the one "
+                       "engine, \"soa\")";
                 return false;
             }
-            out.backend = *b;
         } else if (key == "detector") {
             if (!value.isBool()) {
                 what = "\"detector\" must be a bool";
@@ -186,7 +197,10 @@ parseConfigNode(const JsonValue &node, ServiceConfig &out,
         } else if (key == "duration_sec") {
             out.durationSec = value.number;
         } else if (key == "seed") {
-            out.seed = static_cast<std::uint64_t>(value.number);
+            if (!countFrom(value.number, out.seed)) {
+                what = "\"seed\" out of range";
+                return false;
+            }
         } else {
             what = "unknown config key \"" + key + "\"";
             return false;
@@ -355,8 +369,9 @@ parseSession(std::string_view text, std::string *error)
             if (!seq || !seq->isNumber() || !tick ||
                 !tick->isNumber() || !name || !name->isString())
                 return fail(lineNo, "cmd needs seq/tick/name");
-            cmd.seq = static_cast<std::uint64_t>(seq->number);
-            cmd.tick = static_cast<Tick>(tick->number);
+            if (!countFrom(seq->number, cmd.seq) ||
+                !tickFrom(tick->number, cmd.tick) || cmd.tick < 0)
+                return fail(lineNo, "cmd seq/tick out of range");
             cmd.name = name->str;
             if (cmd.name == "inject-attack") {
                 const JsonValue *spec = node->find("spec");
@@ -387,7 +402,8 @@ parseSession(std::string_view text, std::string *error)
             const JsonValue *tick = node->find("tick");
             if (!tick || !tick->isNumber())
                 return fail(lineNo, "end needs a tick");
-            log.endTick = static_cast<Tick>(tick->number);
+            if (!tickFrom(tick->number, log.endTick) || log.endTick < 0)
+                return fail(lineNo, "end tick out of range");
             sawEnd = true;
             continue;
         }

@@ -46,7 +46,6 @@
 #include "attack/power_virus.h"
 #include "attack/virus_trace.h"
 #include "core/schemes.h"
-#include "engine/backend.h"
 #include "util/json.h"
 #include "util/types.h"
 
@@ -55,7 +54,6 @@ namespace pad::service {
 /** Static configuration of one padd session (the header payload). */
 struct ServiceConfig {
     core::SchemeKind scheme = core::SchemeKind::Pad;
-    engine::BackendKind backend = engine::BackendKind::Soa;
     /** Per-rack soft-budget fraction (padsim --budget). */
     double budget = 0.75;
     /** Cluster budget fraction (padsim --cluster-budget). */

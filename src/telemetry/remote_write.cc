@@ -75,29 +75,6 @@ appendString(std::string &out, std::string_view s)
     out += '"';
 }
 
-constexpr double kTwoPow63 = 9223372036854775808.0;
-constexpr double kTwoPow64 = 18446744073709551616.0;
-
-/** @p d as a Tick; false unless finite and inside Tick's range. */
-bool
-tickFrom(double d, Tick &out)
-{
-    if (!(d >= -kTwoPow63 && d < kTwoPow63))
-        return false;
-    out = static_cast<Tick>(d);
-    return true;
-}
-
-/** @p d as a count; false unless finite and inside uint64's range. */
-bool
-countFrom(double d, std::uint64_t &out)
-{
-    if (!(d >= 0.0 && d < kTwoPow64))
-        return false;
-    out = static_cast<std::uint64_t>(d);
-    return true;
-}
-
 /**
  * One pad-rw-v1 line read in a single pass through a JsonReader,
  * straight into an RwBatch. It accepts exactly what a JSON DOM plus

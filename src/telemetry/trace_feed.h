@@ -17,8 +17,8 @@
  *   soc.sample             -> rackN.soc / rackN.udeb_soc /
  *                             rackN.power / rackN.draw
  *
- * Unrecognised events only pass through. Direct DataCenter hooks
- * (DataCenter::setTelemetry) cover the dense per-step power series;
+ * Unrecognised events only pass through. Direct engine hooks
+ * (ClusterEngine::setTelemetry) cover the dense per-step power series;
  * this adapter exists for flows where only the event stream is
  * available.
  */

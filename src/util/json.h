@@ -15,6 +15,7 @@
 #ifndef PAD_UTIL_JSON_H
 #define PAD_UTIL_JSON_H
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -22,6 +23,8 @@
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "util/types.h"
 
 namespace pad {
 
@@ -172,6 +175,33 @@ class JsonReader
  */
 std::optional<JsonValue> parseJson(std::string_view text,
                                    std::string *error = nullptr);
+
+/**
+ * The one checked conversion of a JSON number to an integer field.
+ * A cast of a double outside the target's range is undefined
+ * behaviour, so readers of untrusted documents go through these.
+ * Both truncate toward zero like the cast.
+ */
+inline bool
+tickFrom(double d, Tick &out)
+{
+    constexpr double kTwoPow63 = 9223372036854775808.0;
+    if (!(d >= -kTwoPow63 && d < kTwoPow63))
+        return false; // also rejects NaN and infinities
+    out = static_cast<Tick>(d);
+    return true;
+}
+
+/** @p d as a count; false unless finite and inside uint64's range. */
+inline bool
+countFrom(double d, std::uint64_t &out)
+{
+    constexpr double kTwoPow64 = 18446744073709551616.0;
+    if (!(d >= 0.0 && d < kTwoPow64))
+        return false;
+    out = static_cast<std::uint64_t>(d);
+    return true;
+}
 
 } // namespace pad
 

@@ -20,7 +20,7 @@
  *
  *     out(key, n) = splitmix64(key ^ n)
  *
- * which gives three properties the engine backends rely on:
+ * which gives three properties the cluster engine relies on:
  *
  *  1. **O(1) seek**: `seek(n)` just sets the counter; a stream
  *     positioned at n and a stream that drew n values sequentially
@@ -32,7 +32,7 @@
  *     parent. Splitting never advances the parent's counter.
  *  3. **Layout independence**: because output depends only on
  *     (key, n), work sharded across threads draws the same values as
- *     a serial walk — the foundation of the SoA backend's
+ *     a serial walk — the foundation of the engine's
  *     sharded-vs-serial bit-identity guarantee.
  *
  * The per-(machine, second) workload jitter has always been the hash

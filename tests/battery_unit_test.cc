@@ -250,19 +250,20 @@ TEST(ChargePolicy, NamesRoundTrip)
     EXPECT_EQ(chargePolicyName(ChargePolicyKind::Online), "online");
 }
 
+// The per-unit recharge decision is the chargeWanted() kernel; the
+// cluster engine's per-rack recharge (lowest SoC first, within the
+// headroom) is pinned bit for bit by DataCenterParity's per-server
+// anchors and by golden.ablation_placement.
+
 TEST(ChargePolicy, OnlineTopsUpAnyNonFullUnit)
 {
     ChargeControllerConfig cfg;
     cfg.kind = ChargePolicyKind::Online;
-    ChargeController ctl(cfg);
-    BatteryUnit a("a", rackDeb());
-    BatteryUnit b("b", rackDeb());
-    a.setSoc(0.90);
-    b.setSoc(0.95);
-    std::vector<BatteryUnit *> units{&a, &b};
-    const Joules absorbed = ctl.recharge(units, 2000.0, 60.0);
-    EXPECT_GT(absorbed, 0.0);
-    EXPECT_GT(a.soc(), 0.90);
+    std::uint8_t latch = 0;
+    EXPECT_TRUE(chargeWanted(latch, cfg, 0.90));
+    EXPECT_TRUE(chargeWanted(latch, cfg, 0.95));
+    EXPECT_FALSE(chargeWanted(latch, cfg, 0.9995)); // full
+    EXPECT_EQ(latch, 0); // online keeps no latch
 }
 
 TEST(ChargePolicy, OfflineWaitsForThreshold)
@@ -270,30 +271,15 @@ TEST(ChargePolicy, OfflineWaitsForThreshold)
     ChargeControllerConfig cfg;
     cfg.kind = ChargePolicyKind::Offline;
     cfg.offlineStartSoc = 0.40;
-    ChargeController ctl(cfg);
-    BatteryUnit a("a", rackDeb());
-    a.setSoc(0.60); // above the recharge-start threshold
-    std::vector<BatteryUnit *> units{&a};
-    EXPECT_DOUBLE_EQ(ctl.recharge(units, 2000.0, 60.0), 0.0);
-    a.setSoc(0.35); // below: now it charges, and keeps charging
-    EXPECT_GT(ctl.recharge(units, 2000.0, 60.0), 0.0);
-    EXPECT_GT(ctl.recharge(units, 2000.0, 60.0), 0.0);
-}
-
-TEST(ChargePolicy, LowestSocChargedFirstWhenHeadroomScarce)
-{
-    ChargeControllerConfig cfg;
-    cfg.kind = ChargePolicyKind::Online;
-    ChargeController ctl(cfg);
-    BatteryUnit low("low", rackDeb());
-    BatteryUnit high("high", rackDeb());
-    low.setSoc(0.20);
-    high.setSoc(0.80);
-    std::vector<BatteryUnit *> units{&high, &low};
-    // Headroom covers only one unit's max charge rate.
-    ctl.recharge(units, rackDeb().maxChargePower, 60.0);
-    EXPECT_GT(low.soc(), 0.20);
-    EXPECT_NEAR(high.soc(), 0.80, 1e-6);
+    std::uint8_t latch = 0;
+    // Above the recharge-start threshold: no charge.
+    EXPECT_FALSE(chargeWanted(latch, cfg, 0.60));
+    // Below: now it charges, and keeps charging on the way up...
+    EXPECT_TRUE(chargeWanted(latch, cfg, 0.35));
+    EXPECT_TRUE(chargeWanted(latch, cfg, 0.60));
+    // ...until the stop threshold.
+    EXPECT_FALSE(chargeWanted(latch, cfg, cfg.offlineStopSoc));
+    EXPECT_FALSE(chargeWanted(latch, cfg, 0.60));
 }
 
 } // namespace

@@ -1,10 +1,8 @@
 /**
  * @file
- * Bench CLI plumbing tests: the default engine backend, and that
- * runSweep stamps the --backend choice onto every cluster job — the
- * default included — so `--backend optimized` really runs the scalar
- * engine and a bench's --stats-json comes from the engine its
- * manifest names.
+ * Bench CLI plumbing tests: the manifest names the one engine, the
+ * removed --backend flag takes the usage path, and runSweep's
+ * --stats-json is exactly what sweeping the grid directly produces.
  */
 
 #include <fstream>
@@ -16,9 +14,9 @@
 
 #include "bench_common.h"
 #include "scoped_temp_dir.h"
+#include "util/json.h"
 
 using namespace pad;
-using engine::BackendKind;
 
 namespace {
 
@@ -31,58 +29,59 @@ slurp(const std::string &path)
     return buf.str();
 }
 
-TEST(BenchOptions, DefaultBackendIsSoa)
+/** A one-job PS attack grid on a 2-day workload. */
+std::vector<runner::Experiment>
+attackGrid(const runner::ClusterWorkload &cw)
 {
-    EXPECT_EQ(bench::BenchOptions{}.backend, BackendKind::Soa);
-    char tool[] = "bench";
-    char *noArgs[] = {tool};
-    EXPECT_EQ(bench::parseBenchArgs(1, noArgs).backend, BackendKind::Soa);
-    char flag[] = "--backend";
-    char name[] = "optimized";
-    char *args[] = {tool, flag, name};
-    EXPECT_EQ(bench::parseBenchArgs(3, args).backend,
-              BackendKind::Optimized);
+    runner::ClusterAttackSpec spec;
+    spec.scheme = core::SchemeKind::PS;
+    spec.durationSec = 120.0;
+    return {runner::Experiment::clusterAttack(spec, cw)};
 }
 
-TEST(BenchSweep, BackendFlagSelectsTheEngineThatRuns)
+TEST(BenchOptions, DefaultBackendIsSoa)
+{
+    // There is one engine: a bench's manifest names it, and asking
+    // for one by name is an unknown flag.
+    test::ScopedTempDir tmp;
+    ASSERT_TRUE(tmp.ok());
+    const runner::ClusterWorkload cw = runner::makeClusterWorkload(2.0);
+    bench::BenchOptions opts;
+    opts.jobs = 1;
+    opts.manifest = tmp.path("manifest.json");
+    bench::runSweep("bench_common_test", opts, attackGrid(cw));
+    std::string error;
+    const auto manifest = parseJson(slurp(opts.manifest), &error);
+    ASSERT_TRUE(manifest.has_value()) << error;
+    EXPECT_EQ(manifest->find("config")->find("backend")->str, "soa");
+
+    char tool[] = "bench";
+    char flag[] = "--backend";
+    char name[] = "soa";
+    char *args[] = {tool, flag, name};
+    EXPECT_EXIT(bench::parseBenchArgs(3, args),
+                ::testing::ExitedWithCode(2), "usage: bench");
+}
+
+TEST(BenchSweep, StatsJsonMatchesADirectSweep)
 {
     test::ScopedTempDir tmp;
     ASSERT_TRUE(tmp.ok());
     const runner::ClusterWorkload cw = runner::makeClusterWorkload(2.0);
-    runner::ClusterAttackSpec spec;
-    spec.scheme = core::SchemeKind::PS;
-    spec.durationSec = 120.0;
-    const std::vector<runner::Experiment> grid = {
-        runner::Experiment::clusterAttack(spec, cw)};
+    const std::vector<runner::Experiment> grid = attackGrid(cw);
 
-    std::string stats[2];
-    int i = 0;
-    for (const BackendKind kind :
-         {BackendKind::Optimized, BackendKind::Soa}) {
-        bench::BenchOptions opts;
-        opts.jobs = 1;
-        opts.backend = kind;
-        opts.statsJson = tmp.path(std::string("stats_") +
-                                  engine::backendName(kind) + ".json");
-        bench::runSweep("bench_common_test", opts, grid);
-        stats[i] = slurp(opts.statsJson);
+    bench::BenchOptions opts;
+    opts.jobs = 1;
+    opts.statsJson = tmp.path("stats.json");
+    bench::runSweep("bench_common_test", opts, grid);
 
-        // The same grid swept directly on that engine.
-        std::vector<runner::Experiment> direct = grid;
-        for (runner::Experiment &e : direct)
-            e.backend = kind;
-        const runner::SweepReport report =
-            runner::SweepRunner(runner::SweepRunner::Options{1})
-                .runWithReport(direct);
-        std::ostringstream expected;
-        report.stats.dumpJson(expected);
-        expected << "\n";
-        EXPECT_EQ(stats[i], expected.str()) << engine::backendName(kind);
-        ++i;
-    }
-    // The engines' stats differ, so the comparison above can tell
-    // which one ran.
-    EXPECT_NE(stats[0], stats[1]);
+    const runner::SweepReport report =
+        runner::SweepRunner(runner::SweepRunner::Options{1})
+            .runWithReport(grid);
+    std::ostringstream expected;
+    report.stats.dumpJson(expected);
+    expected << "\n";
+    EXPECT_EQ(slurp(opts.statsJson), expected.str());
 }
 
 } // namespace

@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
-#include "core/campaign.h"
+#include "engine/campaign.h"
 #include "trace/synthetic_trace.h"
 #include "trace/workload.h"
 
 namespace pad::core {
 namespace {
+
+using engine::CampaignAttack;
+using engine::CampaignDriver;
+using engine::ClusterEngine;
 
 class CampaignTest : public ::testing::Test
 {
@@ -69,7 +73,7 @@ trace::Workload *CampaignTest::workload_ = nullptr;
 
 TEST_F(CampaignTest, RunsStrikesInTimeOrder)
 {
-    DataCenter dc(config(SchemeKind::PS), workload_);
+    ClusterEngine dc(config(SchemeKind::PS), workload_);
     // Deliberately unsorted input.
     std::vector<CampaignAttack> plan{
         strike(kTicksPerDay + 12 * kTicksPerHour),
@@ -86,7 +90,7 @@ TEST_F(CampaignTest, RunsStrikesInTimeOrder)
 
 TEST_F(CampaignTest, StrikesPastHorizonAreSkipped)
 {
-    DataCenter dc(config(SchemeKind::PS), workload_);
+    ClusterEngine dc(config(SchemeKind::PS), workload_);
     std::vector<CampaignAttack> plan{
         strike(kTicksPerDay + 6 * kTicksPerHour),
         strike(10 * kTicksPerDay), // never happens
@@ -98,7 +102,7 @@ TEST_F(CampaignTest, StrikesPastHorizonAreSkipped)
 
 TEST_F(CampaignTest, PeakStrikeBeatsIdleStrike)
 {
-    DataCenter dc(config(SchemeKind::PS), workload_);
+    ClusterEngine dc(config(SchemeKind::PS), workload_);
     std::vector<CampaignAttack> plan{
         strike(kTicksPerDay + 4 * kTicksPerHour, 900.0),
         strike(kTicksPerDay + 13 * kTicksPerHour, 900.0),
@@ -116,7 +120,7 @@ TEST_F(CampaignTest, PeakStrikeBeatsIdleStrike)
 TEST_F(CampaignTest, PadResistsWherePsFails)
 {
     auto runCampaign = [&](SchemeKind scheme) {
-        DataCenter dc(config(scheme), workload_);
+        ClusterEngine dc(config(scheme), workload_);
         std::vector<CampaignAttack> plan{
             strike(kTicksPerDay + 10 * kTicksPerHour, 900.0),
             strike(kTicksPerDay + 14 * kTicksPerHour, 900.0),
@@ -130,7 +134,7 @@ TEST_F(CampaignTest, PadResistsWherePsFails)
 
 TEST_F(CampaignTest, EmptyCampaignIsJustNormalOperation)
 {
-    DataCenter dc(config(SchemeKind::PS), workload_);
+    ClusterEngine dc(config(SchemeKind::PS), workload_);
     CampaignDriver driver(dc, {});
     const auto report = driver.run(kTicksPerDay);
     EXPECT_TRUE(report.strikes.empty());

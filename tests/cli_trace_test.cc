@@ -5,7 +5,8 @@
  * time) with --trace / --stats-json / --manifest, then validates
  * that every artifact is well-formed JSON carrying the required
  * fields. This is the ctest-level guarantee that the flags survive
- * refactors of the binary's plumbing.
+ * refactors of the binary's plumbing. Removed inputs are checked
+ * against padsim and padd (PADD_BIN) alike.
  */
 
 #include <sys/wait.h>
@@ -43,14 +44,22 @@ runPadsim(const std::string &args)
     return std::system(cmd.c_str());
 }
 
+/** Run @p bin with stderr captured in @p errPath; its exit status. */
+int
+runStatus(const char *bin, const std::string &args,
+          const std::string &errPath)
+{
+    const std::string cmd =
+        std::string(bin) + " " + args + " > /dev/null 2> " + errPath;
+    const int rc = std::system(cmd.c_str());
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
 /** Run padsim with stderr captured in @p errPath; its exit status. */
 int
 runPadsimStatus(const std::string &args, const std::string &errPath)
 {
-    const std::string cmd = std::string(PADSIM_BIN) + " " + args +
-                            " > /dev/null 2> " + errPath;
-    const int rc = std::system(cmd.c_str());
-    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+    return runStatus(PADSIM_BIN, args, errPath);
 }
 
 // Every test works in its own temporary directory so the cases stay
@@ -162,17 +171,12 @@ TEST_F(CliTraceTest, TracingDoesNotChangeTableOutput)
 
 TEST_F(CliTraceTest, DefaultBackendIsSoaInTableAndManifest)
 {
-    // The default engine, and an explicit --backend optimized, both
-    // show up in the summary table and in the manifest's config.
+    // The one engine is named in the summary table and in the
+    // manifest's config, as it was when there was a choice.
     const std::string base = std::string(PADSIM_BIN) +
                              " --scheme PAD --duration 30 --quiet";
     ASSERT_EQ(std::system((base + " --manifest cli_e_soa.json"
                                   " > cli_e_soa.txt 2>&1")
-                              .c_str()),
-              0);
-    ASSERT_EQ(std::system((base + " --backend optimized"
-                                  " --manifest cli_e_opt.json"
-                                  " > cli_e_opt.txt 2>&1")
                               .c_str()),
               0);
     const auto tableBackend = [](const std::string &text) {
@@ -188,43 +192,55 @@ TEST_F(CliTraceTest, DefaultBackendIsSoaInTableAndManifest)
         return std::string("(no backend row)");
     };
     EXPECT_EQ(tableBackend(slurp("cli_e_soa.txt")), "soa");
-    EXPECT_EQ(tableBackend(slurp("cli_e_opt.txt")), "optimized");
 
     std::string error;
     const auto soa = parseJson(slurp("cli_e_soa.json"), &error);
     ASSERT_TRUE(soa.has_value()) << error;
     EXPECT_EQ(soa->find("config")->find("backend")->str, "soa");
-    const auto opt = parseJson(slurp("cli_e_opt.json"), &error);
-    ASSERT_TRUE(opt.has_value()) << error;
-    EXPECT_EQ(opt->find("config")->find("backend")->str, "optimized");
 }
 
 TEST_F(CliTraceTest, RemovedBackendInputsExitWithUsage)
 {
-    // The baseline backend and the --profile alias are gone; each
-    // spelling takes padsim's ordinary usage path and exits 2.
-    EXPECT_EQ(runPadsimStatus("--backend baseline --quiet", "err_a.txt"),
-              2);
-    const std::string flagErr = slurp("err_a.txt");
-    EXPECT_EQ(flagErr.rfind("padsim: unknown backend name: baseline\n"
-                            "usage: padsim",
-                            0),
-              0u)
-        << flagErr;
+    // There is one engine: the --backend flag (any value), the
+    // backend config key and the --profile alias are gone. Each
+    // spelling takes the binary's ordinary usage path and exits 2.
+    for (const char *name : {"baseline", "optimized", "soa"}) {
+        EXPECT_EQ(runPadsimStatus(std::string("--backend ") + name +
+                                      " --quiet",
+                                  "err_a.txt"),
+                  2)
+            << name;
+        const std::string flagErr = slurp("err_a.txt");
+        EXPECT_EQ(flagErr.rfind("usage: padsim", 0), 0u) << flagErr;
+    }
 
     EXPECT_EQ(runPadsimStatus("--profile optimized --quiet", "err_b.txt"),
               2);
     const std::string profileErr = slurp("err_b.txt");
     EXPECT_EQ(profileErr.rfind("usage: padsim", 0), 0u) << profileErr;
 
-    {
-        std::ofstream cfg("baseline.cfg");
-        cfg << "backend = baseline\n";
+    for (const char *name : {"baseline", "optimized"}) {
+        {
+            std::ofstream cfg("backend.cfg");
+            cfg << "backend = " << name << "\n";
+        }
+        EXPECT_EQ(runPadsimStatus("--config backend.cfg --quiet",
+                                  "err_c.txt"),
+                  2)
+            << name;
+        EXPECT_EQ(slurp("err_c.txt").rfind(
+                      "padsim: unknown config key: backend\n"
+                      "usage: padsim",
+                      0),
+                  0u)
+            << slurp("err_c.txt");
     }
-    EXPECT_EQ(runPadsimStatus("--config baseline.cfg --quiet",
-                              "err_c.txt"),
+
+    EXPECT_EQ(runStatus(PADD_BIN, "--backend soa --duration 1",
+                        "err_d.txt"),
               2);
-    EXPECT_EQ(slurp("err_c.txt"), flagErr);
+    const std::string paddErr = slurp("err_d.txt");
+    EXPECT_EQ(paddErr.rfind("usage: padd", 0), 0u) << paddErr;
 }
 
 TEST_F(CliTraceTest, HostileBudgetAndPercentileExitWithUsage)

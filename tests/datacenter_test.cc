@@ -11,11 +11,14 @@
 #include "attack/attacker.h"
 #include "core/config.h"
 #include "core/datacenter.h"
+#include "engine/cluster_engine.h"
 #include "trace/synthetic_trace.h"
 #include "trace/workload.h"
 
 namespace pad::core {
 namespace {
+
+using engine::ClusterEngine;
 
 /** Shared fixture: one synthetic workload reused across tests. */
 class DataCenterTest : public ::testing::Test
@@ -53,7 +56,7 @@ class DataCenterTest : public ::testing::Test
     }
 
     static AttackScenario
-    scenario(const DataCenter &dc, double durationSec = 1200.0)
+    scenario(const ClusterEngine &dc, double durationSec = 1200.0)
     {
         AttackScenario sc;
         sc.targetPolicy = TargetPolicy::Fixed;
@@ -73,7 +76,7 @@ trace::Workload *DataCenterTest::workload_ = nullptr;
 
 TEST_F(DataCenterTest, NormalOperationKeepsBatteriesMostlyCharged)
 {
-    DataCenter dc(baseConfig(SchemeKind::PS), workload_);
+    ClusterEngine dc(baseConfig(SchemeKind::PS), workload_);
     dc.runCoarseUntil(kTicksPerDay);
     const auto socs = dc.allSocs();
     int healthy = 0;
@@ -85,7 +88,7 @@ TEST_F(DataCenterTest, NormalOperationKeepsBatteriesMostlyCharged)
 
 TEST_F(DataCenterTest, ConvNeverTouchesBatteries)
 {
-    DataCenter dc(baseConfig(SchemeKind::Conv), workload_);
+    ClusterEngine dc(baseConfig(SchemeKind::Conv), workload_);
     dc.runCoarseUntil(kTicksPerDay);
     for (double s : dc.allSocs())
         EXPECT_DOUBLE_EQ(s, 1.0);
@@ -93,7 +96,7 @@ TEST_F(DataCenterTest, ConvNeverTouchesBatteries)
 
 TEST_F(DataCenterTest, PeakShavingDrainsHotRacks)
 {
-    DataCenter dc(baseConfig(SchemeKind::PS), workload_);
+    ClusterEngine dc(baseConfig(SchemeKind::PS), workload_);
     // Sample at the diurnal peak: overnight trickle charging would
     // otherwise have refilled the cabinets.
     dc.runCoarseUntil(15 * kTicksPerHour);
@@ -108,8 +111,8 @@ TEST_F(DataCenterTest, VdebBalancesBatteryUsage)
 {
     auto psCfg = baseConfig(SchemeKind::PS);
     auto vdCfg = baseConfig(SchemeKind::VdebOnly);
-    DataCenter ps(psCfg, workload_);
-    DataCenter vd(vdCfg, workload_);
+    ClusterEngine ps(psCfg, workload_);
+    ClusterEngine vd(vdCfg, workload_);
     ps.runCoarseUntil(kTicksPerDay);
     vd.runCoarseUntil(kTicksPerDay);
     // Load sharing spreads discharge: the across-rack SOC variation
@@ -123,8 +126,8 @@ TEST_F(DataCenterTest, OfflineChargingIncreasesSocVariation)
     onCfg.charge.kind = battery::ChargePolicyKind::Online;
     auto offCfg = baseConfig(SchemeKind::PS);
     offCfg.charge.kind = battery::ChargePolicyKind::Offline;
-    DataCenter on(onCfg, workload_);
-    DataCenter off(offCfg, workload_);
+    ClusterEngine on(onCfg, workload_);
+    ClusterEngine off(offCfg, workload_);
     on.setRecordHistory(true);
     off.setRecordHistory(true);
     on.runCoarseUntil(2 * kTicksPerDay);
@@ -132,7 +135,7 @@ TEST_F(DataCenterTest, OfflineChargingIncreasesSocVariation)
 
     // Time-averaged SOC spread (paper Fig. 5: offline charging
     // roughly doubles the variation).
-    auto meanSpread = [](const DataCenter &dc) {
+    auto meanSpread = [](const ClusterEngine &dc) {
         double acc = 0.0;
         for (const auto &row : dc.socHistory()) {
             double mean = 0.0, var = 0.0;
@@ -154,7 +157,7 @@ TEST_F(DataCenterTest, AttackSurvivalOrdersSchemes)
     // longer, PAD survives longest.
     double conv, ps, pad;
     {
-        DataCenter dc(baseConfig(SchemeKind::Conv), workload_);
+        ClusterEngine dc(baseConfig(SchemeKind::Conv), workload_);
         dc.runCoarseUntil(kTicksPerDay + 13 * kTicksPerHour);
         attack::AttackerConfig ac;
         ac.controlledNodes = 4;
@@ -162,7 +165,7 @@ TEST_F(DataCenterTest, AttackSurvivalOrdersSchemes)
         conv = dc.runAttack(atk, scenario(dc)).survivalSec;
     }
     {
-        DataCenter dc(baseConfig(SchemeKind::PS), workload_);
+        ClusterEngine dc(baseConfig(SchemeKind::PS), workload_);
         dc.runCoarseUntil(kTicksPerDay + 13 * kTicksPerHour);
         attack::AttackerConfig ac;
         ac.controlledNodes = 4;
@@ -170,7 +173,7 @@ TEST_F(DataCenterTest, AttackSurvivalOrdersSchemes)
         ps = dc.runAttack(atk, scenario(dc)).survivalSec;
     }
     {
-        DataCenter dc(baseConfig(SchemeKind::Pad), workload_);
+        ClusterEngine dc(baseConfig(SchemeKind::Pad), workload_);
         dc.runCoarseUntil(kTicksPerDay + 13 * kTicksPerHour);
         attack::AttackerConfig ac;
         ac.controlledNodes = 4;
@@ -184,7 +187,7 @@ TEST_F(DataCenterTest, AttackSurvivalOrdersSchemes)
 
 TEST_F(DataCenterTest, AttackOutcomeRecordsSeries)
 {
-    DataCenter dc(baseConfig(SchemeKind::PS), workload_);
+    ClusterEngine dc(baseConfig(SchemeKind::PS), workload_);
     dc.runCoarseUntil(kTicksPerDay + 13 * kTicksPerHour);
     attack::AttackerConfig ac;
     attack::TwoPhaseAttacker atk(ac);
@@ -198,7 +201,7 @@ TEST_F(DataCenterTest, AttackOutcomeRecordsSeries)
 
 TEST_F(DataCenterTest, PhaseTwoSpikeWindowsEnumerated)
 {
-    DataCenter dc(baseConfig(SchemeKind::PS), workload_);
+    ClusterEngine dc(baseConfig(SchemeKind::PS), workload_);
     dc.runCoarseUntil(kTicksPerDay + 13 * kTicksPerHour);
     attack::AttackerConfig ac;
     ac.maxDrainSec = 100.0; // force an early Phase II
@@ -216,8 +219,8 @@ TEST_F(DataCenterTest, PhaseTwoSpikeWindowsEnumerated)
 
 TEST_F(DataCenterTest, DutyCycleReducesAttackExposure)
 {
-    DataCenter a(baseConfig(SchemeKind::PS), workload_);
-    DataCenter b(baseConfig(SchemeKind::PS), workload_);
+    ClusterEngine a(baseConfig(SchemeKind::PS), workload_);
+    ClusterEngine b(baseConfig(SchemeKind::PS), workload_);
     a.runCoarseUntil(kTicksPerDay + 13 * kTicksPerHour);
     b.runCoarseUntil(kTicksPerDay + 13 * kTicksPerHour);
     attack::AttackerConfig ac;
@@ -232,17 +235,25 @@ TEST_F(DataCenterTest, DutyCycleReducesAttackExposure)
 
 TEST_F(DataCenterTest, SetAllSocAndVulnerableRack)
 {
-    DataCenter dc(baseConfig(SchemeKind::PS), workload_);
+    ClusterEngine dc(baseConfig(SchemeKind::PS), workload_);
     dc.setAllSoc(0.9);
     for (double s : dc.allSocs())
         EXPECT_NEAR(s, 0.9, 1e-9);
     EXPECT_NEAR(dc.socStdDevPercent(), 0.0, 1e-9);
-    EXPECT_EQ(dc.medianSocRack() >= 0, true);
+    // The median-SoC victim is a real rack: the attack window records
+    // its battery, starting from the SoC every rack was set to.
+    AttackScenario sc;
+    sc.targetPolicy = TargetPolicy::Median;
+    sc.durationSec = 10.0;
+    attack::TwoPhaseAttacker atk(attack::AttackerConfig{});
+    const auto out = dc.runAttack(atk, sc);
+    ASSERT_FALSE(out.rackSoc.empty());
+    EXPECT_NEAR(out.rackSoc.samples().front().value, 0.9, 1e-3);
 }
 
 TEST_F(DataCenterTest, HistoryRecordingAlignsWithSteps)
 {
-    DataCenter dc(baseConfig(SchemeKind::PS), workload_);
+    ClusterEngine dc(baseConfig(SchemeKind::PS), workload_);
     dc.setRecordHistory(true);
     dc.runCoarseUntil(2 * kTicksPerHour);
     EXPECT_EQ(dc.socHistory().size(), 24u); // 2 h / 5 min

@@ -10,11 +10,15 @@
 #include "attack/attacker.h"
 #include "core/config.h"
 #include "core/datacenter.h"
+#include "engine/cluster_engine.h"
+#include "sim/stats_registry.h"
 #include "trace/synthetic_trace.h"
 #include "trace/workload.h"
 
 namespace pad::core {
 namespace {
+
+using engine::ClusterEngine;
 
 class IntegrationTest : public ::testing::Test
 {
@@ -51,7 +55,7 @@ class IntegrationTest : public ::testing::Test
     }
 
     static AttackScenario
-    scenario(const DataCenter &dc, double durationSec)
+    scenario(const ClusterEngine &dc, double durationSec)
     {
         AttackScenario sc;
         sc.targetPolicy = TargetPolicy::Fixed;
@@ -74,7 +78,7 @@ TEST_F(IntegrationTest, AttackerLearnsThroughCappingSideChannel)
     // Against a capping (PSPC) data center the attacker's Phase-I
     // drain produces an observable throttle: Phase II must begin
     // well before the maxDrain fallback.
-    DataCenter dc(config(SchemeKind::PSPC), workload_);
+    ClusterEngine dc(config(SchemeKind::PSPC), workload_);
     dc.runCoarseUntil(kTicksPerDay + 10 * kTicksPerHour);
     attack::AttackerConfig ac;
     ac.controlledNodes = 4;
@@ -96,7 +100,7 @@ TEST_F(IntegrationTest, AttackerLearnsThroughCappingSideChannel)
 
 TEST_F(IntegrationTest, MultiRoundLearningCollectsSamples)
 {
-    DataCenter dc(config(SchemeKind::PSPC), workload_);
+    ClusterEngine dc(config(SchemeKind::PSPC), workload_);
     dc.runCoarseUntil(kTicksPerDay + 10 * kTicksPerHour);
     attack::AttackerConfig ac;
     ac.controlledNodes = 4;
@@ -140,7 +144,7 @@ TEST_F(IntegrationTest, DrawNeverExceedsDemand)
     // every recorded control period, for every scheme.
     for (SchemeKind scheme :
          {SchemeKind::Conv, SchemeKind::PS, SchemeKind::Pad}) {
-        DataCenter dc(config(scheme), workload_);
+        ClusterEngine dc(config(scheme), workload_);
         dc.runCoarseUntil(kTicksPerDay + 11 * kTicksPerHour);
         attack::AttackerConfig ac;
         ac.controlledNodes = 4;
@@ -155,7 +159,7 @@ TEST_F(IntegrationTest, DrawNeverExceedsDemand)
 
 TEST_F(IntegrationTest, ConvDrawEqualsDemand)
 {
-    DataCenter dc(config(SchemeKind::Conv), workload_);
+    ClusterEngine dc(config(SchemeKind::Conv), workload_);
     dc.runCoarseUntil(kTicksPerDay + 11 * kTicksPerHour);
     attack::AttackerConfig ac;
     attack::TwoPhaseAttacker attacker(ac);
@@ -171,7 +175,7 @@ TEST_F(IntegrationTest, BreakerTripCausesOutageAndThroughputLoss)
     DataCenterConfig cfg = config(SchemeKind::Conv);
     cfg.rackBreaker.thermalCapacity = 0.05;
     cfg.outageRecoverySec = 120.0;
-    DataCenter dc(cfg, workload_);
+    ClusterEngine dc(cfg, workload_);
     dc.runCoarseUntil(kTicksPerDay + 11 * kTicksPerHour);
     attack::AttackerConfig ac;
     ac.controlledNodes = 4;
@@ -197,7 +201,7 @@ TEST_F(IntegrationTest, TraitsOverrideChangesBehaviour)
     hybrid.traits.vdebSharing = true;
 
     auto run = [&](const DataCenterConfig &cfg) {
-        DataCenter dc(cfg, workload_);
+        ClusterEngine dc(cfg, workload_);
         dc.runCoarseUntil(kTicksPerDay + 10 * kTicksPerHour);
         attack::AttackerConfig ac;
         ac.controlledNodes = 4;
@@ -211,7 +215,7 @@ TEST_F(IntegrationTest, TraitsOverrideChangesBehaviour)
 
 TEST_F(IntegrationTest, MultiVictimAttackTracksWorstRack)
 {
-    DataCenter dc(config(SchemeKind::Conv), workload_);
+    ClusterEngine dc(config(SchemeKind::Conv), workload_);
     dc.runCoarseUntil(kTicksPerDay + 11 * kTicksPerHour);
     attack::AttackerConfig ac;
     ac.controlledNodes = 4;
@@ -235,7 +239,7 @@ TEST_F(IntegrationTest, MultiVictimAttackTracksWorstRack)
 TEST_F(IntegrationTest, ShedServersRestartWhenDemandFits)
 {
     DataCenterConfig cfg = config(SchemeKind::Pad);
-    DataCenter dc(cfg, workload_);
+    ClusterEngine dc(cfg, workload_);
     dc.runCoarseUntil(kTicksPerDay + 11 * kTicksPerHour);
     attack::AttackerConfig ac;
     ac.controlledNodes = 4;
@@ -245,7 +249,9 @@ TEST_F(IntegrationTest, ShedServersRestartWhenDemandFits)
     // Continue normal (coarse) operation after the attack: demand
     // drops and every shed server must come back.
     dc.runCoarseUntil(dc.now() + 2 * kTicksPerHour);
-    EXPECT_EQ(dc.sheddedServers(), 0);
+    sim::StatsRegistry stats;
+    dc.exportStats(stats);
+    EXPECT_EQ(stats.lookup("shed.active"), 0.0);
 }
 
 } // namespace

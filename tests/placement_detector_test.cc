@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the DEB placement granularity (Fig. 3 options 3 vs 4),
- * on both engines, and the detection-triggered capping response
- * (paper §III-B).
+ * Tests for the DEB placement granularity (Fig. 3 options 3 vs 4)
+ * and the detection-triggered capping response (paper §III-B).
  */
 
 #include <gtest/gtest.h>
@@ -10,12 +9,14 @@
 #include "attack/attacker.h"
 #include "core/config.h"
 #include "core/datacenter.h"
-#include "engine/backend.h"
+#include "engine/cluster_engine.h"
 #include "trace/synthetic_trace.h"
 #include "trace/workload.h"
 
 namespace pad::core {
 namespace {
+
+using engine::ClusterEngine;
 
 class PlacementDetectorTest : public ::testing::Test
 {
@@ -51,9 +52,8 @@ class PlacementDetectorTest : public ::testing::Test
         return cfg;
     }
 
-    template <typename Engine>
     static AttackOutcome
-    attack(Engine &dc, double durationSec = 900.0)
+    attack(ClusterEngine &dc, double durationSec = 900.0)
     {
         dc.runCoarseUntil(kTicksPerDay + 11 * kTicksPerHour);
         attack::AttackerConfig ac;
@@ -77,24 +77,16 @@ class PlacementDetectorTest : public ::testing::Test
 std::vector<trace::TaskEvent> *PlacementDetectorTest::events_ = nullptr;
 trace::Workload *PlacementDetectorTest::workload_ = nullptr;
 
-// The placement cases run on both engines.
-constexpr engine::BackendKind kBackends[] = {engine::BackendKind::Optimized,
-                                             engine::BackendKind::Soa};
-
 TEST_F(PlacementDetectorTest, PerServerPlacementSplitsCapacity)
 {
-    for (const engine::BackendKind kind : kBackends) {
-        SCOPED_TRACE(engine::backendName(kind));
-        DataCenterConfig cfg = config(SchemeKind::PS);
-        cfg.debPlacement = DataCenterConfig::DebPlacement::PerServer;
-        const auto dc = engine::makeClusterEngine(kind, cfg, workload_);
-        // Same rated rack capacity either way.
-        const auto dcCab = engine::makeClusterEngine(
-            kind, config(SchemeKind::PS), workload_);
-        EXPECT_NEAR(dc->allSocs()[0], dcCab->allSocs()[0], 1e-9);
-        dc->setAllSoc(0.5);
-        EXPECT_NEAR(dc->allSocs()[3], 0.5, 1e-9);
-    }
+    DataCenterConfig cfg = config(SchemeKind::PS);
+    cfg.debPlacement = DataCenterConfig::DebPlacement::PerServer;
+    ClusterEngine dc(cfg, workload_);
+    // Same rated rack capacity either way.
+    const ClusterEngine dcCab(config(SchemeKind::PS), workload_);
+    EXPECT_NEAR(dc.allSocs()[0], dcCab.allSocs()[0], 1e-9);
+    dc.setAllSoc(0.5);
+    EXPECT_NEAR(dc.allSocs()[3], 0.5, 1e-9);
 }
 
 TEST_F(PlacementDetectorTest, PerServerDiesSoonerUnderTargetedAttack)
@@ -102,34 +94,26 @@ TEST_F(PlacementDetectorTest, PerServerDiesSoonerUnderTargetedAttack)
     // The attacker's own servers exhaust exactly the BBUs backing
     // them; neighbors' stranded capacity cannot help (Fig. 3 option
     // 4 vs option 3).
-    for (const engine::BackendKind kind : kBackends) {
-        SCOPED_TRACE(engine::backendName(kind));
-        DataCenterConfig per = config(SchemeKind::PS);
-        per.debPlacement = DataCenterConfig::DebPlacement::PerServer;
-        const auto a = engine::makeClusterEngine(
-            kind, config(SchemeKind::PS), workload_);
-        const auto b = engine::makeClusterEngine(kind, per, workload_);
-        const double cabinet = attack(*a).survivalSec;
-        const double perServer = attack(*b).survivalSec;
-        EXPECT_LT(perServer, cabinet);
-    }
+    DataCenterConfig per = config(SchemeKind::PS);
+    per.debPlacement = DataCenterConfig::DebPlacement::PerServer;
+    ClusterEngine a(config(SchemeKind::PS), workload_);
+    ClusterEngine b(per, workload_);
+    const double cabinet = attack(a).survivalSec;
+    const double perServer = attack(b).survivalSec;
+    EXPECT_LT(perServer, cabinet);
 }
 
 TEST_F(PlacementDetectorTest, VdebPoolingEqualizesPlacements)
 {
-    for (const engine::BackendKind kind : kBackends) {
-        SCOPED_TRACE(engine::backendName(kind));
-        DataCenterConfig per = config(SchemeKind::VdebOnly);
-        per.debPlacement = DataCenterConfig::DebPlacement::PerServer;
-        const auto a = engine::makeClusterEngine(
-            kind, config(SchemeKind::VdebOnly), workload_);
-        const auto b = engine::makeClusterEngine(kind, per, workload_);
-        const double cabinet = attack(*a).survivalSec;
-        const double perServer = attack(*b).survivalSec;
-        // Sharing across the PDU recovers (most of) the fragmentation
-        // loss: within 20% of each other.
-        EXPECT_NEAR(perServer, cabinet, 0.2 * cabinet + 1.0);
-    }
+    DataCenterConfig per = config(SchemeKind::VdebOnly);
+    per.debPlacement = DataCenterConfig::DebPlacement::PerServer;
+    ClusterEngine a(config(SchemeKind::VdebOnly), workload_);
+    ClusterEngine b(per, workload_);
+    const double cabinet = attack(a).survivalSec;
+    const double perServer = attack(b).survivalSec;
+    // Sharing across the PDU recovers (most of) the fragmentation
+    // loss: within 20% of each other.
+    EXPECT_NEAR(perServer, cabinet, 0.2 * cabinet + 1.0);
 }
 
 TEST_F(PlacementDetectorTest, DetectorFlagsAttackAndCapsCluster)
@@ -137,7 +121,7 @@ TEST_F(PlacementDetectorTest, DetectorFlagsAttackAndCapsCluster)
     DataCenterConfig cfg = config(SchemeKind::PS);
     cfg.detectorResponse = true;
     cfg.detectorInterval = 10 * kTicksPerSecond;
-    DataCenter dc(cfg, workload_);
+    ClusterEngine dc(cfg, workload_);
     const auto out = attack(dc);
     EXPECT_GT(dc.detectionsFlagged(), 0u);
     // Blanket capping costs benign throughput.
@@ -151,8 +135,8 @@ TEST_F(PlacementDetectorTest, CoarseDetectorSeesLessThanFine)
     fine.detectorInterval = 5 * kTicksPerSecond;
     DataCenterConfig coarse = fine;
     coarse.detectorInterval = 5 * kTicksPerMinute;
-    DataCenter a(fine, workload_);
-    DataCenter b(coarse, workload_);
+    ClusterEngine a(fine, workload_);
+    ClusterEngine b(coarse, workload_);
     attack(a);
     attack(b);
     EXPECT_GT(a.detectionsFlagged(), b.detectionsFlagged());
@@ -160,7 +144,7 @@ TEST_F(PlacementDetectorTest, CoarseDetectorSeesLessThanFine)
 
 TEST_F(PlacementDetectorTest, DetectorOffByDefault)
 {
-    DataCenter dc(config(SchemeKind::PS), workload_);
+    ClusterEngine dc(config(SchemeKind::PS), workload_);
     attack(dc);
     EXPECT_EQ(dc.detectionsFlagged(), 0u);
 }

@@ -23,10 +23,10 @@
 
 #include <gtest/gtest.h>
 
-#include "battery/battery_unit.h"
 #include "battery/charge_policy.h"
 #include "core/vdeb.h"
 #include "counting_new.h"
+#include "engine/cluster_engine.h"
 #include "engine/prof_stats.h"
 #include "obs/prof.h"
 #include "obs/trace_sink.h"
@@ -395,28 +395,29 @@ TEST(HotPathSort, VdebAndChargeControllersAllocateOnlyOnFirstCall)
     }
     EXPECT_EQ(gAllocations.load(), 0u) << "VdebController::assignInto";
 
-    // Charge controller, both policies, over a fleet the headroom
-    // covers only partly (so the first call stops early) and larger
-    // than one word of the offline latch's bit vector.
+    // The engine's per-rack recharge, both policies, over per-server
+    // BBUs: each rack sorts its ten units lowest SoC first every
+    // step, under a cluster budget tight enough that they discharge
+    // and recharge. After a warm-up the coarse step allocates
+    // nothing.
+    const runner::ClusterWorkload cw = runner::makeClusterWorkload(1.0);
     for (const auto kind : {battery::ChargePolicyKind::Online,
                             battery::ChargePolicyKind::Offline}) {
-        std::vector<std::unique_ptr<battery::BatteryUnit>> owned;
-        std::vector<battery::BatteryUnit *> units;
-        for (int i = 0; i < 96; ++i) {
-            owned.push_back(std::make_unique<battery::BatteryUnit>(
-                "u" + std::to_string(i), battery::BatteryUnitConfig{}));
-            owned.back()->setSoc(0.3 + 0.1 * (i % 3));
-            units.push_back(owned.back().get());
-        }
-        battery::ChargeControllerConfig cfg;
-        cfg.kind = kind;
-        battery::ChargeController charger(cfg);
-        charger.recharge(units, 3000.0, 1.0);
+        core::DataCenterConfig cfg =
+            runner::clusterConfig(core::SchemeKind::PS);
+        cfg.debPlacement = core::DataCenterConfig::DebPlacement::PerServer;
+        cfg.clusterBudgetFraction = 0.6;
+        cfg.charge.kind = kind;
+        engine::ClusterEngine engine(cfg, cw.workload.get());
+        engine.runCoarseUntil(12 * kTicksPerHour);
         gAllocations.store(0);
-        for (int step = 0; step < 100; ++step)
-            charger.recharge(units, 3000.0, 1.0);
+        engine.runCoarseUntil(16 * kTicksPerHour);
         EXPECT_EQ(gAllocations.load(), 0u)
-            << "ChargeController::recharge, policy "
+            << "per-rack recharge, policy "
+            << battery::chargePolicyName(kind);
+        sim::StatsRegistry stats;
+        engine.exportStats(stats);
+        EXPECT_GT(stats.lookup("deb.charged_wh"), 0.0)
             << battery::chargePolicyName(kind);
     }
 }
@@ -451,30 +452,6 @@ TEST(HotPathSort, TiedSocOrderMatchesStableSort)
                          });
         stableIndexSort(order, n, key, std::less<>());
         EXPECT_EQ(order, expected) << "ascending, n=" << n;
-    }
-
-    // Observable through the charge controller: 40 units at two tied
-    // SOC levels and headroom for 25 full offers. Lowest SOC first,
-    // then unit index: all 20 odd units, then units 0, 2, 4, 6, 8.
-    std::vector<std::unique_ptr<battery::BatteryUnit>> owned;
-    std::vector<battery::BatteryUnit *> units;
-    std::vector<double> before;
-    for (int i = 0; i < 40; ++i) {
-        owned.push_back(std::make_unique<battery::BatteryUnit>(
-            "u" + std::to_string(i), battery::BatteryUnitConfig{}));
-        owned.back()->setSoc(i % 2 == 1 ? 0.3 : 0.5);
-        units.push_back(owned.back().get());
-        before.push_back(units.back()->soc());
-    }
-    battery::ChargeController charger(battery::ChargeControllerConfig{});
-    const Watts offer = battery::BatteryUnitConfig{}.maxChargePower;
-    charger.recharge(units, 25.0 * offer, 1.0);
-    for (std::size_t i = 0; i < units.size(); ++i) {
-        const bool charged = i % 2 == 1 || i < 10;
-        if (charged)
-            EXPECT_GT(units[i]->soc(), before[i]) << "unit " << i;
-        else
-            EXPECT_EQ(units[i]->soc(), before[i]) << "unit " << i;
     }
 }
 

@@ -102,7 +102,6 @@ TEST(SessionCodec, WriterParserRoundTrip)
     const std::string path = "svc_roundtrip_session.jsonl";
     ServiceConfig config;
     config.scheme = core::SchemeKind::Conv;
-    config.backend = engine::BackendKind::Soa;
     config.budget = 0.8;
     config.hour = 9.5;
     config.durationSec = 1234.0;
@@ -146,7 +145,6 @@ TEST(SessionCodec, WriterParserRoundTrip)
     const auto log = readSessionFile(path, &error);
     ASSERT_TRUE(log.has_value()) << error;
     EXPECT_EQ(log->config.scheme, core::SchemeKind::Conv);
-    EXPECT_EQ(log->config.backend, engine::BackendKind::Soa);
     EXPECT_DOUBLE_EQ(log->config.budget, 0.8);
     EXPECT_DOUBLE_EQ(log->config.hour, 9.5);
     EXPECT_DOUBLE_EQ(log->config.durationSec, 1234.0);
@@ -211,6 +209,44 @@ TEST(SessionCodec, ParserRejectsMalformedSessions)
         {"{\"type\":\"header\",\"version\":1,\"config\":"
          "{\"budget\":-0.5}}\n",
          "negative budget"},
+        // Integer fields outside their type's range: converting such
+        // a double is undefined behaviour, not a value to replay.
+        {"{\"type\":\"header\",\"version\":1,\"config\":"
+         "{\"seed\":1e999}}\n",
+         "infinite seed"},
+        {"{\"type\":\"header\",\"version\":1,\"config\":"
+         "{\"seed\":-1}}\n",
+         "negative seed"},
+        {std::string(header) + "{\"type\":\"end\",\"tick\":-5}\n",
+         "negative end tick"},
+        {std::string(header) + "{\"type\":\"end\",\"tick\":1e300}\n",
+         "end tick past Tick's range"},
+        {std::string(header) + "{\"type\":\"end\",\"tick\":1e999}\n",
+         "infinite end tick"},
+        {std::string(header) +
+             "{\"type\":\"cmd\",\"seq\":0,\"tick\":-1e300,\"name\":"
+             "\"pause\"}\n",
+         "command tick past Tick's range"},
+        {std::string(header) +
+             "{\"type\":\"cmd\",\"seq\":1e999,\"tick\":1,\"name\":"
+             "\"pause\"}\n",
+         "infinite seq"},
+        {std::string(header) +
+             "{\"type\":\"cmd\",\"seq\":-1,\"tick\":1,\"name\":"
+             "\"pause\"}\n",
+         "negative seq"},
+        {std::string(header) +
+             "{\"type\":\"cmd\",\"seq\":0,\"tick\":1,\"name\":"
+             "\"inject-attack\",\"spec\":{\"seed\":1e999}}\n",
+         "infinite attack seed"},
+        {std::string(header) +
+             "{\"type\":\"cmd\",\"seq\":0,\"tick\":1,\"name\":"
+             "\"inject-attack\",\"spec\":{\"nodes\":1e300}}\n",
+         "attack nodes past int's range"},
+        {std::string(header) +
+             "{\"type\":\"cmd\",\"seq\":0,\"tick\":1,\"name\":"
+             "\"inject-attack\",\"spec\":{\"racks\":1e300}}\n",
+         "attack racks past int's range"},
     };
     for (const auto &c : cases) {
         std::string error;
@@ -223,8 +259,11 @@ TEST(SessionCodec, ParserRejectsMalformedSessions)
 
 TEST(SessionCodec, RejectsRemovedBaselineBackend)
 {
-    // Sessions may only name a backend that still exists; the
-    // pre-optimization "baseline" engine is gone.
+    // Sessions may only name the engine that still exists. Headers
+    // written while padd had a backend choice say "soa", the one
+    // engine; "optimized" sessions ran the deleted scalar engine and
+    // would not replay identically on it, and the "baseline" engine
+    // went before that.
     test::ScopedTempDir tmp;
     ASSERT_TRUE(tmp.ok());
     const std::string path = tmp.path("session.jsonl");
@@ -236,12 +275,17 @@ TEST(SessionCodec, RejectsRemovedBaselineBackend)
             << "{\"type\":\"end\",\"tick\":10}\n";
     };
     std::string error;
-    writeHeader("optimized");
+    writeHeader("soa");
     ASSERT_TRUE(readSessionFile(path, &error).has_value()) << error;
 
-    writeHeader("baseline");
-    EXPECT_FALSE(readSessionFile(path, &error).has_value());
-    EXPECT_NE(error.find("unknown backend"), std::string::npos) << error;
+    for (const char *removed : {"optimized", "baseline"}) {
+        writeHeader(removed);
+        error.clear();
+        EXPECT_FALSE(readSessionFile(path, &error).has_value()) << removed;
+        EXPECT_NE(error.find("unknown backend"), std::string::npos)
+            << error;
+        EXPECT_EQ(error.find('\n'), std::string::npos) << error;
+    }
 }
 
 TEST(SessionCodec, MissingEndIsReplayableUpToLastCommand)
@@ -427,13 +471,12 @@ TEST(ServiceDaemon, LiveSessionReplaysByteIdentically)
     EXPECT_EQ(live.attacks, 1u);
     EXPECT_GT(live.incidents, 0u);
 
-    // The recorded session carries the default engine and exactly
-    // the applied commands.
-    EXPECT_NE(slurp("svc_e2e_session.jsonl").find("\"backend\":\"soa\""),
+    // The recorded session carries exactly the applied commands, and
+    // no engine choice: there is one engine.
+    EXPECT_EQ(slurp("svc_e2e_session.jsonl").find("\"backend\""),
               std::string::npos);
     const auto log = readSessionFile("svc_e2e_session.jsonl", &error);
     ASSERT_TRUE(log.has_value()) << error;
-    EXPECT_EQ(log->config.backend, engine::BackendKind::Soa);
     ASSERT_EQ(log->commands.size(), 6u);
     EXPECT_EQ(log->commands[0].name, "pause");
     EXPECT_EQ(log->commands[1].name, "set-speed");
@@ -511,45 +554,6 @@ TEST(ServiceDaemon, DurationLimitStopsWithoutEndpoints)
     twin.run();
     EXPECT_EQ(slurp("svc_duration_a.json"),
               slurp("svc_duration_b.json"));
-}
-
-TEST(ServiceDaemon, OptimizedSessionReplaysOnScalarEngine)
-{
-    // A session recorded on the scalar engine names it in its header
-    // and replays on it: the replay matches the live stats, and the
-    // same session forced onto SoA does not.
-    test::ScopedTempDir tmp;
-    ASSERT_TRUE(tmp.enter());
-    DaemonOptions opts;
-    opts.config.backend = engine::BackendKind::Optimized;
-    opts.config.durationSec = 600.0;
-    opts.speed = 0.0;
-    opts.metricsPort = -1;
-    opts.controlPort = -1;
-    opts.sessionPath = "svc_opt_session.jsonl";
-    opts.statsJsonPath = "svc_opt_live.json";
-    ServiceDaemon daemon(std::move(opts));
-    std::string error;
-    ASSERT_TRUE(daemon.start(&error)) << error;
-    daemon.run();
-
-    EXPECT_NE(slurp("svc_opt_session.jsonl")
-                  .find("\"backend\":\"optimized\""),
-              std::string::npos);
-    auto log = readSessionFile("svc_opt_session.jsonl", &error);
-    ASSERT_TRUE(log.has_value()) << error;
-    ASSERT_EQ(log->config.backend, engine::BackendKind::Optimized);
-
-    ReplayArtifacts scalar;
-    scalar.statsJsonPath = "svc_opt_replay.json";
-    ASSERT_TRUE(replaySession(*log, scalar, &error)) << error;
-    EXPECT_EQ(slurp("svc_opt_replay.json"), slurp("svc_opt_live.json"));
-
-    log->config.backend = engine::BackendKind::Soa;
-    ReplayArtifacts soa;
-    soa.statsJsonPath = "svc_opt_as_soa.json";
-    ASSERT_TRUE(replaySession(*log, soa, &error)) << error;
-    EXPECT_NE(slurp("svc_opt_as_soa.json"), slurp("svc_opt_live.json"));
 }
 
 TEST(ServiceDaemon, StartFailsCleanlyOnBadInputs)

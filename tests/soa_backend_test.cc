@@ -1,10 +1,11 @@
 /**
  * @file
- * SoA backend tests: the backend selection API (names, the default,
- * makeClusterEngine for both DEB placements) and the SoA engine's
- * headline determinism guarantee — sharding the per-second demand refresh
- * across worker threads is bit-identical to its own serial execution,
- * for coarse operation and for the fine-grained attack loop alike.
+ * Cluster engine construction and determinism tests: the factory the
+ * repository benchmark still calls (engine/backend.h) builds the one
+ * engine for both DEB placements, and sharding the per-second demand
+ * refresh across worker threads is bit-identical to the engine's own
+ * serial execution, for coarse operation and for the fine-grained
+ * attack loop alike.
  */
 
 #include <memory>
@@ -14,9 +15,8 @@
 
 #include "attack/attacker.h"
 #include "engine/backend.h"
-#include "engine/soa_engine.h"
+#include "engine/cluster_engine.h"
 #include "runner/experiment.h"
-#include "service/session.h"
 
 using namespace pad;
 using engine::BackendKind;
@@ -24,28 +24,12 @@ using engine::BackendKind;
 namespace {
 
 // ---------------------------------------------------------------------
-// Backend selection API
+// The benchmark's factory shim
 // ---------------------------------------------------------------------
-
-TEST(EngineBackendApi, NamesRoundTrip)
-{
-    for (const BackendKind kind :
-         {BackendKind::Optimized, BackendKind::Soa}) {
-        const auto parsed =
-            engine::backendFromName(engine::backendName(kind));
-        ASSERT_TRUE(parsed.has_value());
-        EXPECT_EQ(*parsed, kind);
-    }
-    EXPECT_FALSE(engine::backendFromName("both").has_value());
-    EXPECT_FALSE(engine::backendFromName("baseline").has_value());
-    EXPECT_FALSE(engine::backendFromName("").has_value());
-    EXPECT_FALSE(engine::backendFromName("SOA").has_value());
-}
 
 TEST(EngineBackendApi, DefaultBackendIsSoa)
 {
     EXPECT_EQ(runner::Experiment{}.backend, BackendKind::Soa);
-    EXPECT_EQ(service::ServiceConfig{}.backend, BackendKind::Soa);
 }
 
 TEST(EngineBackendApi, PlansSizeTheRun)
@@ -54,16 +38,13 @@ TEST(EngineBackendApi, PlansSizeTheRun)
         runner::clusterConfig(core::SchemeKind::Pad);
     const runner::ClusterWorkload cw =
         runner::makeClusterWorkload(1.0);
-    for (const BackendKind kind :
-         {BackendKind::Optimized, BackendKind::Soa}) {
-        const auto engine =
-            engine::makeClusterEngine(kind, cfg, cw.workload.get());
-        ASSERT_NE(engine, nullptr);
-        // The engine sizes the run from the configuration.
-        EXPECT_EQ(engine->config().racks, cfg.racks);
-        EXPECT_EQ(engine->config().totalServers(),
-                  cfg.racks * cfg.serversPerRack);
-    }
+    const auto engine = engine::makeClusterEngine(BackendKind::Soa, cfg,
+                                                  cw.workload.get());
+    ASSERT_NE(engine, nullptr);
+    // The engine sizes the run from the configuration.
+    EXPECT_EQ(engine->config().racks, cfg.racks);
+    EXPECT_EQ(engine->config().totalServers(),
+              cfg.racks * cfg.serversPerRack);
 }
 
 TEST(EngineBackendApi, FactoriesBuildTheirKind)
@@ -72,16 +53,12 @@ TEST(EngineBackendApi, FactoriesBuildTheirKind)
         runner::clusterConfig(core::SchemeKind::Pad);
     const runner::ClusterWorkload cw =
         runner::makeClusterWorkload(1.0);
-    for (const BackendKind kind :
-         {BackendKind::Optimized, BackendKind::Soa}) {
-        const auto engine =
-            engine::makeClusterEngine(kind, cfg, cw.workload.get());
-        ASSERT_NE(engine, nullptr);
-        EXPECT_EQ(engine->kind(), kind);
-        EXPECT_EQ(engine->now(), 0);
-        EXPECT_EQ(engine->allSocs().size(),
-                  static_cast<std::size_t>(cfg.racks));
-    }
+    const auto engine = engine::makeClusterEngine(BackendKind::Soa, cfg,
+                                                  cw.workload.get());
+    ASSERT_NE(engine, nullptr);
+    EXPECT_EQ(engine->now(), 0);
+    EXPECT_EQ(engine->allSocs().size(),
+              static_cast<std::size_t>(cfg.racks));
 }
 
 TEST(EngineBackendApi, PerServerPlacementRunsOnSoa)
@@ -93,22 +70,17 @@ TEST(EngineBackendApi, PerServerPlacementRunsOnSoa)
     const runner::ClusterWorkload cw =
         runner::makeClusterWorkload(1.0);
 
-    // Per-server BBUs run on the engine that was asked for; there is
-    // no fallback.
-    for (const BackendKind kind :
-         {BackendKind::Optimized, BackendKind::Soa}) {
-        const auto engine =
-            engine::makeClusterEngine(kind, cfg, cw.workload.get());
-        ASSERT_NE(engine, nullptr);
-        EXPECT_EQ(engine->kind(), kind);
-        EXPECT_EQ(engine->config().debPlacement,
-                  core::DataCenterConfig::DebPlacement::PerServer);
-        for (const double soc : engine->allSocs())
-            EXPECT_DOUBLE_EQ(soc, 1.0);
-        engine->setAllSoc(0.5);
-        for (const double soc : engine->allSocs())
-            EXPECT_NEAR(soc, 0.5, 1e-12);
-    }
+    // Per-server BBUs run on the one engine; there is no fallback.
+    const auto engine = engine::makeClusterEngine(BackendKind::Soa, cfg,
+                                                  cw.workload.get());
+    ASSERT_NE(engine, nullptr);
+    EXPECT_EQ(engine->config().debPlacement,
+              core::DataCenterConfig::DebPlacement::PerServer);
+    for (const double soc : engine->allSocs())
+        EXPECT_DOUBLE_EQ(soc, 1.0);
+    engine->setAllSoc(0.5);
+    for (const double soc : engine->allSocs())
+        EXPECT_NEAR(soc, 0.5, 1e-12);
 }
 
 // ---------------------------------------------------------------------
@@ -132,12 +104,12 @@ class SoaSharding : public ::testing::Test
         workload_ = nullptr;
     }
 
-    static std::unique_ptr<engine::SoaEngine>
+    static std::unique_ptr<engine::ClusterEngine>
     makeEngine(int shards)
     {
         const core::DataCenterConfig cfg =
             runner::clusterConfig(core::SchemeKind::Pad);
-        auto engine = std::make_unique<engine::SoaEngine>(
+        auto engine = std::make_unique<engine::ClusterEngine>(
             cfg, workload_->workload.get());
         engine->setShards(shards);
         return engine;
@@ -178,7 +150,7 @@ struct AttackRun {
 };
 
 AttackRun
-runShardedAttack(engine::SoaEngine &engine)
+runShardedAttack(engine::ClusterEngine &engine)
 {
     engine.runCoarseUntil(kTicksPerDay +
                           static_cast<Tick>(11.0 * kTicksPerHour));

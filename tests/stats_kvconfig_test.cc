@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the stats registry, the key=value configuration
- * parser, and the DataCenter stats export.
+ * parser, and the cluster engine's stats export.
  */
 
 #include <sstream>
@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/config.h"
-#include "core/datacenter.h"
+#include "engine/cluster_engine.h"
 #include "sim/stats_registry.h"
 #include "trace/synthetic_trace.h"
 #include "trace/workload.h"
@@ -116,7 +116,7 @@ TEST(DataCenterStats, DumpContainsFleetTelemetry)
     core::DataCenterConfig cfg;
     cfg.scheme = core::SchemeKind::PS;
     cfg.deb = core::defaultDebConfig(cfg.rackNameplate());
-    core::DataCenter dc(cfg, &workload);
+    engine::ClusterEngine dc(cfg, &workload);
     dc.runCoarseUntil(6 * kTicksPerHour);
 
     std::ostringstream out;
