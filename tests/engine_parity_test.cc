@@ -192,6 +192,47 @@ TEST_F(DataCenterParity, CoarseHistoryBitIdentical)
               Digests(0x943a72b6588fab15ull, 0x6ab05ef9aa8b9b25ull));
 }
 
+TEST_F(DataCenterParity, SoaCoarseTrajectoriesMatchScalar)
+{
+    // The deleted scalar engine's 8 h coarse history has a closed
+    // form: no battery discharges overnight, so every SoC sample is
+    // 1.0 and every shed sample 0.0. Its digests are the 8 h pair
+    // pinned above, which the scalar engine produced.
+    runner::ClusterCoarseSpec spec;
+    spec.untilHours = 8.0;
+    spec.recordHistory = true;
+    const runner::ExperimentResult soa = runner::runExperiment(
+        runner::Experiment::clusterCoarse(spec, *workload_));
+    expectSocsInRange(soa);
+
+    runner::ExperimentResult scalar;
+    scalar.telemetry.socHistory.assign(
+        96, std::vector<double>(22, 1.0));
+    scalar.telemetry.shedHistory.assign(96, 0.0);
+    ASSERT_EQ(historyDigests(scalar),
+              Digests(0x504c036322e86725ull, 0x9fa9e040e0eedf25ull));
+
+    // Step by step, so a drift names the step and rack it starts at.
+    ASSERT_EQ(soa.telemetry.socHistory.size(),
+              scalar.telemetry.socHistory.size());
+    for (std::size_t step = 0;
+         step < scalar.telemetry.socHistory.size(); ++step) {
+        const auto &a = soa.telemetry.socHistory[step];
+        const auto &b = scalar.telemetry.socHistory[step];
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t r = 0; r < a.size(); ++r)
+            EXPECT_NEAR(a[r], b[r], 1e-6)
+                << "step " << step << " rack " << r;
+    }
+    ASSERT_EQ(soa.telemetry.shedHistory.size(),
+              scalar.telemetry.shedHistory.size());
+    for (std::size_t step = 0;
+         step < scalar.telemetry.shedHistory.size(); ++step)
+        EXPECT_NEAR(soa.telemetry.shedHistory[step],
+                    scalar.telemetry.shedHistory[step], 1e-6)
+            << "step " << step;
+}
+
 TEST_F(DataCenterParity, SoaAttackOutcomePhysicallyEquivalent)
 {
     runner::ClusterAttackSpec spec;

@@ -556,6 +556,63 @@ TEST(ServiceDaemon, DurationLimitStopsWithoutEndpoints)
               slurp("svc_duration_b.json"));
 }
 
+TEST(ServiceDaemon, OptimizedSessionReplaysOnScalarEngine)
+{
+    // A session whose header names "optimized" was recorded on the
+    // scalar engine, which is deleted; it does not replay
+    // identically on the one engine left. `padd --replay` refuses it
+    // with a one-line error and writes nothing, while the same
+    // session naming "soa" replays to the live stats.
+    test::ScopedTempDir tmp;
+    ASSERT_TRUE(tmp.enter());
+    DaemonOptions opts;
+    opts.config.durationSec = 600.0;
+    opts.speed = 0.0;
+    opts.metricsPort = -1;
+    opts.controlPort = -1;
+    opts.sessionPath = "svc_opt_session.jsonl";
+    opts.statsJsonPath = "svc_opt_live.json";
+    ServiceDaemon daemon(std::move(opts));
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+    daemon.run();
+
+    const std::string session = slurp("svc_opt_session.jsonl");
+    const std::string config = "\"config\":{";
+    const std::size_t at = session.find(config);
+    ASSERT_NE(at, std::string::npos) << session;
+    const auto withBackend = [&](const std::string &backend,
+                                 const std::string &path) {
+        std::string text = session;
+        text.insert(at + config.size(),
+                    "\"backend\":\"" + backend + "\",");
+        std::ofstream(path) << text;
+    };
+    withBackend("optimized", "svc_opt_as_optimized.jsonl");
+    withBackend("soa", "svc_opt_as_soa.jsonl");
+
+    const auto padd = [](const std::string &args) {
+        const std::string cmd = std::string(PADD_BIN) + " " + args +
+                                " > /dev/null 2> svc_opt_err.txt";
+        const int rc = std::system(cmd.c_str());
+        return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+    };
+    EXPECT_EQ(padd("--replay svc_opt_as_optimized.jsonl "
+                   "--stats-json svc_opt_replay.json"),
+              1);
+    const std::string err = slurp("svc_opt_err.txt");
+    EXPECT_EQ(err.rfind("padd: ", 0), 0u) << err;
+    EXPECT_NE(err.find("unknown backend"), std::string::npos) << err;
+    EXPECT_EQ(err.find('\n'), err.size() - 1) << err;
+    EXPECT_FALSE(std::ifstream("svc_opt_replay.json").good());
+
+    EXPECT_EQ(padd("--replay svc_opt_as_soa.jsonl "
+                   "--stats-json svc_opt_replay.json"),
+              0)
+        << slurp("svc_opt_err.txt");
+    EXPECT_EQ(slurp("svc_opt_replay.json"), slurp("svc_opt_live.json"));
+}
+
 TEST(ServiceDaemon, StartFailsCleanlyOnBadInputs)
 {
     test::ScopedTempDir tmp;
