@@ -3,9 +3,10 @@
  * Microbenchmarks for the simulator's hot paths: the KiBaM
  * closed-form step, the Algorithm-1 vDEB assignment, the breaker
  * thermal update, workload fine sampling, the server power model,
- * and the telemetry push path's number codec
+ * the telemetry push path's number codec
  * (shortest round-trip double formatting, pad-rw-v1 batch render and
- * parse, all per sample).
+ * parse, all per sample) and the telemetry hub's record and merge
+ * stages.
  *
  * Built on the perfbench timing utilities (perf_timing.h): each
  * benchmark warms up untimed, then reports the median and minimum of
@@ -15,15 +16,20 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "alert/engine.h"
+#include "alert/rule.h"
 #include "battery/kibam.h"
 #include "core/vdeb.h"
 #include "power/circuit_breaker.h"
 #include "power/server_power_model.h"
+#include "telemetry/hub.h"
 #include "telemetry/remote_write.h"
 #include "trace/synthetic_trace.h"
 #include "trace/workload.h"
@@ -65,9 +71,11 @@ benchKibamStep()
         [&] {
             double acc = 0.0;
             for (int i = 0; i < n; ++i) {
-                acc += model.step(500.0, 0.1);
-                if (model.depleted())
+                // Reset before a step could cross depletion, so the
+                // loop times the closed-form step, not the bisection.
+                if (model.maxSustainablePower(0.1) < 500.0)
                     model.resetFull();
+                acc += model.step(500.0, 0.1);
             }
             keep(acc);
         },
@@ -263,6 +271,113 @@ benchRwParse()
     report("rw_parse", t, samples);
 }
 
+/** The 93 series names of a 22-rack engine's telemetry row. */
+std::vector<std::string>
+engineRowNames()
+{
+    std::vector<std::string> names;
+    for (int r = 0; r < 22; ++r)
+        for (const char *leaf : {".power", ".draw", ".soc", ".udeb_soc"})
+            names.push_back("rack" + std::to_string(r) + leaf);
+    for (const char *name : {"pdu.power", "pdu.draw", "policy.level",
+                             "shed.servers", "detector.score"})
+        names.push_back(name);
+    return names;
+}
+
+/**
+ * Sample ticks of one telemetry_push-sized run: 420 coarse steps 300 s
+ * apart, then a 200 s attack sampled every second.
+ */
+std::vector<Tick>
+runTicks()
+{
+    std::vector<Tick> ticks;
+    const Tick coarse = 300 * kTicksPerSecond;
+    for (int k = 0; k < ops(420); ++k)
+        ticks.push_back(Tick{k} * coarse);
+    const Tick attack = static_cast<Tick>(ticks.size()) * coarse;
+    for (int k = 0; k < ops(200); ++k)
+        ticks.push_back(attack + Tick{k} * kTicksPerSecond);
+    return ticks;
+}
+
+/** Fresh hubs per timed repetition; each takes one run's samples. */
+constexpr int kHubRuns = 4;
+
+/**
+ * The engine's record stage: one 93-series row per sample tick of a
+ * run, recorded by series id into a fresh hub, optionally with the
+ * default alert rules listening: ns per sample.
+ */
+void
+benchHubRecord(bool withRules)
+{
+    const std::vector<std::string> names = engineRowNames();
+    const std::vector<Tick> ticks = runTicks();
+    const std::vector<double> values = telemetryValues(4096);
+    std::string error;
+    const auto rules = alert::loadRulesFile(
+        std::string(PAD_RULES_DIR) + "/pad_default.json", &error);
+    if (!rules) {
+        std::fprintf(stderr, "micro_benchmarks: %s\n", error.c_str());
+        std::exit(1);
+    }
+    const TimingResult t = timeIt(
+        [&] {
+            for (int run = 0; run < kHubRuns; ++run) {
+                telemetry::TelemetryHub hub;
+                alert::AlertEngine alerts(*rules);
+                if (withRules)
+                    hub.setListener(&alerts);
+                std::vector<std::uint32_t> ids;
+                for (const std::string &name : names)
+                    ids.push_back(hub.seriesId(name));
+                std::vector<double> row(ids.size());
+                std::size_t next = 0;
+                for (const Tick when : ticks) {
+                    for (double &v : row)
+                        v = values[next++ % values.size()];
+                    hub.recordRow(when, ids.data(), row.data(), row.size());
+                }
+                hub.setListener(nullptr);
+                keep(static_cast<double>(hub.size()));
+            }
+        },
+        1, 5);
+    report(withRules ? "hub_record/rules" : "hub_record", t,
+           kHubRuns * static_cast<int>(ticks.size() * names.size()));
+}
+
+/**
+ * The receiver's merge stage: one shipped run (93 series, one sample
+ * per tick of runTicks()) recorded chunk by chunk by name, under a
+ * source prefix, into a fresh fleet hub: ns per sample.
+ */
+void
+benchHubMerge()
+{
+    const std::vector<std::string> names = engineRowNames();
+    const std::vector<Tick> ticks = runTicks();
+    const std::vector<double> values = telemetryValues(4096);
+    std::vector<telemetry::Sample> chunk;
+    for (const Tick when : ticks)
+        chunk.push_back({when, values[chunk.size() % values.size()]});
+    const TimingResult t = timeIt(
+        [&] {
+            for (int run = 0; run < kHubRuns; ++run) {
+                telemetry::TelemetryHub fleet;
+                for (const std::string &name : names)
+                    fleet.recordMany("fleet.run0." + name, chunk.data(),
+                                     chunk.size());
+                keep(static_cast<double>(fleet.size()));
+            }
+        },
+        1, 5);
+    report("hub_merge", t,
+           kHubRuns * static_cast<int>(chunk.size() * names.size()));
+}
+
 } // namespace
 
 int
@@ -290,5 +405,8 @@ main(int argc, char **argv)
     benchFormatDouble();
     benchRwRender();
     benchRwParse();
+    benchHubRecord(false);
+    benchHubRecord(true);
+    benchHubMerge();
     return 0;
 }

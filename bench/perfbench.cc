@@ -7,7 +7,7 @@
  * loop (ns/tick), and whole experiments (single-run and sweep
  * throughput):
  *
- *   perfbench --json BENCH_PR21.json
+ *   perfbench --json BENCH_PR23.json
  *
  * Each row has one measurement column. The engine-level rows
  * (fine_tick, single_run*, sweep*) file it under "soa", the
@@ -36,6 +36,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <string>
 #include <vector>
@@ -82,6 +83,8 @@ struct ProfileMeasure {
     double value = 0.0;
     /** Per-phase breakdown; only profiled rows fill this (v3). */
     std::vector<PhaseBreak> phases;
+    /** kibam_step only: share of timed steps that crossed depletion. */
+    std::optional<double> crossingShare;
 };
 
 struct BenchRow {
@@ -100,6 +103,13 @@ struct BenchRow {
 // the engine-level rows drive engine::ClusterEngine.
 // ---------------------------------------------------------------------
 
+/**
+ * The closed-form KiBaM step at 500 W per 0.1 s. The model resets to
+ * full once it can no longer sustain the draw for a whole step, so
+ * the timed loop measures the common step, not the depletion-crossing
+ * bisection; an untimed pass of the same loop reports the share of
+ * steps that still crossed.
+ */
 ProfileMeasure
 benchKibamStep(const PerfOptions &opt)
 {
@@ -107,19 +117,23 @@ benchKibamStep(const PerfOptions &opt)
     const int reps = opt.quick ? 3 : 9;
     battery::Kibam model(
         battery::KibamParams{260640.0, 0.625, 4.5e-4});
+    const auto run = [&](int *crossings) {
+        double acc = 0.0;
+        for (int i = 0; i < ops; ++i) {
+            if (model.maxSustainablePower(0.1) < 500.0)
+                model.resetFull();
+            if (crossings && model.maxSustainablePower(0.1) < 500.0)
+                ++*crossings;
+            acc += model.step(500.0, 0.1);
+        }
+        keep(acc);
+    };
     ProfileMeasure m;
-    m.timing = timeIt(
-        [&] {
-            double acc = 0.0;
-            for (int i = 0; i < ops; ++i) {
-                acc += model.step(500.0, 0.1);
-                if (model.depleted())
-                    model.resetFull();
-            }
-            keep(acc);
-        },
-        /*warmup=*/1, reps);
+    m.timing = timeIt([&] { run(nullptr); }, /*warmup=*/1, reps);
     m.value = m.timing.medianSec / static_cast<double>(ops) * 1e9;
+    int crossings = 0;
+    run(&crossings);
+    m.crossingShare = static_cast<double>(crossings) / ops;
     return m;
 }
 
@@ -425,6 +439,8 @@ printRow(const BenchRow &row)
                     p.name.c_str(), p.seconds,
                     total > 0.0 ? 100.0 * p.seconds / total : 0.0,
                     static_cast<unsigned long long>(p.laps));
+    if (pm.crossingShare)
+        std::printf("    crossing_share   %10.6f\n", *pm.crossingShare);
     std::fflush(stdout);
 }
 
@@ -487,6 +503,8 @@ writeJson(const std::string &path, const PerfOptions &opt,
         w.key("min_sec").value(pm.timing.minSec);
         w.key("mean_sec").value(pm.timing.meanSec);
         w.key("reps").value(pm.timing.reps);
+        if (pm.crossingShare)
+            w.key("crossing_share").value(*pm.crossingShare);
         if (!pm.phases.empty()) {
             w.key("phases").beginObject();
             for (const PhaseBreak &p : pm.phases) {

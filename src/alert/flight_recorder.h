@@ -2,12 +2,13 @@
  * @file
  * Flight recorder: bounded full-resolution sample history.
  *
- * Telemetry series roll up to 1-/5-minute buckets for live
- * exposition, which erases the sub-second µDEB shave spikes an
- * incident investigation needs. The flight recorder keeps the most
- * recent raw samples of every signal in a fixed-size ring — memory
- * bounded regardless of run length — so a firing alert can snapshot
- * a ±window of full-resolution context into its incident record.
+ * The alert engine listens to the telemetry hub under the hub's lock,
+ * and the trace events it observes never reach a hub, so it cannot
+ * read the hub's rings when an instance fires. The flight recorder
+ * keeps the most recent raw samples of every signal in its own
+ * fixed-size ring — memory bounded regardless of run length — so a
+ * firing alert can snapshot a ±window of full-resolution context
+ * into its incident record.
  *
  * Not thread-safe: each AlertEngine owns one recorder and both are
  * driven from a single simulation thread (DESIGN.md §10).

@@ -115,7 +115,10 @@ parseIncidentLine(const JsonValue &node, Incident &out,
         double d = 0.0;
         if (!num(key, d))
             return false;
-        dst = static_cast<Tick>(d);
+        if (!tickFrom(d, dst)) {
+            what = std::string("\"") + key + "\" out of range";
+            return false;
+        }
         return true;
     };
 
@@ -142,7 +145,10 @@ parseIncidentLine(const JsonValue &node, Incident &out,
     double job = -1.0;
     if (!num("job", job))
         return false;
-    out.job = static_cast<int>(job);
+    if (!intFrom(job, out.job)) {
+        what = "\"job\" out of range";
+        return false;
+    }
     if (!tick("pending_ts", out.pendingSince) ||
         !tick("firing_ts", out.firingSince) ||
         !tick("resolved_ts", out.resolvedAt) ||
@@ -178,9 +184,13 @@ parseIncidentLine(const JsonValue &node, Incident &out,
                 what = "sample must be a [ts, value] pair";
                 return false;
             }
-            series.samples.push_back(FlightSample{
-                static_cast<Tick>(pair.array[0].number),
-                pair.array[1].number});
+            Tick when = 0;
+            if (!tickFrom(pair.array[0].number, when)) {
+                what = "sample timestamp out of range";
+                return false;
+            }
+            series.samples.push_back(
+                FlightSample{when, pair.array[1].number});
         }
         out.context.push_back(std::move(series));
     }

@@ -122,18 +122,10 @@ ClusterEngine::ClusterEngine(const core::DataCenterConfig &config,
 
     udebName_.reserve(nr);
     breakerName_.reserve(nr);
-    powerName_.reserve(nr);
-    drawName_.reserve(nr);
-    socName_.reserve(nr);
-    udebSocName_.reserve(nr);
     for (int r = 0; r < racks_; ++r) {
         const std::string base = "rack" + std::to_string(r);
         udebName_.push_back(base + ".udeb");
         breakerName_.push_back(base + ".breaker");
-        powerName_.push_back(base + ".power");
-        drawName_.push_back(base + ".draw");
-        socName_.push_back(base + ".soc");
-        udebSocName_.push_back(base + ".udeb_soc");
     }
 }
 
@@ -925,22 +917,34 @@ ClusterEngine::telemetrySample(const StepView &step)
     if (!telemetry_)
         return;
     auto &hub = *telemetry_;
+    if (telemetryIds_.empty()) {
+        // Resolve in record order so series ids, and with them the
+        // listener's view, match recording the row by name.
+        for (int r = 0; r < racks_; ++r) {
+            const std::string base = "rack" + std::to_string(r);
+            for (const char *leaf : {".power", ".draw", ".soc", ".udeb_soc"})
+                telemetryIds_.push_back(hub.seriesId(base + leaf));
+        }
+        for (const char *name : {"pdu.power", "pdu.draw", "policy.level",
+                                 "shed.servers", "detector.score"})
+            telemetryIds_.push_back(hub.seriesId(name));
+    }
     const Watts budget = config_.rackBudget();
     double score = 0.0;
+    telemetryRow_.clear();
     for (std::size_t r = 0; r < static_cast<std::size_t>(racks_); ++r) {
-        hub.record(powerName_[r], now_, rackPower_[r]);
-        hub.record(drawName_[r], now_, rackDraw_[r]);
-        hub.record(socName_[r], now_, rackSoc(r));
-        hub.record(udebSocName_[r], now_, rackUdebSoc(r));
+        telemetryRow_.insert(telemetryRow_.end(),
+                             {rackPower_[r], rackDraw_[r], rackSoc(r),
+                              rackUdebSoc(r)});
         if (budget > 0.0)
             score = std::max(score, vpEnergy_[r] / budget);
     }
-    hub.record("pdu.power", now_, step.totalPower);
-    hub.record("pdu.draw", now_, step.totalDraw);
-    hub.record("policy.level", now_, static_cast<double>(level_));
-    hub.record("shed.servers", now_,
-               static_cast<double>(sheddedServers()));
-    hub.record("detector.score", now_, score);
+    telemetryRow_.insert(telemetryRow_.end(),
+                         {step.totalPower, step.totalDraw,
+                          static_cast<double>(level_),
+                          static_cast<double>(sheddedServers()), score});
+    hub.recordRow(now_, telemetryIds_.data(), telemetryRow_.data(),
+                  telemetryRow_.size());
 }
 
 void

@@ -155,7 +155,12 @@ class ClusterEngine
      * into it. Pass nullptr to detach; the hub is not owned and the
      * default (no hub) costs nothing.
      */
-    void setTelemetry(telemetry::TelemetryHub *hub) { telemetry_ = hub; }
+    void
+    setTelemetry(telemetry::TelemetryHub *hub)
+    {
+        telemetry_ = hub;
+        telemetryIds_.clear();
+    }
 
     /**
      * Attach/detach a self-profiler (not owned; nullptr detaches).
@@ -441,17 +446,15 @@ class ClusterEngine
     // --- attack context (valid inside runAttack) ---
     std::vector<std::uint8_t> victimMask_;
 
-    // --- trace/telemetry names, prebuilt per rack ---
+    // --- trace names, prebuilt per rack ---
     std::vector<std::string> udebName_;
     std::vector<std::string> breakerName_;
-    // Full per-rack metric names, prebuilt so the telemetry sampler
-    // never concatenates strings on the hot path.
-    std::vector<std::string> powerName_;
-    std::vector<std::string> drawName_;
-    std::vector<std::string> socName_;
-    std::vector<std::string> udebSocName_;
 
     telemetry::TelemetryHub *telemetry_ = nullptr;
+    // The telemetry row: hub series ids, resolved on the first sample
+    // after setTelemetry(), and the values of the row being recorded.
+    std::vector<std::uint32_t> telemetryIds_;
+    std::vector<double> telemetryRow_;
     obs::EngineProfiler *prof_ = nullptr;
     Tick now_ = 0;
     bool recordHistory_ = false;

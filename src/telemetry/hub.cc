@@ -1,5 +1,7 @@
 #include "telemetry/hub.h"
 
+#include "util/logging.h"
+
 namespace pad::telemetry {
 
 void
@@ -9,6 +11,19 @@ TelemetryHub::record(std::string_view name, Tick when, double value)
     recordMany(name, &s, 1);
 }
 
+TelemetryHub::SeriesMap::value_type &
+TelemetryHub::node(std::string_view name)
+{
+    auto it = series_.find(name);
+    if (it == series_.end()) {
+        const auto id = static_cast<std::uint32_t>(byId_.size());
+        it = series_.emplace(std::string(name), Entry{TimeSeries(opts_), id})
+                 .first;
+        byId_.push_back(&*it);
+    }
+    return *it;
+}
+
 void
 TelemetryHub::recordMany(std::string_view name, const Sample *samples,
                          std::size_t n)
@@ -16,18 +31,33 @@ TelemetryHub::recordMany(std::string_view name, const Sample *samples,
     if (n == 0)
         return;
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = series_.find(name);
-    if (it == series_.end())
-        it = series_
-                 .emplace(std::string(name),
-                          Entry{TimeSeries(opts_), nextId_++})
-                 .first;
-    Entry &entry = it->second;
+    Entry &entry = node(name).second;
     for (std::size_t i = 0; i < n; ++i) {
         entry.series.record(samples[i].when, samples[i].value);
         if (listener_)
             listener_->onSample(entry.id, name, samples[i].when,
                                 samples[i].value);
+    }
+}
+
+std::uint32_t
+TelemetryHub::seriesId(std::string_view name)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return node(name).second.id;
+}
+
+void
+TelemetryHub::recordRow(Tick when, const std::uint32_t *ids,
+                        const double *values, std::size_t n)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    for (std::size_t i = 0; i < n; ++i) {
+        PAD_ASSERT(ids[i] < byId_.size(), "unknown series id");
+        auto &[name, entry] = *byId_[ids[i]];
+        entry.series.record(when, values[i]);
+        if (listener_)
+            listener_->onSample(ids[i], name, when, values[i]);
     }
 }
 
@@ -106,7 +136,7 @@ TelemetryHub::mergeFrom(const TelemetryHub &other, const std::string &prefix)
 {
     // Copy the source series under its lock first so self-merge and
     // lock-order issues cannot arise.
-    std::map<std::string, Entry, std::less<>> copy;
+    SeriesMap copy;
     {
         std::lock_guard<std::mutex> lock(other.mu_);
         copy = other.series_;
@@ -119,12 +149,7 @@ TelemetryHub::mergeFrom(const TelemetryHub &other, const std::string &prefix)
             continue;
         // Ids are hub-local: a merged-in series keeps the target's
         // existing id or receives a fresh one, never the source's.
-        auto it = series_.find(prefix + name);
-        if (it == series_.end())
-            series_.emplace(prefix + name,
-                            Entry{std::move(entry.series), nextId_++});
-        else
-            it->second.series = std::move(entry.series);
+        node(prefix + name).second.series = std::move(entry.series);
     }
 }
 

@@ -6,7 +6,9 @@
  * ("rack3.power", "policy.level", ...) and is safe to record into
  * from the simulation thread while another thread (the optional
  * metrics HTTP endpoint) renders summaries. Series are created
- * lazily on first record with the hub's capacity options.
+ * lazily on first record with the hub's capacity options. A caller
+ * that records the same series every step resolves their names to
+ * ids once (seriesId()) and records whole rows by id (recordRow()).
  *
  * Hubs from independent sweep jobs combine with mergeFrom(), which
  * copies every series under a caller-supplied name prefix; merging
@@ -79,6 +81,23 @@ class TelemetryHub
                     std::size_t n);
 
     /**
+     * The hub-local id of series @p name, creating the series (empty,
+     * listed by names() and summary() until its first sample) if
+     * absent. Ids never change, so callers that record the same names
+     * every step resolve them once and record by id after.
+     */
+    std::uint32_t seriesId(std::string_view name);
+
+    /**
+     * Record values[i] into series ids[i] at @p when for i in
+     * [0, n), in order, under one lock: the same result, listener
+     * calls included, as n record() calls by name. Every id must
+     * come from seriesId() on this hub.
+     */
+    void recordRow(Tick when, const std::uint32_t *ids,
+                   const double *values, std::size_t n);
+
+    /**
      * Attach @p listener (or detach with nullptr): every subsequent
      * record() also invokes the listener. Not owned; the caller must
      * detach before the listener is destroyed.
@@ -145,12 +164,17 @@ class TelemetryHub
         TimeSeries series;
         std::uint32_t id = 0;
     };
+    using SeriesMap = std::map<std::string, Entry, std::less<>>;
+
+    /** Series @p name, created if absent; mu_ must be held. */
+    SeriesMap::value_type &node(std::string_view name);
 
     mutable std::mutex mu_;
     TimeSeriesOptions opts_;
     SampleListener *listener_ = nullptr;
-    std::map<std::string, Entry, std::less<>> series_;
-    std::uint32_t nextId_ = 0;
+    SeriesMap series_;
+    /** series_ nodes by id; map nodes never move. */
+    std::vector<SeriesMap::value_type *> byId_;
 };
 
 } // namespace pad::telemetry

@@ -654,8 +654,18 @@ RemoteWriteShipper::observe(Tick now)
         lastSnapTick_ = now; // anchor the interval clock
         return;
     }
-    if (now - lastSnapTick_ >= intervalTicks_)
-        snapshotNow(now);
+    if (now - lastSnapTick_ < intervalTicks_)
+        return;
+    {
+        // The sender is a full queue behind (a slow peer, or a sim
+        // at full speed outrunning the first connect): a cut now
+        // would only be dropped, so leave the samples in the hub
+        // ring, where the next cut after the queue drains finds them.
+        std::lock_guard<std::mutex> lock(mu_);
+        if (queue_.size() >= opts_.queueLimit)
+            return;
+    }
+    snapshotNow(now);
 }
 
 void

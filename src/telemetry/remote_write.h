@@ -226,7 +226,8 @@ class RemoteWriteShipper
      * Sim-thread heartbeat; call once per coarse step with the
      * current tick. The first call anchors the interval clock; each
      * later call cuts a snapshot batch when a full interval has
-     * elapsed. Cheap no-op otherwise.
+     * elapsed and the queue has room (a full queue defers the cut,
+     * the samples waiting in the hub ring). Cheap no-op otherwise.
      */
     void observe(Tick now);
 

@@ -3,60 +3,21 @@
 namespace pad::telemetry {
 
 TimeSeries::TimeSeries(const TimeSeriesOptions &opts)
-    : raw_(opts.rawCapacity),
-      minute_(kTicksPerMinute, opts.bucketCapacity),
-      fiveMinute_(5 * kTicksPerMinute, opts.bucketCapacity)
+    : capacity_(opts.rawCapacity ? opts.rawCapacity : 1)
 {
-}
-
-void
-TimeSeries::Rollup::fold(Tick when, double value)
-{
-    // Align to the bucket grid; ticks are non-negative in practice
-    // but guard the modulo for robustness.
-    Tick start = (when / width) * width;
-    if (start > when)
-        start -= width;
-
-    if (hasOpen && start <= open.start) {
-        // Same bucket (or a late sample): fold into the open bucket.
-        if (value < open.min)
-            open.min = value;
-        if (value > open.max)
-            open.max = value;
-        open.sum += value;
-        open.last = value;
-        ++open.count;
-        return;
-    }
-    if (hasOpen)
-        closed.push(open);
-    open = Bucket{};
-    open.start = start;
-    open.width = width;
-    open.min = value;
-    open.max = value;
-    open.sum = value;
-    open.last = value;
-    open.count = 1;
-    hasOpen = true;
-}
-
-std::vector<Bucket>
-TimeSeries::Rollup::buckets() const
-{
-    std::vector<Bucket> out = closed.ordered();
-    if (hasOpen)
-        out.push_back(open);
-    return out;
 }
 
 void
 TimeSeries::record(Tick when, double value)
 {
-    raw_.push(Sample{when, value});
-    minute_.fold(when, value);
-    fiveMinute_.fold(when, value);
+    const Sample s{when, value};
+    if (raw_.size() < capacity_) {
+        raw_.push_back(s);
+    } else {
+        raw_[head_] = s;
+        if (++head_ == capacity_)
+            head_ = 0;
+    }
 
     if (total_ == 0) {
         min_ = value;
@@ -69,7 +30,7 @@ TimeSeries::record(Tick when, double value)
     }
     sum_ += value;
     ++total_;
-    last_ = Sample{when, value};
+    last_ = s;
 }
 
 double
@@ -81,19 +42,13 @@ TimeSeries::overallMean() const
 std::vector<Sample>
 TimeSeries::raw() const
 {
-    return raw_.ordered();
-}
-
-std::vector<Bucket>
-TimeSeries::minuteBuckets() const
-{
-    return minute_.buckets();
-}
-
-std::vector<Bucket>
-TimeSeries::fiveMinuteBuckets() const
-{
-    return fiveMinute_.buckets();
+    std::vector<Sample> out;
+    out.reserve(raw_.size());
+    out.insert(out.end(), raw_.begin() + static_cast<std::ptrdiff_t>(head_),
+               raw_.end());
+    out.insert(out.end(), raw_.begin(),
+               raw_.begin() + static_cast<std::ptrdiff_t>(head_));
+    return out;
 }
 
 } // namespace pad::telemetry

@@ -1,12 +1,10 @@
 /**
  * @file
- * Fixed-memory multi-resolution telemetry time series.
+ * Fixed-memory telemetry time series.
  *
  * A telemetry::TimeSeries keeps the most recent raw samples in a
- * fixed-size ring buffer and simultaneously folds every sample into
- * two coarser rollup levels (1-minute and 5-minute buckets, each
- * tracking min/max/sum/last/count). Memory is bounded regardless of
- * run length: once a ring fills, the oldest entries are evicted, but
+ * fixed-size ring buffer. Memory is bounded regardless of run length:
+ * once the ring fills, the oldest entries are evicted, but
  * whole-series aggregates (total count, overall min/max/mean, latest
  * sample) remain exact because they are maintained incrementally.
  *
@@ -16,8 +14,7 @@
  * production scale, where unbounded growth is unacceptable.
  *
  * Timestamps are sim Ticks and are expected to be non-decreasing, as
- * produced by the simulator loop; a sample older than the open
- * rollup bucket is folded into that bucket rather than rejected.
+ * produced by the simulator loop.
  */
 
 #ifndef PAD_TELEMETRY_TIME_SERIES_H
@@ -37,32 +34,10 @@ struct Sample {
     double value = 0.0;
 };
 
-/** One rollup bucket: aggregate of the samples in [start, start+width). */
-struct Bucket {
-    /** Inclusive bucket start, aligned to a multiple of width. */
-    Tick start = 0;
-    /** Bucket width in ticks. */
-    Tick width = 0;
-    double min = 0.0;
-    double max = 0.0;
-    double sum = 0.0;
-    /** Value of the newest sample folded into the bucket. */
-    double last = 0.0;
-    std::uint64_t count = 0;
-
-    double
-    mean() const
-    {
-        return count ? sum / static_cast<double>(count) : 0.0;
-    }
-};
-
-/** Capacity knobs; defaults bound a series to a few hundred KiB. */
+/** Capacity knob; the default bounds a series to 64 KiB of samples. */
 struct TimeSeriesOptions {
     /** Raw samples retained (newest wins once full). */
     std::size_t rawCapacity = 4096;
-    /** Closed rollup buckets retained per resolution level. */
-    std::size_t bucketCapacity = 1024;
 };
 
 class TimeSeries
@@ -93,71 +68,12 @@ class TimeSeries
     /** Raw retained samples in chronological order. */
     std::vector<Sample> raw() const;
 
-    /**
-     * Rollup buckets in chronological order, the still-open newest
-     * bucket included as the final entry.
-     */
-    std::vector<Bucket> minuteBuckets() const;
-    std::vector<Bucket> fiveMinuteBuckets() const;
-
   private:
-    /** Fixed-capacity ring; push evicts the oldest once full. */
-    template <typename T>
-    class Ring
-    {
-      public:
-        explicit Ring(std::size_t capacity)
-            : capacity_(capacity ? capacity : 1)
-        {
-        }
-
-        void
-        push(const T &v)
-        {
-            if (buf_.size() < capacity_) {
-                buf_.push_back(v);
-            } else {
-                buf_[head_] = v;
-                head_ = (head_ + 1) % capacity_;
-            }
-        }
-
-        std::size_t size() const { return buf_.size(); }
-
-        std::vector<T>
-        ordered() const
-        {
-            std::vector<T> out;
-            out.reserve(buf_.size());
-            for (std::size_t k = 0; k < buf_.size(); ++k)
-                out.push_back(buf_[(head_ + k) % buf_.size()]);
-            return out;
-        }
-
-      private:
-        std::size_t capacity_;
-        std::size_t head_ = 0;
-        std::vector<T> buf_;
-    };
-
-    struct Rollup {
-        Rollup(Tick width, std::size_t capacity)
-            : width(width), closed(capacity)
-        {
-        }
-
-        Tick width;
-        Bucket open;
-        bool hasOpen = false;
-        Ring<Bucket> closed;
-
-        void fold(Tick when, double value);
-        std::vector<Bucket> buckets() const;
-    };
-
-    Ring<Sample> raw_;
-    Rollup minute_;
-    Rollup fiveMinute_;
+    // Ring of the newest samples: raw_ grows to capacity_, then
+    // head_ marks the oldest entry, the next to be overwritten.
+    std::size_t capacity_;
+    std::size_t head_ = 0;
+    std::vector<Sample> raw_;
 
     Sample last_;
     std::uint64_t total_ = 0;

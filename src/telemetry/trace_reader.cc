@@ -63,15 +63,22 @@ readTraceLog(std::istream &in)
             continue;
         }
 
+        // Numbers round to the nearest integer; one that does not fit
+        // its field makes the line corrupt.
         TraceRecord rec;
-        rec.ts = static_cast<Tick>(std::llround(ts->number));
+        const JsonValue *dur = doc->find("dur");
+        const JsonValue *job = doc->find("job");
+        if (!tickFrom(std::round(ts->number), rec.ts) ||
+            (dur && dur->isNumber() &&
+             !tickFrom(std::round(dur->number), rec.dur)) ||
+            (job && job->isNumber() &&
+             !intFrom(std::round(job->number), rec.job))) {
+            ++log.skipped;
+            warn("trace reader: line {} has a number out of range",
+                 log.lines);
+            continue;
+        }
         rec.name = name->str;
-        if (const JsonValue *dur = doc->find("dur");
-            dur && dur->isNumber())
-            rec.dur = static_cast<Tick>(std::llround(dur->number));
-        if (const JsonValue *job = doc->find("job");
-            job && job->isNumber())
-            rec.job = static_cast<int>(std::llround(job->number));
         if (const JsonValue *component = doc->find("component");
             component && component->isString())
             rec.component = component->str;

@@ -16,6 +16,7 @@
 #define PAD_UTIL_JSON_H
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -180,7 +181,7 @@ std::optional<JsonValue> parseJson(std::string_view text,
  * The one checked conversion of a JSON number to an integer field.
  * A cast of a double outside the target's range is undefined
  * behaviour, so readers of untrusted documents go through these.
- * Both truncate toward zero like the cast.
+ * All truncate toward zero like the cast.
  */
 inline bool
 tickFrom(double d, Tick &out)
@@ -189,6 +190,18 @@ tickFrom(double d, Tick &out)
     if (!(d >= -kTwoPow63 && d < kTwoPow63))
         return false; // also rejects NaN and infinities
     out = static_cast<Tick>(d);
+    return true;
+}
+
+/** @p d as an int; false unless finite and inside int's range. */
+inline bool
+intFrom(double d, int &out)
+{
+    Tick t = 0;
+    if (!tickFrom(d, t) || t < std::numeric_limits<int>::min() ||
+        t > std::numeric_limits<int>::max())
+        return false;
+    out = static_cast<int>(t);
     return true;
 }
 

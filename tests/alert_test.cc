@@ -10,6 +10,8 @@
  */
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -439,6 +441,39 @@ TEST(Incidents, ReaderReportsTheOffendingLine)
     EXPECT_NE(error.find("line 2"), std::string::npos) << error;
 }
 
+TEST(Incidents, ReaderRejectsOutOfRangeNumbers)
+{
+    const std::string line =
+        alert::renderIncidentsJsonl({sampleIncidents()[0]});
+    ASSERT_TRUE(alert::readIncidentsJsonl(line).has_value());
+    // Each integer field, and the context sample timestamp, with a
+    // value no Tick (or, for job, no int) can hold.
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"\"job\":", "3e9"},
+        {"\"job\":", "-3e9"},
+    };
+    std::vector<std::pair<std::string, std::string>> all = cases;
+    for (const char *field :
+         {"\"job\":", "\"pending_ts\":", "\"firing_ts\":",
+          "\"resolved_ts\":", "\"context_from\":",
+          "\"context_until\":", "\"samples\":[["})
+        for (const char *bad : {"1e300", "-1e300", "1e999"})
+            all.emplace_back(field, bad);
+    for (const auto &[field, bad] : all) {
+        std::size_t at = line.find(field);
+        ASSERT_NE(at, std::string::npos) << field;
+        at += field.size();
+        const std::size_t end = line.find_first_of(",]}", at);
+        const std::string text =
+            line.substr(0, at) + bad + line.substr(end);
+        std::string error;
+        EXPECT_FALSE(alert::readIncidentsJsonl(text, &error).has_value())
+            << text;
+        EXPECT_NE(error.find("out of range"), std::string::npos)
+            << field << bad << ": " << error;
+    }
+}
+
 // ---------------------------------------------------------------------
 // HTML dashboard
 // ---------------------------------------------------------------------
@@ -617,6 +652,60 @@ TEST(AlertRunner, GoldenIncidentSequenceFor22RackAttack)
         "sustained-visible-peak:detector.score@62700000",
     };
     EXPECT_EQ(sequence, golden);
+}
+
+/** FNV-1a over @p n bytes at @p data, chained from @p hash. */
+std::uint64_t
+fnv1a(std::uint64_t hash, const void *data, std::size_t n)
+{
+    const auto *bytes = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+        hash ^= bytes[i];
+        hash *= 1099511628211ull;
+    }
+    return hash;
+}
+
+TEST(AlertRunner, HubSnapshotAndIncidentsArePinned)
+{
+    // Pins every telemetry sample and incident of a 300 s PAD attack
+    // with the default rules attached: the hub's raw snapshot (names,
+    // series ids, totals and the bits of every retained sample) and
+    // the incidents JSONL bytes. The values were captured before the
+    // hub learned to record rows by series id; a change means the
+    // samples, their ids or the listener's view of them moved.
+    const auto cw = runner::makeClusterWorkload(1.0);
+    runner::ClusterAttackSpec spec;
+    spec.durationSec = 300.0;
+    auto e = runner::Experiment::clusterAttack(spec, cw);
+    e.seed = 42;
+    e.telemetryEnabled = true;
+    e.alertRules = defaultRules();
+
+    const auto result = runner::runExperiment(e);
+    ASSERT_NE(result.hub, nullptr);
+    ASSERT_NE(result.alerts, nullptr);
+
+    std::uint64_t hub = 14695981039346656037ull;
+    const auto snapshot = result.hub->rawSnapshot();
+    for (const auto &s : snapshot) {
+        hub = fnv1a(hub, s.name.data(), s.name.size() + 1);
+        hub = fnv1a(hub, &s.id, sizeof s.id);
+        hub = fnv1a(hub, &s.totalSamples, sizeof s.totalSamples);
+        for (const auto &sample : s.raw) {
+            hub = fnv1a(hub, &sample.when, sizeof sample.when);
+            hub = fnv1a(hub, &sample.value, sizeof sample.value);
+        }
+    }
+    const std::string jsonl =
+        alert::renderIncidentsJsonl(result.alerts->incidents());
+    const std::uint64_t incidents =
+        fnv1a(14695981039346656037ull, jsonl.data(), jsonl.size());
+
+    EXPECT_EQ(snapshot.size(), 93u);
+    EXPECT_EQ(hub, 0xc4d9733712b6d899ull);
+    EXPECT_FALSE(jsonl.empty());
+    EXPECT_EQ(incidents, 0xdab48032c2f25a43ull);
 }
 
 } // namespace

@@ -1151,6 +1151,52 @@ TEST(RemoteWrite, ReceiverNeverUpStaysBoundedAndCountsDrops)
     EXPECT_GE(c.sendFailures, 1u);
 }
 
+TEST(RemoteWrite, FullQueueDefersIntervalCutsInsteadOfDropping)
+{
+    // A sim running faster than its peer acknowledges fills the
+    // queue; observe() then leaves the samples in the hub ring, and
+    // the first cut after the queue drains carries all of them.
+    ReceiverServer probe(0);
+    std::string error;
+    ASSERT_TRUE(probe.start(&error)) << error;
+    const int port = probe.port();
+    probe.stop();
+
+    TelemetryHub hub;
+    RemoteWriteOptions opts;
+    opts.port = port;
+    opts.source = "eager";
+    opts.intervalS = 1.0;
+    opts.queueLimit = 2;
+    opts.backoffBaseMs = 1;
+    opts.backoffCapMs = 5;
+    RemoteWriteShipper shipper(opts, &hub);
+    ASSERT_TRUE(shipper.start(&error)) << error;
+
+    shipper.observe(0);
+    for (int i = 1; i <= 6; ++i) {
+        hub.record("rack0.power", i * kTicksPerSecond, 50000.0 + i);
+        shipper.observe(i * kTicksPerSecond);
+    }
+    // One batch in flight at most, two queued; the rest never cut.
+    EXPECT_LE(shipper.counters().batchesEnqueued, 3u);
+    EXPECT_EQ(shipper.counters().batchesDropped, 0u);
+
+    ReceiverServer rx(port);
+    ASSERT_TRUE(rx.start(&error)) << error;
+    const auto enqueued = shipper.counters().batchesEnqueued;
+    ASSERT_TRUE(eventually(
+        [&] { return shipper.counters().batchesSent == enqueued; }));
+    hub.record("rack0.power", 7 * kTicksPerSecond, 50007.0);
+    shipper.observe(7 * kTicksPerSecond);
+    shipper.finish(7 * kTicksPerSecond);
+
+    EXPECT_EQ(shipper.counters().batchesDropped, 0u);
+    EXPECT_EQ(shipper.counters().samplesLost, 0u);
+    EXPECT_EQ(rx.counters().samples, 7u);
+    rx.stop();
+}
+
 TEST(RemoteWrite, SpoolsAcrossOutageAndReplaysInOrder)
 {
     const test::ScopedTempDir tmp;

@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the telemetry subsystem: multi-resolution time
- * series, the TelemetryHub, the tracer-event feed, Prometheus
- * exposition (writer and grammar validator), the scrape HTTP
+ * Unit tests for the telemetry subsystem: bounded time series, the
+ * TelemetryHub, the tracer-event feed, Prometheus exposition (writer
+ * and grammar validator), the scrape HTTP
  * endpoint, the JSONL trace reader, and the StatsRegistry
  * histogram-quantile boundary contract the exposition relies on.
  */
@@ -12,6 +12,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -47,40 +49,19 @@ TEST(TimeSeries, EmptySeriesIsWellDefined)
     EXPECT_EQ(ts.overallMax(), 0.0);
     EXPECT_EQ(ts.overallMean(), 0.0);
     EXPECT_TRUE(ts.raw().empty());
-    EXPECT_TRUE(ts.minuteBuckets().empty());
-    EXPECT_TRUE(ts.fiveMinuteBuckets().empty());
 }
 
 TEST(TimeSeries, MinuteRollupAggregates)
 {
     TimeSeries ts;
-    // Three samples in minute 0, one in minute 1.
     ts.record(0, 10.0);
     ts.record(20 * kTicksPerSecond, 30.0);
     ts.record(40 * kTicksPerSecond, 20.0);
     ts.record(kTicksPerMinute + 1, 5.0);
 
-    const auto minutes = ts.minuteBuckets();
-    ASSERT_EQ(minutes.size(), 2u);
-    EXPECT_EQ(minutes[0].start, 0);
-    EXPECT_EQ(minutes[0].width, kTicksPerMinute);
-    EXPECT_EQ(minutes[0].count, 3u);
-    EXPECT_DOUBLE_EQ(minutes[0].min, 10.0);
-    EXPECT_DOUBLE_EQ(minutes[0].max, 30.0);
-    EXPECT_DOUBLE_EQ(minutes[0].mean(), 20.0);
-    EXPECT_DOUBLE_EQ(minutes[0].last, 20.0);
-    // The still-open second bucket is included.
-    EXPECT_EQ(minutes[1].start, kTicksPerMinute);
-    EXPECT_EQ(minutes[1].count, 1u);
-    EXPECT_DOUBLE_EQ(minutes[1].last, 5.0);
-
-    // All four samples land in a single open 5-minute bucket.
-    const auto fives = ts.fiveMinuteBuckets();
-    ASSERT_EQ(fives.size(), 1u);
-    EXPECT_EQ(fives[0].count, 4u);
-    EXPECT_DOUBLE_EQ(fives[0].min, 5.0);
-    EXPECT_DOUBLE_EQ(fives[0].max, 30.0);
-
+    EXPECT_EQ(ts.totalSamples(), 4u);
+    EXPECT_DOUBLE_EQ(ts.overallMin(), 5.0);
+    EXPECT_DOUBLE_EQ(ts.overallMax(), 30.0);
     EXPECT_DOUBLE_EQ(ts.overallMean(), 65.0 / 4.0);
     EXPECT_EQ(ts.last().when, kTicksPerMinute + 1);
 }
@@ -104,45 +85,6 @@ TEST(TimeSeries, RingEvictionKeepsAggregatesExact)
     EXPECT_DOUBLE_EQ(ts.overallMin(), 0.0);
     EXPECT_DOUBLE_EQ(ts.overallMax(), 9.0);
     EXPECT_DOUBLE_EQ(ts.overallMean(), 4.5);
-}
-
-TEST(TimeSeries, BucketStartsAreAligned)
-{
-    TimeSeries ts;
-    ts.record(kTicksPerMinute + 1234, 1.0);
-    const auto minutes = ts.minuteBuckets();
-    ASSERT_EQ(minutes.size(), 1u);
-    EXPECT_EQ(minutes[0].start, kTicksPerMinute);
-    EXPECT_EQ(minutes[0].start % kTicksPerMinute, 0);
-}
-
-TEST(TimeSeries, BoundarySampleOpensTheNextBucket)
-{
-    // Regression: buckets are [start, start + width), so a sample at
-    // exactly the boundary belongs to the NEW bucket, never to the
-    // closing one.
-    TimeSeries ts;
-    ts.record(kTicksPerMinute - 1, 1.0);
-    ts.record(kTicksPerMinute, 2.0);
-
-    const auto minutes = ts.minuteBuckets();
-    ASSERT_EQ(minutes.size(), 2u);
-    EXPECT_EQ(minutes[0].start, 0);
-    EXPECT_EQ(minutes[0].count, 1u);
-    EXPECT_DOUBLE_EQ(minutes[0].last, 1.0);
-    EXPECT_EQ(minutes[1].start, kTicksPerMinute);
-    EXPECT_EQ(minutes[1].count, 1u);
-    EXPECT_DOUBLE_EQ(minutes[1].min, 2.0);
-    EXPECT_DOUBLE_EQ(minutes[1].max, 2.0);
-
-    // Same contract at the 5-minute resolution.
-    TimeSeries five;
-    five.record(5 * kTicksPerMinute - 1, 1.0);
-    five.record(5 * kTicksPerMinute, 2.0);
-    const auto fives = five.fiveMinuteBuckets();
-    ASSERT_EQ(fives.size(), 2u);
-    EXPECT_EQ(fives[1].start, 5 * kTicksPerMinute);
-    EXPECT_EQ(fives[1].count, 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -257,6 +199,108 @@ TEST(TelemetryHub, ConcurrentRecordingIsSafe)
               static_cast<std::uint64_t>(kPer));
     EXPECT_EQ(hub.find("b")->totalSamples(),
               static_cast<std::uint64_t>(kPer));
+}
+
+/** Every listener call, by id, as "id:name@when=value". */
+struct IdCapture : telemetry::SampleListener {
+    std::vector<std::string> seen;
+    void
+    onSample(std::string_view, Tick, double) override
+    {
+        ADD_FAILURE() << "the hub must call the id overload";
+    }
+    void
+    onSample(std::uint32_t id, std::string_view name, Tick when,
+             double value) override
+    {
+        seen.push_back(std::to_string(id) + ":" + std::string(name) +
+                       "@" + std::to_string(when) + "=" +
+                       std::to_string(value));
+    }
+};
+
+TEST(TelemetryHub, RecordRowMatchesRecordingByName)
+{
+    const std::vector<std::string> row = {"rack0.power", "rack0.soc",
+                                          "pdu.power", "detector.score"};
+    const auto value = [](int step, std::size_t i) {
+        return 100.0 * static_cast<double>(i) + 0.25 * step;
+    };
+
+    TelemetryHub byName, byId;
+    IdCapture nameCalls, idCalls;
+    // A series that exists before the row is first recorded keeps
+    // its id on both paths.
+    byName.record("pdu.power", 0, -1.0);
+    byId.record("pdu.power", 0, -1.0);
+    byName.setListener(&nameCalls);
+    byId.setListener(&idCalls);
+
+    std::vector<std::uint32_t> ids;
+    for (const std::string &name : row)
+        ids.push_back(byId.seriesId(name));
+    EXPECT_EQ(ids[2], 0u);
+    std::vector<double> values(row.size());
+    for (int step = 1; step <= 5; ++step) {
+        const Tick when = step * kTicksPerSecond;
+        for (std::size_t i = 0; i < row.size(); ++i) {
+            byName.record(row[i], when, value(step, i));
+            values[i] = value(step, i);
+        }
+        byId.recordRow(when, ids.data(), values.data(), values.size());
+    }
+
+    const auto a = byName.rawSnapshot();
+    const auto b = byId.rawSnapshot();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t k = 0; k < a.size(); ++k) {
+        EXPECT_EQ(a[k].name, b[k].name);
+        EXPECT_EQ(a[k].id, b[k].id);
+        EXPECT_EQ(a[k].totalSamples, b[k].totalSamples);
+        ASSERT_EQ(a[k].raw.size(), b[k].raw.size());
+        for (std::size_t i = 0; i < a[k].raw.size(); ++i) {
+            EXPECT_EQ(a[k].raw[i].when, b[k].raw[i].when);
+            EXPECT_EQ(a[k].raw[i].value, b[k].raw[i].value);
+        }
+    }
+    EXPECT_EQ(nameCalls.seen.size(), 5 * row.size());
+    EXPECT_EQ(nameCalls.seen, idCalls.seen);
+}
+
+TEST(TelemetryHub, RecordRowRacesWithReaders)
+{
+    // Run under ThreadSanitizer: rows recorded by id on one thread
+    // while another takes every kind of concurrent-safe read.
+    TelemetryHub hub;
+    std::vector<std::uint32_t> ids;
+    for (int s = 0; s < 93; ++s)
+        ids.push_back(hub.seriesId("s" + std::to_string(s)));
+    constexpr int kRows = 500;
+    std::atomic<bool> done{false};
+    std::thread writer([&] {
+        std::vector<double> values(ids.size());
+        for (int r = 0; r < kRows; ++r) {
+            for (std::size_t i = 0; i < values.size(); ++i)
+                values[i] = r + 0.5 * static_cast<double>(i);
+            hub.recordRow(r * kTicksPerSecond, ids.data(), values.data(),
+                          values.size());
+        }
+        done = true;
+    });
+    std::uint64_t seen = 0;
+    while (!done) {
+        for (const auto &s : hub.rawSnapshot())
+            seen = std::max<std::uint64_t>(seen, s.raw.size());
+        for (const auto &s : hub.summary())
+            seen = std::max(seen, s.count);
+        EXPECT_EQ(hub.names().size(), ids.size());
+    }
+    writer.join();
+    EXPECT_LE(seen, static_cast<std::uint64_t>(kRows));
+    for (const auto &s : hub.summary()) {
+        EXPECT_EQ(s.count, static_cast<std::uint64_t>(kRows));
+        EXPECT_EQ(s.last.when, (kRows - 1) * kTicksPerSecond);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -877,6 +921,31 @@ TEST(TraceReader, ParsesRecordsAndSkipsCorruptLines)
     EXPECT_DOUBLE_EQ(second.argNumber("survival_sec"), 7.25);
     EXPECT_NE(second.arg("survival_sec"), nullptr);
     EXPECT_EQ(second.arg("nope"), nullptr);
+}
+
+TEST(TraceReader, SkipsNumbersOutOfRange)
+{
+    const auto line = [](const char *ts, const char *dur,
+                         const char *job) {
+        return std::string("{\"name\":\"n\",\"ts\":") + ts +
+               ",\"dur\":" + dur + ",\"job\":" + job + "}\n";
+    };
+    std::string text = line("7", "2", "1");
+    std::size_t bad = 0;
+    for (const char *value : {"1e300", "-1e300", "1e999"}) {
+        text += line(value, "2", "1") + line("7", value, "1") +
+                line("7", "2", value);
+        bad += 3;
+    }
+    text += line("7", "2", "3e9");
+    ++bad;
+    std::istringstream in(text);
+    const TraceLog log = readTraceLog(in);
+    ASSERT_EQ(log.records.size(), 1u);
+    EXPECT_EQ(log.skipped, bad);
+    EXPECT_EQ(log.records[0].ts, 7);
+    EXPECT_EQ(log.records[0].dur, 2);
+    EXPECT_EQ(log.records[0].job, 1);
 }
 
 TEST(TraceReader, MissingFileReportsError)
