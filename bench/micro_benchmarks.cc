@@ -5,8 +5,8 @@
  * thermal update, workload fine sampling, the server power model,
  * the telemetry push path's number codec
  * (shortest round-trip double formatting, pad-rw-v1 batch render and
- * parse, all per sample) and the telemetry hub's record and merge
- * stages.
+ * parse, all per sample), the telemetry hub's record and merge
+ * stages and the push shipper's cut at a short and a long ring.
  *
  * Built on the perfbench timing utilities (perf_timing.h): each
  * benchmark warms up untimed, then reports the median and minimum of
@@ -378,6 +378,53 @@ benchHubMerge()
            kHubRuns * static_cast<int>(chunk.size() * names.size()));
 }
 
+/**
+ * The push shipper's cut (RemoteWriteShipper::snapshotNow): one new
+ * 93-series row recorded, then the samples past the cursors taken,
+ * with every series' ring full at @p ring samples: ns per cut. With
+ * @p wholeRings the cut copies every ring instead (rawSnapshot(), the
+ * shape of the old cut), whose cost grows with the ring.
+ */
+void
+benchShipperCut(std::size_t ring, bool wholeRings)
+{
+    const std::vector<std::string> names = engineRowNames();
+    telemetry::TimeSeriesOptions opts;
+    opts.rawCapacity = ring;
+    telemetry::TelemetryHub hub(opts);
+    std::vector<std::uint32_t> ids;
+    for (const std::string &name : names)
+        ids.push_back(hub.seriesId(name));
+    const std::vector<double> row(ids.size(), 0.5);
+    Tick when = 0;
+    for (std::size_t i = 0; i < ring; ++i)
+        hub.recordRow(when++, ids.data(), row.data(), row.size());
+    // The shipper's cut: samples past the cursors, then advance them.
+    std::vector<std::uint64_t> cursors(ids.size(), 0);
+    const auto cut = [&] {
+        const auto fresh = hub.rawSince(cursors);
+        for (const telemetry::TelemetryHub::RawSeries &s : fresh)
+            cursors[s.id] = s.totalSamples;
+        return fresh.size();
+    };
+    cut();
+    const int cuts = ops(200);
+    const TimingResult t = timeIt(
+        [&] {
+            std::size_t taken = 0;
+            for (int i = 0; i < cuts; ++i) {
+                hub.recordRow(when++, ids.data(), row.data(), row.size());
+                taken += wholeRings ? hub.rawSnapshot().size() : cut();
+            }
+            keep(static_cast<double>(taken));
+        },
+        1, 5);
+    const std::string name = std::string(wholeRings ? "raw_snapshot"
+                                                    : "shipper_cut") +
+                             "/ring" + std::to_string(ring);
+    report(name.c_str(), t, cuts);
+}
+
 } // namespace
 
 int
@@ -408,5 +455,8 @@ main(int argc, char **argv)
     benchHubRecord(false);
     benchHubRecord(true);
     benchHubMerge();
+    for (const bool wholeRings : {false, true})
+        for (const std::size_t ring : {std::size_t{64}, std::size_t{4096}})
+            benchShipperCut(ring, wholeRings);
     return 0;
 }

@@ -47,8 +47,21 @@ struct TimingResult {
     double medianSec = 0.0;
     double minSec = 0.0;
     double meanSec = 0.0;
+    /** First and third quartiles: their distance is the run's noise. */
+    double q1Sec = 0.0;
+    double q3Sec = 0.0;
     int reps = 0;
 };
+
+/** Linear-interpolated quantile @p q of sorted, non-empty @p s. */
+inline double
+sortedQuantile(const std::vector<double> &s, double q)
+{
+    const double pos = q * static_cast<double>(s.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, s.size() - 1);
+    return s[lo] + (pos - static_cast<double>(lo)) * (s[hi] - s[lo]);
+}
 
 /** Reduce raw per-repetition wall times into a TimingResult. */
 inline TimingResult
@@ -64,6 +77,8 @@ summarize(std::vector<double> samples)
     out.medianSec = n % 2 == 1
                         ? samples[n / 2]
                         : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
+    out.q1Sec = sortedQuantile(samples, 0.25);
+    out.q3Sec = sortedQuantile(samples, 0.75);
     double sum = 0.0;
     for (double s : samples)
         sum += s;

@@ -3,15 +3,15 @@
  * Reproducible perf benchmark harness (BENCH_*.json).
  *
  * Times the simulator's hot paths at three granularities — component
- * microbenchmarks (KiBaM step, alert evaluation), the fine-grained attack
- * loop (ns/tick), and whole experiments (single-run and sweep
- * throughput):
+ * microbenchmarks (KiBaM step, alert evaluation), the engine's loops
+ * (ns per fine tick, ns per coarse step of a 30-day run), and whole
+ * experiments (single-run and sweep throughput):
  *
- *   perfbench --json BENCH_PR23.json
+ *   perfbench --json BENCH_PR24.json
  *
  * Each row has one measurement column. The engine-level rows
- * (fine_tick, single_run*, sweep*) file it under "soa", the
- * component micro-rows (kibam_step, alert_eval), which time
+ * (fine_tick, coarse_month, single_run*, sweep*) file it under
+ * "soa", the component micro-rows (kibam_step, alert_eval), which time
  * standalone objects, under "optimized": the keys these rows have
  * carried since the files had one column per engine, so
  * `padtrace perf --compare` still matches every row against older
@@ -28,9 +28,13 @@
  * (its delta against single_run is the profiling overhead — the
  * acceptance bar is <= 5%) and each profiled measurement carries a
  * "phases" object with the sampled per-phase seconds and lap counts
- * the run exported. `padtrace perf` renders and diffs these files.
+ * the run exported. Every measurement also carries "iqr", the
+ * interquartile range of its repetitions in the row's unit:
+ * `padtrace perf --compare` flags only moves larger than both files'
+ * IQRs. `padtrace perf` renders and diffs these files.
  */
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -81,6 +85,8 @@ struct ProfileMeasure {
     TimingResult timing;
     /** Value in the benchmark's unit (ns/op or runs/s). */
     double value = 0.0;
+    /** Interquartile range of the repetitions, in the same unit. */
+    double iqr = 0.0;
     /** Per-phase breakdown; only profiled rows fill this (v3). */
     std::vector<PhaseBreak> phases;
     /** kibam_step only: share of timed steps that crossed depletion. */
@@ -97,6 +103,18 @@ struct BenchRow {
     const char *column = "soa";
     ProfileMeasure measure;
 };
+
+/**
+ * Set @p m's value and IQR from its timing: @p toUnit maps seconds
+ * per repetition to the row's unit (a per-op cost or a rate).
+ */
+template <typename Fn>
+void
+setValue(ProfileMeasure &m, Fn &&toUnit)
+{
+    m.value = toUnit(m.timing.medianSec);
+    m.iqr = std::abs(toUnit(m.timing.q3Sec) - toUnit(m.timing.q1Sec));
+}
 
 // ---------------------------------------------------------------------
 // Benchmark bodies. The component micro-rows time standalone objects;
@@ -130,7 +148,7 @@ benchKibamStep(const PerfOptions &opt)
     };
     ProfileMeasure m;
     m.timing = timeIt([&] { run(nullptr); }, /*warmup=*/1, reps);
-    m.value = m.timing.medianSec / static_cast<double>(ops) * 1e9;
+    setValue(m, [&](double sec) { return sec / ops * 1e9; });
     int crossings = 0;
     run(&crossings);
     m.crossingShare = static_cast<double>(crossings) / ops;
@@ -170,7 +188,36 @@ benchFineTick(const PerfOptions &opt, const runner::ClusterWorkload &cw)
     }
     ProfileMeasure m;
     m.timing = summarize(std::move(samples));
-    m.value = m.timing.medianSec / ticks * 1e9;
+    setValue(m, [&](double sec) { return sec / ticks * 1e9; });
+    return m;
+}
+
+/**
+ * The coarse loop, ns per coarse step: a 30-day PAD coarse run on a
+ * shared 30-day workload, the Fig. 5/13 shape. The first run is
+ * untimed, so the timed runs read a workload whose server curves are
+ * already tabulated, as every run after the first on a shared
+ * workload does.
+ */
+ProfileMeasure
+benchCoarseMonth(const PerfOptions &opt,
+                 const runner::ClusterWorkload &month)
+{
+    const int reps = opt.quick ? 2 : 9;
+    const core::DataCenterConfig cfg =
+        runner::clusterConfig(core::SchemeKind::Pad);
+    const Tick until = month.workload->horizon();
+    const double steps = static_cast<double>(until / cfg.coarseStep);
+    ProfileMeasure m;
+    m.timing = timeIt(
+        [&] {
+            engine::ClusterEngine dc(cfg, month.workload.get());
+            dc.setRecordHistory(true);
+            dc.runCoarseUntil(until);
+            keep(dc.socStdDevPercent());
+        },
+        /*warmup=*/1, reps);
+    setValue(m, [&](double sec) { return sec / steps * 1e9; });
     return m;
 }
 
@@ -197,7 +244,7 @@ benchSingleRun(const PerfOptions &opt,
             keep(static_cast<double>(r.telemetry.detections));
         },
         /*warmup=*/1, reps);
-    m.value = 1.0 / m.timing.medianSec;
+    setValue(m, [](double sec) { return 1.0 / sec; });
     return m;
 }
 
@@ -224,7 +271,7 @@ benchSingleRunProfiled(const PerfOptions &opt,
             last = r.stats;
         },
         /*warmup=*/1, reps);
-    m.value = 1.0 / m.timing.medianSec;
+    setValue(m, [](double sec) { return 1.0 / sec; });
     if (last) {
         for (std::size_t i = 0; i < obs::EngineProfiler::kPhaseCount;
              ++i) {
@@ -293,7 +340,7 @@ benchAlertEval(const PerfOptions &opt)
             keep(static_cast<double>(engine.incidents().size()));
         },
         /*warmup=*/1, reps);
-    m.value = m.timing.medianSec / static_cast<double>(ops) * 1e9;
+    setValue(m, [&](double sec) { return sec / ops * 1e9; });
     return m;
 }
 
@@ -317,7 +364,7 @@ benchSingleRunTelemetry(const PerfOptions &opt,
             keep(static_cast<double>(r.telemetry.detections));
         },
         /*warmup=*/1, reps);
-    m.value = 1.0 / m.timing.medianSec;
+    setValue(m, [](double sec) { return 1.0 / sec; });
     return m;
 }
 
@@ -342,7 +389,7 @@ benchSingleRunAlerts(const PerfOptions &opt,
             keep(static_cast<double>(r.alerts->incidents().size()));
         },
         /*warmup=*/1, reps);
-    m.value = 1.0 / m.timing.medianSec;
+    setValue(m, [](double sec) { return 1.0 / sec; });
     return m;
 }
 
@@ -390,7 +437,7 @@ benchSingleRunPush(const PerfOptions &opt,
         },
         /*warmup=*/1, reps);
     rx.stop();
-    m.value = 1.0 / m.timing.medianSec;
+    setValue(m, [](double sec) { return 1.0 / sec; });
     return m;
 }
 
@@ -415,7 +462,7 @@ benchSweep(const PerfOptions &opt, const runner::ClusterWorkload &cw,
             keep(static_cast<double>(results.size()));
         },
         /*warmup=*/opt.quick ? 0 : 1, reps);
-    m.value = static_cast<double>(n) / m.timing.medianSec;
+    setValue(m, [&](double sec) { return n / sec; });
     return m;
 }
 
@@ -428,8 +475,9 @@ printRow(const BenchRow &row)
 {
     const ProfileMeasure &pm = row.measure;
     std::printf("%s\n", row.name.c_str());
-    std::printf("  %12.2f %-12s (median %.6f s, min %.6f s, %d reps)\n",
-                pm.value, row.unit.c_str(), pm.timing.medianSec,
+    std::printf("  %12.2f %-12s (IQR %.2f; median %.6f s, min %.6f s, "
+                "%d reps)\n",
+                pm.value, row.unit.c_str(), pm.iqr, pm.timing.medianSec,
                 pm.timing.minSec, pm.timing.reps);
     double total = 0.0;
     for (const PhaseBreak &p : pm.phases)
@@ -503,6 +551,7 @@ writeJson(const std::string &path, const PerfOptions &opt,
         w.key("min_sec").value(pm.timing.minSec);
         w.key("mean_sec").value(pm.timing.meanSec);
         w.key("reps").value(pm.timing.reps);
+        w.key("iqr").value(pm.iqr);
         if (pm.crossingShare)
             w.key("crossing_share").value(*pm.crossingShare);
         if (!pm.phases.empty()) {
@@ -565,6 +614,13 @@ main(int argc, char **argv)
     rows.push_back(runEngineRow("fine_tick", "ns_per_tick", false, [&] {
         return benchFineTick(opt, cw);
     }));
+    {
+        const runner::ClusterWorkload month =
+            runner::makeClusterWorkload(30.0);
+        rows.push_back(
+            runEngineRow("coarse_month", "ns_per_step", false,
+                         [&] { return benchCoarseMonth(opt, month); }));
+    }
     rows.push_back(
         runComponentRow("alert_eval", [&] { return benchAlertEval(opt); }));
     rows.push_back(runEngineRow("single_run", "runs_per_sec", true, [&] {

@@ -60,8 +60,9 @@
  * count per pipeline phase, plus cache hit rates when present. With
  * --compare it diffs two inputs of the same kind — benchmark
  * throughput per backend and phase shares — and flags rows that got
- * more than 5% worse. The comparison is advisory (exit 0; wire it
- * warn-only into CI), but an input with no profiling data at all —
+ * more than 5% worse, benchmark rows only when the move also exceeds
+ * both files' recorded IQRs (run-to-run noise). The comparison is
+ * advisory (exit 0; wire it warn-only into CI), but an input with no profiling data at all —
  * a stats export from an unprofiled run, or a v2 bench file asked
  * for a phase table — is a hard error: one line on stderr, exit 1.
  *
@@ -806,6 +807,8 @@ struct PerfColumn {
 struct BenchValue {
     std::string row, backend, unit;
     double value = 0.0;
+    /** Interquartile range of the repetitions; 0 in older files. */
+    double iqr = 0.0;
     bool higherIsBetter = false;
 };
 
@@ -885,6 +888,8 @@ loadPerfInput(const std::string &path, std::string *error)
                 bv.unit = unit && unit->isString() ? unit->str : "";
                 if (const JsonValue *v = col->find("value"))
                     bv.value = v->number;
+                if (const JsonValue *v = col->find("iqr"))
+                    bv.iqr = v->number;
                 bv.higherIsBetter = hib && hib->boolean;
                 in.values.push_back(bv);
                 const JsonValue *phases = col->find("phases");
@@ -1041,12 +1046,18 @@ perfJson(const PerfInput &in, std::ostream &os)
 struct CompareRow {
     std::string what, unit;
     double before = 0.0, after = 0.0;
+    /** The larger of the two files' IQRs (benchmark rows only). */
+    double noise = 0.0;
     /** Relative change, positive = got worse. */
     double worse = 0.0;
     bool regressed = false;
 };
 
-/** Flag anything more than 5% worse than the old run. */
+/**
+ * Flag anything more than 5% worse than the old run whose move also
+ * exceeds both files' IQRs: a move inside either run's own spread is
+ * noise. Files without IQRs fall back to the 5% bar alone.
+ */
 constexpr double kRegressionThreshold = 0.05;
 
 std::vector<CompareRow>
@@ -1065,10 +1076,12 @@ comparePerf(const PerfInput &before, const PerfInput &after)
             r.unit = b.unit;
             r.before = b.value;
             r.after = a.value;
+            r.noise = std::max(b.iqr, a.iqr);
             r.worse = b.higherIsBetter
                           ? (b.value - a.value) / b.value
                           : (a.value - b.value) / b.value;
-            r.regressed = r.worse > kRegressionThreshold;
+            r.regressed = r.worse > kRegressionThreshold &&
+                          std::abs(a.value - b.value) > r.noise;
             rows.push_back(r);
         }
     }
@@ -1113,18 +1126,21 @@ compareMarkdown(const PerfInput &before, const PerfInput &after,
     os << "Old: " << before.path << "\nNew: " << after.path << "\n\n";
     std::size_t regressions = 0;
     TextTable t("perf comparison");
-    t.setHeader({"metric", "unit", "old", "new", "worse by", "flag"});
+    t.setHeader(
+        {"metric", "unit", "old", "new", "IQR", "worse by", "flag"});
     for (const CompareRow &r : rows) {
         if (r.regressed)
             ++regressions;
         t.addRow({r.what, r.unit, formatFixed(r.before, 4),
-                  formatFixed(r.after, 4), formatPercent(r.worse, 1),
+                  formatFixed(r.after, 4), formatFixed(r.noise, 4),
+                  formatPercent(r.worse, 1),
                   r.regressed ? "REGRESSED" : ""});
     }
     t.print(os);
     os << "\n"
        << regressions << " regression(s) flagged (threshold "
-       << formatPercent(kRegressionThreshold, 0) << " worse).\n";
+       << formatPercent(kRegressionThreshold, 0)
+       << " worse and a move beyond both files' IQRs).\n";
 }
 
 void
@@ -1146,6 +1162,7 @@ compareJson(const PerfInput &before, const PerfInput &after,
         w.key("unit").value(r.unit);
         w.key("old").value(r.before);
         w.key("new").value(r.after);
+        w.key("iqr").value(r.noise);
         w.key("worse_by").value(r.worse);
         w.key("regressed").value(r.regressed);
         w.endObject();

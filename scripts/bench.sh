@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 #
 # Rebuild the perf harness in Release mode and regenerate the
-# committed benchmark results (BENCH_PR23.json) reproducibly:
+# committed benchmark results (BENCH_PR24.json) reproducibly:
 #
 #   scripts/bench.sh                     # portable codegen
 #   scripts/bench.sh --quick             # fewer repetitions
@@ -17,7 +17,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-rel}
-BENCH_OUT=${BENCH_OUT:-BENCH_PR23.json}
+BENCH_OUT=${BENCH_OUT:-BENCH_PR24.json}
 PAD_NATIVE=${PAD_NATIVE:-OFF}
 JOBS=${JOBS:-$(nproc)}
 

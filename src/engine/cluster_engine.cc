@@ -4,7 +4,6 @@
 #include <cmath>
 #include <functional>
 #include <numeric>
-#include <thread>
 
 #include "obs/tracer.h"
 #include "power/power_meter.h"
@@ -13,6 +12,10 @@
 #include "util/logging.h"
 
 namespace pad::engine {
+
+static_assert(power::ServerPowerConfig{}.curveExponent ==
+                  trace::kTableCurveExponent,
+              "the workload's curve table serves the default server curve");
 
 namespace {
 
@@ -102,14 +105,12 @@ ClusterEngine::ClusterEngine(const core::DataCenterConfig &config,
 
     demandBase_.assign(nm, 0.0);
     demandValues_.assign(nm, 0.0);
+    demandCurve_.assign(nm, 0.0);
     cachePower_.assign(nr, 0.0);
     cacheUncapped_.assign(nr, 0.0);
     cacheDemand_.assign(nr, 0.0);
     cacheExecuted_.assign(nr, 0.0);
     cacheShedSup_.assign(nr, 0.0);
-    malPower_.assign(nm, 0.0);
-    malUncapped_.assign(nm, 0.0);
-    malExecuted_.assign(nm, 0.0);
 
     rackPower_.assign(nr, 0.0);
     rackDraw_.assign(nr, 0.0);
@@ -130,21 +131,11 @@ ClusterEngine::ClusterEngine(const core::DataCenterConfig &config,
 }
 
 void
-ClusterEngine::setShards(int shards)
-{
-    PAD_ASSERT(shards >= 1, "shard count must be positive");
-    shards_ = std::min(shards, racks_);
-    if (prof_)
-        prof_->setShardCount(static_cast<std::size_t>(shards_));
-}
-
-void
 ClusterEngine::setProfiler(obs::EngineProfiler *prof)
 {
     prof_ = prof;
     if (!prof_)
         return;
-    prof_->setShardCount(static_cast<std::size_t>(shards_));
     const auto dbytes = [](const std::vector<double> &v) {
         return v.capacity() * sizeof(double);
     };
@@ -165,10 +156,10 @@ ClusterEngine::setProfiler(obs::EngineProfiler *prof)
         meterIntervalStart_.capacity() * sizeof(Tick) +
         dbytes(meterEnergy_) + dbytes(dvfs_) + dbytes(vpEnergy_) +
         shed_.capacity() + dbytes(demandBase_) + dbytes(demandValues_) +
+        dbytes(demandCurve_) +
         dbytes(cachePower_) + dbytes(cacheUncapped_) +
         dbytes(cacheDemand_) + dbytes(cacheExecuted_) +
-        dbytes(cacheShedSup_) + dbytes(malPower_) +
-        dbytes(malUncapped_) + dbytes(malExecuted_);
+        dbytes(cacheShedSup_);
     // Scratch: buffers reassigned every step.
     std::size_t scratch = dbytes(rackPower_) + dbytes(rackDraw_) +
                           dbytes(rackUncapped_) + dbytes(rackShaved_) +
@@ -364,84 +355,6 @@ ClusterEngine::rebuildBenign(bool attackMode, int maliciousNodes)
 }
 
 void
-ClusterEngine::refreshShardRange(std::size_t rackLo, std::size_t rackHi,
-                                 bool rebuildBase, bool rebuildValues,
-                                 bool fine, std::uint64_t second,
-                                 bool rebuildSums, bool attackMode,
-                                 int maliciousNodes)
-{
-    const auto perRack = static_cast<std::size_t>(serversPerRack_);
-    if (rebuildBase) {
-        for (std::size_t m = rackLo * perRack; m < rackHi * perRack; ++m)
-            demandBase_[m] = workload_->utilAtSlot(static_cast<int>(m),
-                                                   demandSlot_);
-    }
-    if (rebuildValues) {
-        if (fine) {
-            // CounterRng-backed jitter: each (machine, second) sample
-            // is an O(1) seek, so any shard regenerates its slice
-            // independently with the exact bits the serial pass gets.
-            for (std::size_t m = rackLo * perRack; m < rackHi * perRack;
-                 ++m)
-                demandValues_[m] = trace::Workload::combineFine(
-                    demandBase_[m],
-                    trace::Workload::jitterAt(static_cast<int>(m),
-                                              second),
-                    trace::kDefaultFineNoiseAmp);
-        } else {
-            for (std::size_t m = rackLo * perRack; m < rackHi * perRack;
-                 ++m)
-                demandValues_[m] = demandBase_[m];
-        }
-    }
-    if (!rebuildSums)
-        return;
-    for (std::size_t r = rackLo; r < rackHi; ++r) {
-        const bool victimRack = attackMode && victimMask_[r];
-        const double dvfs = dvfs_[r];
-        const std::size_t rackBase = r * perRack;
-        double power = 0.0, uncapped = 0.0, demand = 0.0;
-        double executed = 0.0, shedSup = 0.0;
-        for (std::size_t s = 0; s < perRack; ++s) {
-            if (victimRack &&
-                s < static_cast<std::size_t>(maliciousNodes)) {
-                // Attacker-controlled: excluded from the benign sums
-                // (re-summed per fine tick), but its benign-demand
-                // evaluation is cached so ticks where the virus does
-                // not outbid the trace skip the pow().
-                const std::size_t idx = rackBase + s;
-                serverModel_.evaluate(demandValues_[idx], dvfs,
-                                      malPower_[idx],
-                                      malUncapped_[idx],
-                                      malExecuted_[idx]);
-                continue;
-            }
-            const std::size_t idx = rackBase + s;
-            const double d = demandValues_[idx];
-            demand += d;
-            double p = config_.sleepPower;
-            if (shed_[idx]) {
-                shedSup +=
-                    serverModel_.power(d, dvfs) - config_.sleepPower;
-            } else {
-                double unc, e;
-                serverModel_.evaluate(d, dvfs, p, unc, e);
-                uncapped += unc;
-                executed += e;
-            }
-            power += p;
-            if (perServer_)
-                cacheServerPower_[idx] = p;
-        }
-        cachePower_[r] = power;
-        cacheUncapped_[r] = uncapped;
-        cacheDemand_[r] = demand;
-        cacheExecuted_[r] = executed;
-        cacheShedSup_[r] = shedSup;
-    }
-}
-
-void
 ClusterEngine::refreshDemand(Tick t, bool fine)
 {
     const std::size_t slot = workload_->slotAt(t);
@@ -453,8 +366,7 @@ ClusterEngine::refreshDemand(Tick t, bool fine)
         rebuildBase || (fine != demandFine_) ||
         (fine && second != demandSecond_);
     const bool rebuildSums = rebuildValues || benignDirty_;
-    demandTick_ = t;
-    if (!rebuildBase && !rebuildValues && !rebuildSums) {
+    if (!rebuildSums) {
         if (prof_)
             prof_->demandHit();
         return;
@@ -465,44 +377,80 @@ ClusterEngine::refreshDemand(Tick t, bool fine)
         prof_, obs::EngineProfiler::Phase::DemandEval);
     demandSlot_ = slot;
 
-    const auto nRacks = static_cast<std::size_t>(racks_);
-    if (shards_ <= 1) {
-        if (prof_)
-            prof_->shardTick(0);
-        refreshShardRange(0, nRacks, rebuildBase, rebuildValues, fine,
-                          second, rebuildSums, benignAttackMode_,
-                          benignMaliciousNodes_);
-    } else {
-        // Rack-aligned shard ranges: writes are disjoint and every
-        // per-rack reduction folds in server order inside one shard,
-        // so the result is bit-identical for any shard count.
-        const obs::PhaseScope mergeScope(
-            prof_, obs::EngineProfiler::Phase::ShardMerge);
-        const std::size_t per =
-            (nRacks + static_cast<std::size_t>(shards_) - 1) /
-            static_cast<std::size_t>(shards_);
-        std::vector<std::thread> workers;
-        workers.reserve(static_cast<std::size_t>(shards_));
-        std::size_t shard = 0;
-        for (std::size_t lo = 0; lo < nRacks; lo += per, ++shard) {
-            const std::size_t hi = std::min(nRacks, lo + per);
-            if (prof_)
-                prof_->shardTick(shard);
-            workers.emplace_back([this, lo, hi, rebuildBase,
-                                  rebuildValues, fine, second,
-                                  rebuildSums] {
-                refreshShardRange(lo, hi, rebuildBase, rebuildValues,
-                                  fine, second, rebuildSums,
-                                  benignAttackMode_,
-                                  benignMaliciousNodes_);
-            });
-        }
-        for (auto &w : workers)
-            w.join();
+    const auto nm = static_cast<std::size_t>(machines_);
+    if (rebuildBase) {
+        const double *util = workload_->slotColumn(slot);
+        std::copy(util, util + nm, demandBase_.begin());
     }
+    if (rebuildValues) {
+        const double *curve = nullptr;
+        if (fine) {
+            // Counter-based jitter: each (machine, second) sample is
+            // an O(1) seek into the machine's CounterRng stream.
+            for (std::size_t m = 0; m < nm; ++m)
+                demandValues_[m] = trace::Workload::combineFine(
+                    demandBase_[m],
+                    trace::Workload::jitterAt(static_cast<int>(m), second),
+                    trace::kDefaultFineNoiseAmp);
+        } else {
+            std::copy(demandBase_.begin(), demandBase_.end(),
+                      demandValues_.begin());
+            // Coarse demand is the slot average itself, so the
+            // workload's per-cell curve serves it: no pow() here.
+            curve = workload_->curveColumn(
+                slot, serverModel_.config().curveExponent);
+        }
+        if (curve)
+            std::copy(curve, curve + nm, demandCurve_.begin());
+        else
+            for (std::size_t m = 0; m < nm; ++m)
+                demandCurve_[m] = serverModel_.curve(demandValues_[m]);
+    }
+    rebuildBenignSums();
     demandSecond_ = second;
     demandFine_ = fine;
     benignDirty_ = false;
+}
+
+void
+ClusterEngine::rebuildBenignSums()
+{
+    const auto perRack = static_cast<std::size_t>(serversPerRack_);
+    const auto maliciousNodes =
+        static_cast<std::size_t>(benignMaliciousNodes_);
+    for (std::size_t r = 0; r < static_cast<std::size_t>(racks_); ++r) {
+        const bool victimRack = benignAttackMode_ && victimMask_[r];
+        const double dvfs = dvfs_[r];
+        const std::size_t rackBase = r * perRack;
+        double power = 0.0, uncapped = 0.0, demand = 0.0;
+        double executed = 0.0, shedSup = 0.0;
+        for (std::size_t s = 0; s < perRack; ++s) {
+            // Attacker-controlled slots are re-summed per fine tick.
+            if (victimRack && s < maliciousNodes)
+                continue;
+            const std::size_t idx = rackBase + s;
+            const double d = demandValues_[idx];
+            const double frac = demandCurve_[idx];
+            demand += d;
+            double p = config_.sleepPower;
+            if (shed_[idx]) {
+                shedSup +=
+                    serverModel_.powerAt(frac, dvfs) - config_.sleepPower;
+            } else {
+                p = serverModel_.powerAt(frac, dvfs);
+                uncapped += serverModel_.powerAt(frac, 1.0);
+                executed += serverModel_.executed(d, dvfs);
+            }
+            power += p;
+            if (perServer_)
+                cacheServerPower_[idx] = p;
+        }
+        cachePower_[r] = power;
+        cacheUncapped_[r] = uncapped;
+        cacheDemand_[r] = demand;
+        cacheExecuted_[r] = executed;
+        cacheShedSup_[r] = shedSup;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -580,10 +528,13 @@ ClusterEngine::computeStep(StepView &step, Tick t, double dtSec, bool fine,
                     rackTotal += memoPower;
                     rackUncapped += memoUncapped;
                 } else {
+                    // The virus does not outbid the trace: the benign
+                    // demand's cached curve, no pow().
                     if (prof_)
                         prof_->malMemoHit();
-                    rackTotal += malPower_[idx];
-                    rackUncapped += malUncapped_[idx];
+                    const double frac = demandCurve_[idx];
+                    rackTotal += serverModel_.powerAt(frac, dvfs);
+                    rackUncapped += serverModel_.powerAt(frac, 1.0);
                 }
             }
         }
@@ -629,7 +580,8 @@ ClusterEngine::fillServerPower(Tick t, const core::AttackScenario *scenario,
             else if (atkUtil > demandValues_[idx])
                 serverPower_[idx] = serverModel_.power(atkUtil, dvfs_[r]);
             else
-                serverPower_[idx] = malPower_[idx];
+                serverPower_[idx] =
+                    serverModel_.powerAt(demandCurve_[idx], dvfs_[r]);
         }
     }
 }

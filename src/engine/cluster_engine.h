@@ -32,14 +32,13 @@
  *    Each fine tick then touches only the attacker-controlled
  *    servers — a handful of pow() calls instead of one per server.
  *
- *  - Counter-based demand streams. The fine-grained jitter is a
- *    CounterRng stream per machine (util/random.h), so any shard can
- *    seek directly to its (machine, second) sample in O(1). The
- *    per-second refresh therefore splits across shards with
- *    bit-identical results: setShards(n) parallelizes only that
- *    refresh (disjoint writes, per-rack sums folded in fixed order),
- *    never the physics, so `n` shards produce exactly the serial
- *    engine's bytes.
+ *  - One pow() per demand value. Each server's curve fraction
+ *    (ServerPowerModel::curve) is kept beside its demand and
+ *    recomputed only when the demand changes, so a shed, DVFS or
+ *    victim change re-sums the racks without a pow(). Coarse demand
+ *    is the trace slot's average itself, whose curve the shared
+ *    trace::Workload tabulates once per cell for every run on it
+ *    (Workload::curveColumn): a coarse step copies the slot's columns.
  *
  * Both DEB placements run here. The battery arrays hold
  * units-per-rack slots per rack: one cabinet per rack (RackCabinet,
@@ -185,18 +184,6 @@ class ClusterEngine
     const core::DataCenterConfig &config() const { return config_; }
 
     /**
-     * Split the per-second demand refresh across @p shards worker
-     * threads (1 = serial, the default). Results are bit-identical
-     * for every shard count: shard ranges are rack-aligned, writes
-     * are disjoint, and each per-rack reduction folds in server
-     * order within one shard.
-     */
-    void setShards(int shards);
-
-    /** Current shard count. */
-    int shards() const { return shards_; }
-
-    /**
      * State of charge of every battery unit, rack-major: one per
      * rack for cabinets, one per server for per-server BBUs.
      */
@@ -309,11 +296,10 @@ class ClusterEngine
 
     // --- demand + benign cache ---
     void refreshDemand(Tick t, bool fine);
+    /** Switch the benign sums' attack mode; marks them dirty. */
     void rebuildBenign(bool attackMode, int maliciousNodes);
-    void refreshShardRange(std::size_t rackLo, std::size_t rackHi,
-                           bool rebuildBase, bool rebuildValues, bool fine,
-                           std::uint64_t second, bool rebuildSums,
-                           bool attackMode, int maliciousNodes);
+    /** Re-sum every rack's benign servers from the demand cache. */
+    void rebuildBenignSums();
 
     // --- per-step pipeline ---
     void computeStep(StepView &step, Tick t, double dtSec, bool fine,
@@ -345,7 +331,6 @@ class ClusterEngine
     core::SecurityPolicy policy_;
     sched::LoadShedder shedder_;
     sched::PerfMonitor perf_;
-    int shards_ = 1;
 
     int racks_;
     int serversPerRack_;
@@ -411,10 +396,10 @@ class ClusterEngine
     // --- demand cache (per machine) ---
     std::size_t demandSlot_ = static_cast<std::size_t>(-1);
     std::uint64_t demandSecond_ = ~std::uint64_t{0};
-    Tick demandTick_ = kTickNever;
     bool demandFine_ = false;
     std::vector<double> demandBase_;
     std::vector<double> demandValues_;
+    std::vector<double> demandCurve_; ///< serverModel_.curve(demandValues_)
 
     // --- per-second benign sums (per rack) ---
     bool benignDirty_ = true;
@@ -425,14 +410,6 @@ class ClusterEngine
     std::vector<double> cacheDemand_;
     std::vector<double> cacheExecuted_;
     std::vector<double> cacheShedSup_;
-    // Benign-demand power evaluations for the attacker-controlled
-    // slots (victim racks' first maliciousNodes servers), rebuilt
-    // with the benign sums above. Fine ticks where the virus does
-    // not outbid the benign trace reuse these instead of paying the
-    // pow() per slot per tick.
-    std::vector<double> malPower_;
-    std::vector<double> malUncapped_;
-    std::vector<double> malExecuted_;
 
     // --- per-step arena scratch ---
     std::vector<double> rackPower_;

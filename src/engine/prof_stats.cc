@@ -54,16 +54,6 @@ exportProfilerStats(const obs::EngineProfiler &prof,
                          "per-step scratch footprint")
         .set(static_cast<double>(prof.scratchBytes()));
 
-    if (!prof.shardTicks().empty()) {
-        std::vector<double> shardTicks;
-        shardTicks.reserve(prof.shardTicks().size());
-        for (std::uint64_t n : prof.shardTicks())
-            shardTicks.push_back(static_cast<double>(n));
-        stats.setVector("engine.shard.ticks",
-                        "demand refreshes executed per shard",
-                        std::move(shardTicks));
-    }
-
     stats.registerScalar("engine.prof.sample_period",
                          "fine ticks per timed sample")
         .set(static_cast<double>(prof.samplePeriod()));

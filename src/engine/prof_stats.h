@@ -19,7 +19,6 @@
  *   engine.cache.malmemo.hits/.misses
  *   engine.arena.bytes            scalar
  *   engine.scratch.bytes          scalar
- *   engine.shard.ticks            vector, per-shard refresh counts
  *   engine.prof.sample_period     scalar (scale factor for seconds)
  *   engine.prof.steps             counter
  *   engine.prof.sampled_steps     counter

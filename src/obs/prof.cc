@@ -55,13 +55,6 @@ EngineProfiler::setSamplePeriod(int period)
     samplePeriod_ = period < 1 ? 1 : period;
 }
 
-void
-EngineProfiler::setShardCount(std::size_t shards)
-{
-    if (shards > shardTicks_.size())
-        shardTicks_.resize(shards, 0);
-}
-
 double
 EngineProfiler::totalPhaseSeconds() const
 {
@@ -105,7 +98,6 @@ EngineProfiler::reset()
     malMemoMisses_ = 0;
     arenaBytes_ = 0;
     scratchBytes_ = 0;
-    shardTicks_.assign(shardTicks_.size(), 0);
 }
 
 } // namespace pad::obs

@@ -6,11 +6,10 @@
  * accumulates
  *
  *   - per-phase wall time (demand eval, KiBaM batch step, µDEB shave,
- *     detector, telemetry flush, shard merge) via RAII PhaseScope,
+ *     detector, telemetry flush) via RAII PhaseScope,
  *   - cache effectiveness counters (DemandCache and malicious-slot
  *     memo hits/misses),
- *   - arena/scratch footprint gauges,
- *   - per-shard tick counts for the sharded demand refresh.
+ *   - arena/scratch footprint gauges.
  *
  * Cost contract. Engines hold a nullable EngineProfiler pointer and
  * guard every touch with `if (prof_)` — detached, profiling is a
@@ -29,10 +28,8 @@
  * replaced via setClock() with a deterministic source, which is how
  * the parallel-vs-serial merge test pins the full stat set.
  *
- * Threading. One profiler instance belongs to one engine run. The
- * only concurrent writers are the demand-refresh shard workers, which
- * touch disjoint shardTicks() slots; the spawning thread joins them
- * before reading, so no atomics are needed.
+ * Threading. One profiler instance belongs to one engine run and is
+ * touched only by the thread running it, so no atomics are needed.
  */
 
 #ifndef PAD_OBS_PROF_H
@@ -42,7 +39,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 namespace pad::obs {
 
@@ -56,7 +52,9 @@ class EngineProfiler
         UdebShave = 2,      ///< µDEB peak shaving
         Detector = 3,       ///< anomaly detector + policy decisions
         TelemetryFlush = 4, ///< telemetry hub sampling
-        ShardMerge = 5,     ///< sharded refresh fan-out/join
+        /// Reserved: the sharded demand refresh it timed is gone, but
+        /// the name stays so the six exported phases keep their names.
+        ShardMerge = 5,
     };
     static constexpr std::size_t kPhaseCount = 6;
 
@@ -118,17 +116,6 @@ class EngineProfiler
     void setArenaBytes(std::size_t bytes) { arenaBytes_ = bytes; }
     void setScratchBytes(std::size_t bytes) { scratchBytes_ = bytes; }
 
-    // -- sharding ----------------------------------------------------
-    /** Size the per-shard tick table (existing counts preserved). */
-    void setShardCount(std::size_t shards);
-    /** One refresh executed by @p shard; disjoint slots per worker. */
-    void
-    shardTick(std::size_t shard)
-    {
-        if (shard < shardTicks_.size())
-            ++shardTicks_[shard];
-    }
-
     // -- inspection --------------------------------------------------
     struct PhaseTotals {
         double seconds = 0.0;   ///< sampled wall seconds
@@ -154,10 +141,6 @@ class EngineProfiler
     }
     std::size_t arenaBytes() const { return arenaBytes_; }
     std::size_t scratchBytes() const { return scratchBytes_; }
-    const std::vector<std::uint64_t> &shardTicks() const
-    {
-        return shardTicks_;
-    }
     std::uint64_t steps() const { return steps_; }
     std::uint64_t sampledSteps() const { return sampledSteps_; }
 
@@ -188,7 +171,6 @@ class EngineProfiler
     std::uint64_t malMemoMisses_ = 0;
     std::size_t arenaBytes_ = 0;
     std::size_t scratchBytes_ = 0;
-    std::vector<std::uint64_t> shardTicks_;
 };
 
 /**

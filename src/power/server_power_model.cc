@@ -16,47 +16,6 @@ ServerPowerModel::ServerPowerModel(const ServerPowerConfig &config)
 }
 
 double
-ServerPowerModel::executed(double util, double dvfs) const
-{
-    // A frequency cut slows every cycle: work completes at rate
-    // util x dvfs (the paper charges DVFS capping as a proportional
-    // performance loss).
-    util = std::clamp(util, 0.0, 1.0);
-    dvfs = std::clamp(dvfs, 0.0, 1.0);
-    return util * dvfs;
-}
-
-Watts
-ServerPowerModel::power(double util, double dvfs) const
-{
-    util = std::clamp(util, 0.0, 1.0);
-    dvfs = std::clamp(dvfs, 1e-6, 1.0);
-    // Dynamic power ceiling scales with frequency; within the ceiling
-    // the concave SPECpower-style curve applies to the occupied
-    // fraction of the (scaled) ceiling.
-    const double span = config_.peakPower - config_.idlePower;
-    const double frac = std::pow(util, config_.curveExponent);
-    return config_.idlePower + span * dvfs * frac;
-}
-
-void
-ServerPowerModel::evaluate(double util, double dvfs, Watts &powerAtDvfs,
-                           Watts &powerUncapped,
-                           double &executedUtil) const
-{
-    // Mirror power()'s and executed()'s clamps and expression shapes
-    // exactly: power(util, 1.0) reduces to idle + span * 1.0 * frac,
-    // which is the uncapped value computed here.
-    const double u = std::clamp(util, 0.0, 1.0);
-    const double f = std::clamp(dvfs, 1e-6, 1.0);
-    const double span = config_.peakPower - config_.idlePower;
-    const double frac = std::pow(u, config_.curveExponent);
-    powerAtDvfs = config_.idlePower + span * f * frac;
-    powerUncapped = config_.idlePower + span * 1.0 * frac;
-    executedUtil = u * std::clamp(dvfs, 0.0, 1.0);
-}
-
-double
 ServerPowerModel::utilizationFor(Watts watts) const
 {
     const double span = config_.peakPower - config_.idlePower;

@@ -13,7 +13,8 @@
 #ifndef PAD_POWER_SERVER_POWER_MODEL_H
 #define PAD_POWER_SERVER_POWER_MODEL_H
 
-#include <array>
+#include <algorithm>
+#include <cmath>
 
 #include "util/types.h"
 
@@ -48,25 +49,58 @@ class ServerPowerModel
      * @param util demanded utilization in [0, 1]
      * @param dvfs frequency factor in (0, 1]
      */
-    Watts power(double util, double dvfs = 1.0) const;
+    Watts power(double util, double dvfs = 1.0) const
+    {
+        return powerAt(curve(util), dvfs);
+    }
 
     /**
      * Throughput actually executed: util x dvfs (a frequency cut is
      * a proportional slowdown). The PSPC performance accounting
      * charges util - executed as lost work.
      */
-    double executed(double util, double dvfs = 1.0) const;
+    double executed(double util, double dvfs = 1.0) const
+    {
+        return std::clamp(util, 0.0, 1.0) * std::clamp(dvfs, 0.0, 1.0);
+    }
+
+    /**
+     * The curve's occupied fraction at demanded utilization @p util:
+     * pow(clamp(util, 0, 1), curveExponent). The pow() is the one
+     * costly step of the model; callers that already hold it (a
+     * workload's curve table, a per-server cache) pass it to
+     * powerAt() instead.
+     */
+    double curve(double util) const
+    {
+        return std::pow(std::clamp(util, 0.0, 1.0), config_.curveExponent);
+    }
+
+    /**
+     * Power at curve fraction @p frac (= curve(util)) and frequency
+     * factor @p dvfs: the dynamic power ceiling scales with
+     * frequency, and within the ceiling the concave SPECpower-style
+     * curve applies to the occupied fraction of the (scaled) ceiling.
+     */
+    Watts powerAt(double frac, double dvfs) const
+    {
+        const double span = config_.peakPower - config_.idlePower;
+        return config_.idlePower + span * std::clamp(dvfs, 1e-6, 1.0) * frac;
+    }
 
     /**
      * Hot-path bundle: power at @p dvfs, power at full frequency and
-     * executed throughput in one call, sharing the single pow() both
-     * power() evaluations would otherwise repeat. Each output is
-     * bit-identical to the corresponding scalar accessor — the
-     * simulation step needs all three per server, and the pow() is
-     * the dominant cost of the per-server walk.
+     * executed throughput, sharing one curve() — each bit-identical to
+     * power(), power(util, 1.0) and executed().
      */
     void evaluate(double util, double dvfs, Watts &powerAtDvfs,
-                  Watts &powerUncapped, double &executedUtil) const;
+                  Watts &powerUncapped, double &executedUtil) const
+    {
+        const double frac = curve(util);
+        powerAtDvfs = powerAt(frac, dvfs);
+        powerUncapped = powerAt(frac, 1.0);
+        executedUtil = executed(util, dvfs);
+    }
 
     /**
      * Inverse mapping: the utilization that would produce @p watts at

@@ -1,5 +1,7 @@
 #include "telemetry/hub.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace pad::telemetry {
@@ -126,6 +128,28 @@ TelemetryHub::rawSnapshot() const
         s.id = entry.id;
         s.totalSamples = entry.series.totalSamples();
         s.raw = entry.series.raw();
+        out.push_back(std::move(s));
+    }
+    return out;
+}
+
+std::vector<TelemetryHub::RawSeries>
+TelemetryHub::rawSince(const std::vector<std::uint64_t> &cursors) const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<RawSeries> out;
+    for (const auto &[name, entry] : series_) {
+        const std::uint64_t total = entry.series.totalSamples();
+        const std::uint64_t fresh =
+            total - (entry.id < cursors.size() ? cursors[entry.id] : 0);
+        if (fresh == 0)
+            continue;
+        RawSeries s;
+        s.name = name;
+        s.id = entry.id;
+        s.totalSamples = total;
+        s.raw = entry.series.newest(static_cast<std::size_t>(
+            std::min<std::uint64_t>(fresh, entry.series.rawSize())));
         out.push_back(std::move(s));
     }
     return out;

@@ -153,6 +153,15 @@ class TelemetryHub
     std::vector<RawSeries> rawSnapshot() const;
 
     /**
+     * rawSnapshot() cut down for an incremental consumer: only the
+     * series with samples past cursors[id] (ids beyond the vector
+     * count as 0), each holding only its retained samples past the
+     * cursor. Costs O(new samples), however full the rings are.
+     */
+    std::vector<RawSeries>
+    rawSince(const std::vector<std::uint64_t> &cursors) const;
+
+    /**
      * Copy every series of @p other into this hub under
      * @p prefix + name. Existing series with colliding names are
      * replaced, keeping the operation idempotent.

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include <arpa/inet.h>
@@ -681,21 +682,13 @@ RemoteWriteShipper::snapshotNow(Tick now)
     b.tick = now;
 
     std::uint64_t lost = 0;
-    for (TelemetryHub::RawSeries &s : hub_->rawSnapshot()) {
-        std::uint64_t &cursor = cursor_[s.name];
-        const std::uint64_t fresh = s.totalSamples - cursor;
-        if (fresh == 0)
-            continue;
-        cursor = s.totalSamples;
-        const std::size_t take = static_cast<std::size_t>(
-            std::min<std::uint64_t>(fresh, s.raw.size()));
-        lost += fresh - take;
-        RwSeriesChunk chunk;
-        chunk.name = std::move(s.name);
-        chunk.samples.assign(s.raw.end() -
-                                 static_cast<std::ptrdiff_t>(take),
-                             s.raw.end());
-        b.series.push_back(std::move(chunk));
+    for (TelemetryHub::RawSeries &s : hub_->rawSince(cursor_)) {
+        if (s.id >= cursor_.size())
+            cursor_.resize(s.id + 1, 0);
+        lost += s.totalSamples - cursor_[s.id] - s.raw.size();
+        cursor_[s.id] = s.totalSamples;
+        b.series.push_back(
+            RwSeriesChunk{std::move(s.name), std::move(s.raw)});
     }
     if (lost > 0)
         lostSamples_.fetch_add(lost, std::memory_order_relaxed);

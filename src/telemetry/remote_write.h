@@ -34,7 +34,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -281,7 +280,7 @@ class RemoteWriteShipper
     const TelemetryHub *hub_;
 
     // Sim-thread-only snapshot state.
-    std::map<std::string, std::uint64_t> cursor_; ///< name -> totalSamples
+    std::vector<std::uint64_t> cursor_; ///< series id -> totalSamples
     std::uint64_t nextSeq_ = 0;
     Tick lastSnapTick_ = kTickNever;
     Tick intervalTicks_ = 0;

@@ -1,5 +1,7 @@
 #include "telemetry/time_series.h"
 
+#include <algorithm>
+
 namespace pad::telemetry {
 
 TimeSeries::TimeSeries(const TimeSeriesOptions &opts)
@@ -40,14 +42,20 @@ TimeSeries::overallMean() const
 }
 
 std::vector<Sample>
-TimeSeries::raw() const
+TimeSeries::newest(std::size_t n) const
 {
+    // Chronological order is raw_[head_, end) then raw_[0, head_);
+    // take the last n of that.
+    n = std::min(n, raw_.size());
+    const std::size_t older = n > head_ ? n - head_ : 0;
+    const std::size_t newer = n - older;
     std::vector<Sample> out;
-    out.reserve(raw_.size());
-    out.insert(out.end(), raw_.begin() + static_cast<std::ptrdiff_t>(head_),
-               raw_.end());
-    out.insert(out.end(), raw_.begin(),
-               raw_.begin() + static_cast<std::ptrdiff_t>(head_));
+    out.reserve(n);
+    const auto at = [this](std::size_t i) {
+        return raw_.begin() + static_cast<std::ptrdiff_t>(i);
+    };
+    out.insert(out.end(), at(raw_.size() - older), raw_.end());
+    out.insert(out.end(), at(head_ - newer), at(head_));
     return out;
 }
 

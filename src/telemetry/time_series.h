@@ -66,7 +66,13 @@ class TimeSeries
     double overallMean() const;
 
     /** Raw retained samples in chronological order. */
-    std::vector<Sample> raw() const;
+    std::vector<Sample> raw() const { return newest(raw_.size()); }
+
+    /**
+     * The newest min(@p n, rawSize()) retained samples in
+     * chronological order: O(n), however full the ring.
+     */
+    std::vector<Sample> newest(std::size_t n) const;
 
   private:
     // Ring of the newest samples: raw_ grows to capacity_, then

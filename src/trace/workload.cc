@@ -53,7 +53,8 @@ std::size_t
 Workload::index(int machine, std::size_t slot) const
 {
     PAD_ASSERT(machine >= 0 && machine < machines_ && slot < slots_);
-    return static_cast<std::size_t>(machine) * slots_ + slot;
+    return slot * static_cast<std::size_t>(machines_) +
+           static_cast<std::size_t>(machine);
 }
 
 double
@@ -67,6 +68,32 @@ Workload::slotAt(Tick t) const
 {
     return static_cast<std::size_t>(
         std::clamp<Tick>(t, 0, horizon() - 1) / slotTicks_);
+}
+
+const double *
+Workload::slotColumn(std::size_t slot) const
+{
+    return grid_.data() + index(0, slot);
+}
+
+const double *
+Workload::curveColumn(std::size_t slot, double exponent) const
+{
+    if (exponent != kTableCurveExponent)
+        return nullptr;
+    PAD_ASSERT(slot < slots_);
+    std::call_once(curveAlloc_, [this] {
+        curve_.reset(new double[grid_.size()]);
+        curveFilled_ = std::make_unique<std::once_flag[]>(slots_);
+    });
+    double *column = curve_.get() + index(0, slot);
+    std::call_once(curveFilled_[slot], [&] {
+        const double *util = slotColumn(slot);
+        for (int m = 0; m < machines_; ++m)
+            column[m] = std::pow(std::clamp(util[m], 0.0, 1.0),
+                                 kTableCurveExponent);
+    });
+    return column;
 }
 
 double
@@ -114,9 +141,11 @@ Workload::machineMeanUtil(int machine) const
 double
 Workload::overallMeanUtil() const
 {
+    // Machine by machine, the order the sum has always run in.
     double total = 0.0;
-    for (double u : grid_)
-        total += u;
+    for (int m = 0; m < machines_; ++m)
+        for (std::size_t s = 0; s < slots_; ++s)
+            total += utilAtSlot(m, s);
     return total / static_cast<double>(grid_.size());
 }
 

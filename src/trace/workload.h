@@ -14,6 +14,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "trace/task_event.h"
@@ -24,7 +26,17 @@ namespace pad::trace {
 constexpr double kDefaultFineNoiseAmp = 0.15;
 
 /**
- * Dense (machine x slot) utilization grid.
+ * The curve exponent curveColumn() serves: the default
+ * power::ServerPowerConfig::curveExponent (the engine asserts the two
+ * agree).
+ */
+constexpr double kTableCurveExponent = 0.85;
+
+/**
+ * Dense (slot x machine) utilization grid, slot-major so a coarse step
+ * reads one slot as one column. Read-only after construction except
+ * for the lazily filled curve columns (curveColumn()), which runs
+ * sharing the workload may request from concurrent threads.
  */
 class Workload
 {
@@ -61,6 +73,22 @@ class Workload
 
     /** Slot index covering tick @p t (clamped into the timeline). */
     std::size_t slotAt(Tick t) const;
+
+    /**
+     * Utilization of every machine in slot @p slot: machines()
+     * values, indexed by machine id.
+     */
+    const double *slotColumn(std::size_t slot) const;
+
+    /**
+     * The server power curve of every machine in slot @p slot:
+     * std::pow(std::clamp(u, 0.0, 1.0), exponent) per cell, bit for
+     * bit, filled once per slot on the first request for it (safe
+     * under concurrent requests). Only kTableCurveExponent is
+     * tabulated; for any other @p exponent this returns nullptr and
+     * the caller computes the pow() itself.
+     */
+    const double *curveColumn(std::size_t slot, double exponent) const;
 
     /**
      * The deterministic jitter sample utilFine() layers on the slot
@@ -107,7 +135,14 @@ class Workload
     int machines_;
     std::size_t slots_;
     Tick slotTicks_;
-    std::vector<double> grid_;
+    std::vector<double> grid_; ///< slot-major
+
+    // The curve table, allocated on the first curveColumn() call and
+    // left uninitialized: a slot's column is written (and its pages
+    // touched) only when that slot is first requested.
+    mutable std::once_flag curveAlloc_;
+    mutable std::unique_ptr<double[]> curve_;
+    mutable std::unique_ptr<std::once_flag[]> curveFilled_;
 };
 
 } // namespace pad::trace

@@ -327,6 +327,52 @@ TEST(PadtraceCli, PerfCompareAcceptsDroppedBaselineColumn)
     EXPECT_EQ(doc->find("regressions")->number, 1.0);
 }
 
+TEST(PadtraceCli, PerfCompareFlagsOnlyMovesBeyondBothIqrs)
+{
+    // Both rows get 20% worse. fine_tick's move (200 ns) is inside
+    // the new file's IQR (250 ns), so it is noise; single_run's move
+    // (4 runs/s) exceeds both IQRs (1 and 2), so it is flagged.
+    test::ScopedTempDir tmp;
+    ASSERT_TRUE(tmp.enter());
+    {
+        std::ofstream old("ptr_old_bench.json");
+        old << R"({"schema":"pad-perfbench-v3","quick":false,
+            "benchmarks":[
+            {"name":"fine_tick","unit":"ns_per_tick",
+             "higher_is_better":false,
+             "soa":{"value":1000.0,"iqr":50.0}},
+            {"name":"single_run","unit":"runs_per_sec",
+             "higher_is_better":true,
+             "soa":{"value":20.0,"iqr":1.0}}]})";
+        std::ofstream cur("ptr_new_bench.json");
+        cur << R"({"schema":"pad-perfbench-v3","quick":false,
+            "benchmarks":[
+            {"name":"fine_tick","unit":"ns_per_tick",
+             "higher_is_better":false,
+             "soa":{"value":1200.0,"iqr":250.0}},
+            {"name":"single_run","unit":"runs_per_sec",
+             "higher_is_better":true,
+             "soa":{"value":16.0,"iqr":2.0}}]})";
+    }
+    ASSERT_EQ(WEXITSTATUS(runCmd(PADTRACE_BIN,
+                                 "perf --compare ptr_old_bench.json"
+                                 " ptr_new_bench.json --format json"
+                                 " --out ptr_compare.json")),
+              0);
+    std::string error;
+    const auto doc = parseJson(slurp("ptr_compare.json"), &error);
+    ASSERT_TRUE(doc.has_value()) << error;
+    const JsonValue *rows = doc->find("rows");
+    ASSERT_NE(rows, nullptr);
+    ASSERT_EQ(rows->array.size(), 2u);
+    EXPECT_EQ(rows->array[0].find("metric")->str, "fine_tick/soa");
+    EXPECT_EQ(rows->array[0].find("iqr")->number, 250.0);
+    EXPECT_FALSE(rows->array[0].find("regressed")->boolean);
+    EXPECT_EQ(rows->array[1].find("metric")->str, "single_run/soa");
+    EXPECT_TRUE(rows->array[1].find("regressed")->boolean);
+    EXPECT_EQ(doc->find("regressions")->number, 1.0);
+}
+
 TEST(PadtraceCli, IncidentsSubcommandRendersArtifacts)
 {
     // End-to-end: padsim evaluates the shipped default rules online

@@ -137,14 +137,6 @@ TEST(EngineProfiler, CountersAreMonotonicAndAggregate)
     EXPECT_EQ(prof.demandHits(), 5u);
     EXPECT_EQ(prof.malMemoHits(), 4u);
 
-    // Out-of-range shard indices are ignored, not UB.
-    prof.setShardCount(2);
-    prof.shardTick(0);
-    prof.shardTick(1);
-    prof.shardTick(5);
-    EXPECT_EQ(prof.shardTicks()[0], 1u);
-    EXPECT_EQ(prof.shardTicks()[1], 1u);
-
     prof.reset();
     EXPECT_EQ(prof.cacheHits(), 0u);
     EXPECT_EQ(prof.cacheMisses(), 0u);
@@ -290,9 +282,6 @@ populatedProfiler()
     prof.malMemoHit();
     prof.setArenaBytes(4096);
     prof.setScratchBytes(512);
-    prof.setShardCount(2);
-    prof.shardTick(0);
-    prof.shardTick(1);
     return prof;
 }
 
@@ -313,7 +302,6 @@ TEST(ProfilerExport, PromExpositionValidatesAndNamesMetrics)
               std::string::npos);
     EXPECT_NE(text.find("pad_engine_phase_kibam_batch_seconds"),
               std::string::npos);
-    EXPECT_NE(text.find("pad_engine_shard_ticks"), std::string::npos);
 }
 
 TEST(ProfilerExport, StatsRegistryCarriesEveryPhaseAndGauge)

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <dirent.h>
 #include <fstream>
 #include <optional>
@@ -1195,6 +1196,83 @@ TEST(RemoteWrite, FullQueueDefersIntervalCutsInsteadOfDropping)
     EXPECT_EQ(shipper.counters().samplesLost, 0u);
     EXPECT_EQ(rx.counters().samples, 7u);
     rx.stop();
+}
+
+TEST(RemoteWrite, CutsShipTheSamplesPastEachCursorOnly)
+{
+    // Every cut must ship exactly the bytes the whole-ring cut did:
+    // each series' samples past its cursor, sorted by name, evicted
+    // ones counted as lost. The reference re-derives each batch from
+    // rawSnapshot() and per-name cursors before the shipper cuts.
+    const test::ScopedTempDir tmp;
+    ASSERT_TRUE(tmp.ok());
+    const std::string spool = tmp.path("spool");
+    ReceiverServer probe(0);
+    std::string error;
+    ASSERT_TRUE(probe.start(&error)) << error;
+    const int deadPort = probe.port();
+    probe.stop();
+
+    TimeSeriesOptions ring;
+    ring.rawCapacity = 8;
+    TelemetryHub hub(ring);
+    RemoteWriteOptions opts;
+    opts.port = deadPort;
+    opts.source = "tail";
+    opts.spoolDir = spool;
+    opts.queueLimit = 64;
+    opts.drainDeadlineS = 0.2;
+    opts.backoffBaseMs = 1;
+    opts.backoffCapMs = 5;
+    RemoteWriteShipper shipper(opts, &hub);
+    ASSERT_TRUE(shipper.start(&error)) << error;
+    shipper.observe(0);
+
+    std::map<std::string, std::uint64_t> refCursor;
+    std::vector<std::string> expected;
+    std::uint64_t expectedLost = 0;
+    const char *names[] = {"zeta", "rack1.power", "alpha", "rack0.soc"};
+    for (int cut = 1; cut <= 12; ++cut) {
+        // Uneven fill: some series idle, some overflow the 8-slot ring.
+        for (int k = 0; k < 4; ++k)
+            for (int i = 0; i < (cut * (k + 1)) % 11; ++i)
+                hub.record(names[k], cut * 1000 + i, cut + 0.25 * i + k);
+        RwBatch b;
+        b.source = "tail";
+        b.seq = expected.size();
+        b.tick = cut * 1000;
+        for (TelemetryHub::RawSeries &s : hub.rawSnapshot()) {
+            std::uint64_t &cursor = refCursor[s.name];
+            const std::uint64_t fresh = s.totalSamples - cursor;
+            if (fresh == 0)
+                continue;
+            cursor = s.totalSamples;
+            const auto take = static_cast<std::size_t>(
+                std::min<std::uint64_t>(fresh, s.raw.size()));
+            expectedLost += fresh - take;
+            b.series.push_back(RwSeriesChunk{
+                s.name, std::vector<Sample>(s.raw.end() - take,
+                                            s.raw.end())});
+        }
+        if (!b.series.empty())
+            expected.push_back(renderRwBatchLine(b));
+        shipper.snapshotNow(cut * 1000);
+    }
+    ASSERT_GT(expectedLost, 0u);
+    ASSERT_TRUE(eventually([&] {
+        return shipper.counters().batchesSpooled == expected.size();
+    }));
+    EXPECT_EQ(shipper.counters().samplesLost, expectedLost);
+
+    std::vector<std::string> shipped;
+    for (const std::string &f : spoolListing(spool)) {
+        std::istringstream in(slurp(spool + "/" + f));
+        for (std::string line; std::getline(in, line);)
+            shipped.push_back(line);
+    }
+    // The sender spools in queue order, which is seq order.
+    EXPECT_EQ(shipped, expected);
+    shipper.finish(13000);
 }
 
 TEST(RemoteWrite, SpoolsAcrossOutageAndReplaysInOrder)

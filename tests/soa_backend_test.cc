@@ -1,22 +1,25 @@
 /**
  * @file
- * Cluster engine construction and determinism tests: the factory the
- * repository benchmark still calls (engine/backend.h) builds the one
- * engine for both DEB placements, and sharding the per-second demand
- * refresh across worker threads is bit-identical to the engine's own
- * serial execution, for coarse operation and for the fine-grained
- * attack loop alike.
+ * Cluster engine construction and shared-workload tests: the factory
+ * the repository benchmark still calls (engine/backend.h) builds the
+ * one engine for both DEB placements, and coarse demand read from the
+ * workload's shared curve table is exactly the per-server power model
+ * — under either curve exponent and under concurrent runs.
  */
 
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "attack/attacker.h"
 #include "engine/backend.h"
 #include "engine/cluster_engine.h"
+#include "power/server_power_model.h"
 #include "runner/experiment.h"
+#include "telemetry/hub.h"
+#include "trace/workload.h"
 
 using namespace pad;
 using engine::BackendKind;
@@ -84,7 +87,7 @@ TEST(EngineBackendApi, PerServerPlacementRunsOnSoa)
 }
 
 // ---------------------------------------------------------------------
-// Sharded vs serial bit-identity
+// Engine on a shared workload
 // ---------------------------------------------------------------------
 
 class SoaSharding : public ::testing::Test
@@ -105,14 +108,12 @@ class SoaSharding : public ::testing::Test
     }
 
     static std::unique_ptr<engine::ClusterEngine>
-    makeEngine(int shards)
+    makeEngine()
     {
         const core::DataCenterConfig cfg =
             runner::clusterConfig(core::SchemeKind::Pad);
-        auto engine = std::make_unique<engine::ClusterEngine>(
+        return std::make_unique<engine::ClusterEngine>(
             cfg, workload_->workload.get());
-        engine->setShards(shards);
-        return engine;
     }
 
     static runner::ClusterWorkload *workload_;
@@ -120,104 +121,101 @@ class SoaSharding : public ::testing::Test
 
 runner::ClusterWorkload *SoaSharding::workload_ = nullptr;
 
-TEST_F(SoaSharding, CoarseRunBitIdentical)
-{
-    auto serial = makeEngine(1);
-    serial->setRecordHistory(true);
-    serial->runCoarseUntil(12 * kTicksPerHour);
-
-    for (const int shards : {2, 4, 7}) {
-        auto sharded = makeEngine(shards);
-        sharded->setRecordHistory(true);
-        sharded->runCoarseUntil(12 * kTicksPerHour);
-        EXPECT_EQ(sharded->allSocs(), serial->allSocs())
-            << shards << " shards";
-        EXPECT_EQ(sharded->socHistory(), serial->socHistory())
-            << shards << " shards";
-        EXPECT_EQ(sharded->shedHistory(), serial->shedHistory())
-            << shards << " shards";
-        EXPECT_EQ(sharded->socStdDevPercent(),
-                  serial->socStdDevPercent())
-            << shards << " shards";
-    }
-}
-
-/** Warm up, attack, and capture everything comparable. */
-struct AttackRun {
-    core::AttackOutcome outcome;
-    std::vector<double> socs;
-    std::uint64_t detections = 0;
-};
-
-AttackRun
-runShardedAttack(engine::ClusterEngine &engine)
-{
-    engine.runCoarseUntil(kTicksPerDay +
-                          static_cast<Tick>(11.0 * kTicksPerHour));
-    attack::AttackerConfig ac;
-    ac.controlledNodes = 4;
-    attack::TwoPhaseAttacker attacker(ac);
-    core::AttackScenario sc;
-    sc.targetPolicy = core::TargetPolicy::MostVulnerable;
-    sc.durationSec = 240.0;
-    AttackRun run;
-    run.outcome = engine.runAttack(attacker, sc);
-    run.socs = engine.allSocs();
-    run.detections = engine.detectionsFlagged();
-    return run;
-}
-
-TEST_F(SoaSharding, AttackRunBitIdentical)
-{
-    auto serialEngine = makeEngine(1);
-    const AttackRun serial = runShardedAttack(*serialEngine);
-
-    for (const int shards : {3, 8}) {
-        auto shardedEngine = makeEngine(shards);
-        const AttackRun sharded = runShardedAttack(*shardedEngine);
-        EXPECT_EQ(sharded.outcome.survivalSec,
-                  serial.outcome.survivalSec)
-            << shards << " shards";
-        EXPECT_EQ(sharded.outcome.throughput,
-                  serial.outcome.throughput)
-            << shards << " shards";
-        EXPECT_EQ(sharded.outcome.spikesLaunched,
-                  serial.outcome.spikesLaunched)
-            << shards << " shards";
-        EXPECT_EQ(sharded.outcome.maxShedRatio,
-                  serial.outcome.maxShedRatio)
-            << shards << " shards";
-        EXPECT_EQ(sharded.socs, serial.socs) << shards << " shards";
-        EXPECT_EQ(sharded.detections, serial.detections)
-            << shards << " shards";
-    }
-}
-
-TEST_F(SoaSharding, ShardCountClampsToRacks)
-{
-    auto engine = makeEngine(10000);
-    const core::DataCenterConfig cfg =
-        runner::clusterConfig(core::SchemeKind::Pad);
-    EXPECT_LE(engine->shards(), cfg.racks);
-    EXPECT_GE(engine->shards(), 1);
-    // Even the clamped maximum stays bit-identical to serial.
-    engine->runCoarseUntil(4 * kTicksPerHour);
-    auto serial = makeEngine(1);
-    serial->runCoarseUntil(4 * kTicksPerHour);
-    EXPECT_EQ(engine->allSocs(), serial->allSocs());
-}
-
 // ---------------------------------------------------------------------
 // setAllSoc: scenario setup applies uniformly
 // ---------------------------------------------------------------------
 
 TEST_F(SoaSharding, SetAllSocAppliesUniformly)
 {
-    auto engine = makeEngine(1);
+    auto engine = makeEngine();
     engine->setAllSoc(0.5);
     for (const double soc : engine->allSocs())
         EXPECT_NEAR(soc, 0.5, 1e-12);
     EXPECT_NEAR(engine->socStdDevPercent(), 0.0, 1e-9);
+}
+
+// ---------------------------------------------------------------------
+// Coarse demand from the workload's curve table
+// ---------------------------------------------------------------------
+
+/**
+ * Every recorded rack<r>.power of an 8 h coarse run, against the
+ * rack's servers' ServerPowerModel::power summed by hand in server
+ * order (no DVFS cap or shed server occurs in this window).
+ */
+void
+expectRackPowerSummedByHand(const core::DataCenterConfig &cfg,
+                            const trace::Workload &workload)
+{
+    engine::ClusterEngine engine(cfg, &workload);
+    telemetry::TelemetryHub hub;
+    engine.setTelemetry(&hub);
+    engine.runCoarseUntil(8 * kTicksPerHour);
+    const power::ServerPowerModel model(cfg.server);
+    for (int r = 0; r < cfg.racks; ++r) {
+        const telemetry::TimeSeries *series =
+            hub.find("rack" + std::to_string(r) + ".power");
+        ASSERT_NE(series, nullptr);
+        ASSERT_EQ(series->totalSamples(), 96u);
+        for (const telemetry::Sample &sample : series->raw()) {
+            const std::size_t slot = workload.slotAt(sample.when);
+            double expected = 0.0;
+            for (int s = 0; s < cfg.serversPerRack; ++s)
+                expected += model.power(workload.utilAtSlot(
+                    r * cfg.serversPerRack + s, slot));
+            ASSERT_EQ(sample.value, expected)
+                << "rack " << r << " tick " << sample.when;
+        }
+    }
+}
+
+TEST(CurveTable, DefaultExponentReadsTheTable)
+{
+    const runner::ClusterWorkload cw = runner::makeClusterWorkload(1.0);
+    const core::DataCenterConfig cfg =
+        runner::clusterConfig(core::SchemeKind::Pad);
+    ASSERT_EQ(cfg.server.curveExponent, trace::kTableCurveExponent);
+    expectRackPowerSummedByHand(cfg, *cw.workload);
+}
+
+TEST(CurveTable, OtherExponentTakesThePowFallback)
+{
+    const runner::ClusterWorkload cw = runner::makeClusterWorkload(1.0);
+    core::DataCenterConfig cfg =
+        runner::clusterConfig(core::SchemeKind::Pad);
+    cfg.server.curveExponent = 0.9;
+    // The table serves only its own exponent ...
+    EXPECT_EQ(cw.workload->curveColumn(0, 0.9), nullptr);
+    // ... so the engine computes the 0.9 curve itself, exactly.
+    expectRackPowerSummedByHand(cfg, *cw.workload);
+}
+
+TEST(CurveTable, ConcurrentCoarseRunsMatchSerial)
+{
+    // Two engines race to fill the curve columns of one fresh shared
+    // workload (the SweepRunner case); a run on a workload of its own
+    // is the reference. Run under TSan, this is the race check.
+    const core::DataCenterConfig cfg =
+        runner::clusterConfig(core::SchemeKind::Pad);
+    const auto coarseHistory = [&](const trace::Workload *workload) {
+        engine::ClusterEngine engine(cfg, workload);
+        engine.setRecordHistory(true);
+        engine.runCoarseUntil(kTicksPerDay);
+        return engine.socHistory();
+    };
+    const runner::ClusterWorkload own = runner::makeClusterWorkload(1.0);
+    const auto serial = coarseHistory(own.workload.get());
+
+    const runner::ClusterWorkload shared =
+        runner::makeClusterWorkload(1.0);
+    std::vector<std::vector<double>> histories[2];
+    std::thread a([&] { histories[0] = coarseHistory(shared.workload.get()); });
+    std::thread b([&] { histories[1] = coarseHistory(shared.workload.get()); });
+    a.join();
+    b.join();
+    ASSERT_EQ(serial.size(), 288u);
+    EXPECT_EQ(histories[0], serial);
+    EXPECT_EQ(histories[1], serial);
 }
 
 } // namespace

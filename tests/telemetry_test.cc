@@ -87,9 +87,71 @@ TEST(TimeSeries, RingEvictionKeepsAggregatesExact)
     EXPECT_DOUBLE_EQ(ts.overallMean(), 4.5);
 }
 
+TEST(TimeSeries, NewestIsTheTailOfRaw)
+{
+    TimeSeriesOptions opts;
+    opts.rawCapacity = 5;
+    TimeSeries ts(opts);
+    EXPECT_TRUE(ts.newest(3).empty());
+    // Every fill level, wrapped or not, and every tail length.
+    for (int i = 0; i < 13; ++i) {
+        ts.record(i, static_cast<double>(i));
+        const auto raw = ts.raw();
+        for (std::size_t n = 0; n <= raw.size() + 1; ++n) {
+            const auto tail = ts.newest(n);
+            const std::size_t take = std::min(n, raw.size());
+            ASSERT_EQ(tail.size(), take) << i << " " << n;
+            for (std::size_t k = 0; k < take; ++k)
+                EXPECT_EQ(tail[k].when, raw[raw.size() - take + k].when)
+                    << i << " " << n;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // TelemetryHub
 // ---------------------------------------------------------------------
+
+TEST(TelemetryHub, RawSinceCopiesOnlySamplesPastTheCursors)
+{
+    TimeSeriesOptions opts;
+    opts.rawCapacity = 4;
+    TelemetryHub hub(opts);
+    EXPECT_TRUE(hub.rawSince({}).empty());
+
+    const std::uint32_t zeta = hub.seriesId("zeta");
+    const std::uint32_t alpha = hub.seriesId("alpha");
+    hub.seriesId("empty"); // no samples: never listed
+    for (Tick t = 0; t < 3; ++t)
+        hub.record("zeta", t, 1.0);
+    for (Tick t = 10; t < 16; ++t) // six through a 4-slot ring
+        hub.record("alpha", t, 2.0);
+
+    // No cursors (all 0): every retained sample, sorted by name.
+    auto cut = hub.rawSince({});
+    ASSERT_EQ(cut.size(), 2u);
+    EXPECT_EQ(cut[0].name, "alpha");
+    EXPECT_EQ(cut[0].id, alpha);
+    EXPECT_EQ(cut[0].totalSamples, 6u);
+    ASSERT_EQ(cut[0].raw.size(), 4u); // two evicted
+    EXPECT_EQ(cut[0].raw.front().when, 12);
+    EXPECT_EQ(cut[1].name, "zeta");
+    EXPECT_EQ(cut[1].raw.size(), 3u);
+
+    // Cursors by id: zeta fully seen, alpha seen up to 4 of 6.
+    std::vector<std::uint64_t> cursors(2);
+    cursors[zeta] = 3;
+    cursors[alpha] = 4;
+    cut = hub.rawSince(cursors);
+    ASSERT_EQ(cut.size(), 1u);
+    EXPECT_EQ(cut[0].name, "alpha");
+    ASSERT_EQ(cut[0].raw.size(), 2u);
+    EXPECT_EQ(cut[0].raw[0].when, 14);
+    EXPECT_EQ(cut[0].raw[1].when, 15);
+    // Every cursor at its total: nothing new.
+    cursors[alpha] = 6;
+    EXPECT_TRUE(hub.rawSince(cursors).empty());
+}
 
 TEST(TelemetryHub, LazyCreationAndSortedNames)
 {

@@ -5,9 +5,14 @@
  * utilization grid.
  */
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -16,6 +21,7 @@
 #include "trace/google_trace.h"
 #include "trace/synthetic_trace.h"
 #include "trace/workload.h"
+#include "runner/experiment.h"
 
 namespace pad::trace {
 namespace {
@@ -226,6 +232,75 @@ TEST(Workload, MachineMeanAndOverallMean)
     EXPECT_NEAR(w.machineMeanUtil(0), 0.5, 1e-9);
     EXPECT_NEAR(w.machineMeanUtil(1), 0.0, 1e-9);
     EXPECT_NEAR(w.overallMeanUtil(), 0.25, 1e-9);
+}
+
+/** FNV-1a over the bit pattern of @p v, chained from @p hash. */
+std::uint64_t
+bitHash(std::uint64_t hash, double v)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int i = 0; i < 8; ++i) {
+        hash ^= (bits >> (8 * i)) & 0xffu;
+        hash *= 1099511628211ull;
+    }
+    return hash;
+}
+
+TEST(Workload, QueriesBitIdenticalToMachineMajorGrid)
+{
+    // Digest of every query over the 3-day cluster workload, captured
+    // while the grid was stored machine-major: the storage layout
+    // must not change a single bit of what the queries return.
+    const runner::ClusterWorkload cw = runner::makeClusterWorkload(3.0);
+    const Workload &w = *cw.workload;
+    std::uint64_t cells = 14695981039346656037ull;
+    for (int m = 0; m < w.machines(); ++m)
+        for (std::size_t s = 0; s < w.slots(); ++s)
+            cells = bitHash(cells, w.utilAtSlot(m, s));
+    std::uint64_t means = 14695981039346656037ull;
+    for (int m = 0; m < w.machines(); ++m)
+        means = bitHash(means, w.machineMeanUtil(m));
+    means = bitHash(means, w.overallMeanUtil());
+    std::uint64_t cluster = 14695981039346656037ull;
+    for (std::size_t s = 0; s < w.slots(); ++s)
+        cluster = bitHash(
+            cluster, w.clusterUtilAt(static_cast<Tick>(s) * w.slotTicks() +
+                                     w.slotTicks() / 2));
+    EXPECT_EQ(cells, 0x89ffbd2af980301dull) << std::hex << cells;
+    EXPECT_EQ(means, 0x0aa70534d8b3d5baull) << std::hex << means;
+    EXPECT_EQ(cluster, 0xa363035dc7d4129bull) << std::hex << cluster;
+}
+
+TEST(Workload, SlotColumnIsTheSlotsMachines)
+{
+    const runner::ClusterWorkload cw = runner::makeClusterWorkload(1.0);
+    const Workload &w = *cw.workload;
+    for (std::size_t s = 0; s < w.slots(); s += 37) {
+        const double *column = w.slotColumn(s);
+        for (int m = 0; m < w.machines(); ++m)
+            ASSERT_EQ(column[m], w.utilAtSlot(m, s));
+    }
+}
+
+TEST(Workload, CurveColumnsArePowBitForBit)
+{
+    const runner::ClusterWorkload cw = runner::makeClusterWorkload(3.0);
+    const Workload &w = *cw.workload;
+    for (std::size_t s = 0; s < w.slots(); ++s) {
+        const double *curve = w.curveColumn(s, kTableCurveExponent);
+        ASSERT_NE(curve, nullptr);
+        // A second request returns the same filled column.
+        ASSERT_EQ(w.curveColumn(s, kTableCurveExponent), curve);
+        for (int m = 0; m < w.machines(); ++m)
+            ASSERT_EQ(curve[m],
+                      std::pow(std::clamp(w.utilAtSlot(m, s), 0.0, 1.0),
+                               kTableCurveExponent))
+                << "machine " << m << " slot " << s;
+    }
+    // Any other exponent is left to the caller.
+    EXPECT_EQ(w.curveColumn(0, 0.9), nullptr);
+    EXPECT_EQ(w.curveColumn(0, 1.0), nullptr);
 }
 
 } // namespace
