@@ -3,10 +3,11 @@
  * Microbenchmarks for the simulator's hot paths: the KiBaM
  * closed-form step, the Algorithm-1 vDEB assignment, the breaker
  * thermal update, workload fine sampling, the server power model,
- * the telemetry push path's number codec
- * (shortest round-trip double formatting, pad-rw-v1 batch render and
- * parse, all per sample), the telemetry hub's record and merge
- * stages and the push shipper's cut at a short and a long ring.
+ * shortest round-trip double formatting (the receiver dump's number
+ * form), the pad-rw-v2 batch render and parse (one shared tick
+ * column, hex values; both per sample), the telemetry hub's record
+ * and merge stages and the push shipper's cut at a short and a long
+ * ring.
  *
  * Built on the perfbench timing utilities (perf_timing.h): each
  * benchmark warms up untimed, then reports the median and minimum of
@@ -223,7 +224,11 @@ benchFormatDouble()
     report("format_double", t, n);
 }
 
-/** One 22-series pad-rw-v1 batch of @p perSeries samples each. */
+/**
+ * One 22-series batch of @p perSeries samples each, every series on
+ * the same ticks: the shape of an engine's telemetry cut, which the
+ * pad-rw-v2 renderer ships as one tick column.
+ */
 telemetry::RwBatch
 rwBenchBatch(int perSeries)
 {

@@ -2,7 +2,7 @@
  * @file
  * padrx — the fleet telemetry receiver (DESIGN.md §14).
  *
- * Hosts a ReceiverServer that ingests pad-rw-v1 batch streams from
+ * Hosts a ReceiverServer that ingests pad-rw-v2 batch streams from
  * any number of `padd --push-to` / `padsim --push-to` shippers,
  * merges every series into one TelemetryHub under `fleet.<source>.`
  * prefixes, and re-exposes the merged state as a single aggregate

@@ -22,14 +22,16 @@
  *                      /metrics scrape or --prom dump); one line on
  *                      stderr and exit 1 on the first violation
  *   padtrace rw       STREAM
- *                      validate a pad-rw-v1 remote-write stream — a
+ *                      validate a pad-rw-v2 remote-write stream — a
  *                      framed wire capture or a bare JSONL spool file
  *                      (rw_spool-NNNN.jsonl), auto-detected — and print
  *                      a one-paragraph digest; exit 1 on the first
  *                      malformed record or sequence violation. A
  *                      crash-cut final record is tolerated (reported
  *                      as a truncated tail), matching the shipper's
- *                      spool-replay contract.
+ *                      spool-replay contract. A pad-rw-v1 record
+ *                      (decimal samples, from before v2) fails as an
+ *                      unsupported schema version.
  *
  * `prom` and `rw` accept `-` as the input path to read stdin, so CI
  * can pipe a live scrape straight in: `curl .../metrics | padtrace
@@ -786,6 +788,13 @@ struct PhaseRow {
     std::string name;
     double seconds = 0.0;
     std::uint64_t laps = 0;
+
+    /** Seconds per lap; the plain seconds when no laps are recorded. */
+    double
+    secondsPerLap() const
+    {
+        return laps > 0 ? seconds / static_cast<double>(laps) : seconds;
+    }
 };
 
 /** One column of phase data (a backend, or a whole profiled run). */
@@ -1088,7 +1097,9 @@ comparePerf(const PerfInput &before, const PerfInput &after)
     // Phase shares, matched by column label x phase name. Shares
     // rather than raw seconds: two runs of different length still
     // compare, and a phase claiming a bigger slice of the pipeline
-    // is the regression signal we care about.
+    // is the regression signal we care about. A share also grows
+    // when another phase shrinks, so a share row is flagged only if
+    // the phase's own seconds per lap grew past the threshold too.
     for (const PerfColumn &bc : before.columns) {
         for (const PerfColumn &ac : after.columns) {
             if (ac.label != bc.label)
@@ -1109,7 +1120,10 @@ comparePerf(const PerfInput &before, const PerfInput &after)
                     r.worse = r.after - r.before;
                     // A share regression is an absolute shift, not
                     // relative: +5 points of pipeline share.
-                    r.regressed = r.worse > kRegressionThreshold;
+                    r.regressed =
+                        r.worse > kRegressionThreshold &&
+                        ap.secondsPerLap() > bp.secondsPerLap() *
+                                                 (1.0 + kRegressionThreshold);
                     rows.push_back(r);
                 }
             }
@@ -1391,7 +1405,7 @@ runProm(const Options &opt)
 // ---------------------------------------------------------------------
 
 /**
- * Validate a pad-rw-v1 stream — a framed wire capture or a bare
+ * Validate a pad-rw-v2 stream — a framed wire capture or a bare
  * JSONL spool file, auto-detected by the frame header — and print a
  * one-paragraph digest. The checks mirror what the receiver enforces
  * (parseable records, strictly increasing per-source sequence
@@ -1414,7 +1428,7 @@ runRw(const Options &opt)
                   << error << "\n";
         return 1;
     }
-    std::cout << inputName(opt.tracePath) << ": valid pad-rw-v1 "
+    std::cout << inputName(opt.tracePath) << ": valid pad-rw-v2 "
               << (info.framed ? "framed stream" : "spool") << "; "
               << info.batches << " batch(es), " << info.statsBatches
               << " stats dump(s), " << info.samples << " samples from "

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 #
 # Rebuild the perf harness in Release mode and regenerate the
-# committed benchmark results (BENCH_PR24.json) reproducibly:
+# committed benchmark results (BENCH_PR26.json) reproducibly:
 #
 #   scripts/bench.sh                     # portable codegen
 #   scripts/bench.sh --quick             # fewer repetitions
@@ -17,7 +17,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-rel}
-BENCH_OUT=${BENCH_OUT:-BENCH_PR24.json}
+BENCH_OUT=${BENCH_OUT:-BENCH_PR26.json}
 PAD_NATIVE=${PAD_NATIVE:-OFF}
 JOBS=${JOBS:-$(nproc)}
 
@@ -36,7 +36,7 @@ echo "benchmark results written to $BENCH_OUT"
 # stays in the tens of ns per sample, single_run_alerts stays
 # within ~10% of single_run_telemetry (the fair baseline — enabling
 # alerts also turns the telemetry hub on), and single_run_push — the
-# same run plus a full end-of-run export through the pad-rw-v1 push
+# same run plus a full end-of-run export through the pad-rw-v2 push
 # pipeline to an in-process receiver (DESIGN.md §14) — prices the
 # whole export envelope, not just the snapshot.
 echo

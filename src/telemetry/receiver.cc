@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <memory>
 #include <sstream>
 
 #include <netinet/in.h>
@@ -19,10 +20,23 @@ namespace pad::telemetry {
 
 namespace {
 
-/** Bytes read per recv(): a 1.3 MB batch frame takes ~20 reads. */
+/** Smallest receive buffer: room for the frame headers and small
+ *  frames, before a large frame's header grows it. */
 constexpr std::size_t kRecvChunk = 64u << 10;
 
 } // namespace
+
+void
+ReceiverServer::Connection::reserve(std::size_t bytes)
+{
+    if (bytes <= capacity)
+        return;
+    auto grown = std::make_unique_for_overwrite<char[]>(bytes);
+    if (filled > 0)
+        std::memcpy(grown.get(), data.get(), filled);
+    data = std::move(grown);
+    capacity = bytes;
+}
 
 ReceiverServer::ReceiverServer(int port) : requestedPort_(port) {}
 
@@ -103,7 +117,6 @@ void
 ReceiverServer::serveLoop()
 {
     std::vector<Connection> conns;
-    std::vector<char> chunk(kRecvChunk);
     while (!stop_) {
         std::vector<pollfd> pfds;
         pfds.reserve(conns.size() + 1);
@@ -120,7 +133,7 @@ ReceiverServer::serveLoop()
         if (pfds[0].revents & POLLIN) {
             const int fd = ::accept(listenFd_, nullptr, nullptr);
             if (fd >= 0) {
-                conns.push_back(Connection{fd, {}});
+                conns.emplace_back().fd = fd;
                 connections_.fetch_add(1, std::memory_order_relaxed);
             }
         }
@@ -132,12 +145,20 @@ ReceiverServer::serveLoop()
             if (!(pfds[i + 1].revents & (POLLIN | POLLHUP | POLLERR)))
                 continue;
             Connection &conn = conns[i];
+            // Receive straight into the frame buffer, grown to the
+            // whole frame once its header is in.
+            const RwFrameHeader h = parseRwFrameHeader(
+                std::string_view(conn.data.get(), conn.filled));
+            conn.reserve(std::max(h.status == RwFrameHeader::Status::Ok
+                                      ? h.headerBytes + h.payloadBytes
+                                      : conn.filled + 1,
+                                  kRecvChunk));
             const ssize_t n =
-                ::recv(conn.fd, chunk.data(), chunk.size(), 0);
+                ::recv(conn.fd, conn.data.get() + conn.filled,
+                       conn.capacity - conn.filled, 0);
             bool keep = n > 0;
             if (keep) {
-                conn.buffer.append(chunk.data(),
-                                   static_cast<std::size_t>(n));
+                conn.filled += static_cast<std::size_t>(n);
                 keep = drainFrames(conn);
             }
             if (!keep) {
@@ -158,32 +179,39 @@ ReceiverServer::serveLoop()
 bool
 ReceiverServer::drainFrames(Connection &conn)
 {
+    std::size_t pos = 0;
     for (;;) {
-        const RwFrameHeader h = parseRwFrameHeader(conn.buffer);
+        const std::string_view rest(conn.data.get() + pos,
+                                    conn.filled - pos);
+        const RwFrameHeader h = parseRwFrameHeader(rest);
         if (h.status == RwFrameHeader::Status::Bad) {
             protocolErrors_.fetch_add(1, std::memory_order_relaxed);
             return false;
         }
         const std::size_t total = h.headerBytes + h.payloadBytes;
         if (h.status == RwFrameHeader::Status::Incomplete ||
-            conn.buffer.size() < total)
-            return true; // need more bytes
-        if (conn.buffer[total - 1] != '\n') {
+            rest.size() < total)
+            break; // need more bytes
+        if (rest[total - 1] != '\n') {
             protocolErrors_.fetch_add(1, std::memory_order_relaxed);
             return false;
         }
-        const std::string_view line(conn.buffer.data() + h.headerBytes,
-                                    h.payloadBytes - 1);
         bool ok = false;
-        const std::string ack = handleLine(line, &ok);
+        const std::string ack = handleLine(
+            rest.substr(h.headerBytes, h.payloadBytes - 1), &ok);
         if (!sendAll(conn.fd, ack + "\n"))
             return false;
         if (!ok) {
             protocolErrors_.fetch_add(1, std::memory_order_relaxed);
             return false;
         }
-        conn.buffer.erase(0, total);
+        pos += total;
     }
+    // Keep the start of the next frame, if any, at the front.
+    conn.filled -= pos;
+    if (pos > 0 && conn.filled > 0)
+        std::memmove(conn.data.get(), conn.data.get() + pos, conn.filled);
+    return true;
 }
 
 std::string

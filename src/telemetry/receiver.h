@@ -1,6 +1,6 @@
 /**
  * @file
- * ReceiverServer: the aggregation end of the pad-rw-v1 push pipeline.
+ * ReceiverServer: the aggregation end of the pad-rw-v2 push pipeline.
  *
  * Accepts persistent TCP connections from N RemoteWriteShippers,
  * ingests their length-prefixed batch frames, and merges every
@@ -26,6 +26,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -109,7 +110,13 @@ class ReceiverServer
   private:
     struct Connection {
         int fd = -1;
-        std::string buffer;
+        /** Received bytes not yet consumed by a whole frame. */
+        std::unique_ptr<char[]> data;
+        std::size_t filled = 0;
+        std::size_t capacity = 0;
+
+        /** Grow to hold @p bytes, keeping the filled prefix. */
+        void reserve(std::size_t bytes);
     };
 
     void serveLoop();

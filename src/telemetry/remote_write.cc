@@ -1,6 +1,8 @@
 #include "telemetry/remote_write.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cctype>
 #include <cerrno>
 #include <charconv>
@@ -16,10 +18,10 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "sim/stats_registry.h"
-#include "telemetry/http.h"
 #include "util/json.h"
 #include "util/json_writer.h"
 #include "util/types.h"
@@ -28,7 +30,7 @@ namespace pad::telemetry {
 
 namespace {
 
-constexpr std::string_view kFramePrefix = "pad-rw-v1 ";
+constexpr std::string_view kFramePrefix = "pad-rw-v2 ";
 /** Enough digits for any length up to kMaxConnBuffer, and no more. */
 constexpr std::size_t kMaxFrameDigits = 8;
 static_assert(kMaxConnBuffer < 100000000, "raise kMaxFrameDigits");
@@ -76,19 +78,83 @@ appendString(std::string &out, std::string_view s)
     out += '"';
 }
 
+/** Hex digits per value: the 64 bits of one IEEE double. */
+constexpr std::size_t kHexDigits = 16;
+
+/** "00".."ff": the two lowercase hex digits of each byte value. */
+constexpr auto kHexPairs = [] {
+    std::array<char, 512> pairs{};
+    for (int b = 0; b < 256; ++b) {
+        pairs[2 * b] = "0123456789abcdef"[b >> 4];
+        pairs[2 * b + 1] = "0123456789abcdef"[b & 15];
+    }
+    return pairs;
+}();
+
 /**
- * One pad-rw-v1 line read in a single pass through a JsonReader,
+ * Write the IEEE bits of @p v as 16 lowercase hex digits at @p out,
+ * a byte's two digits at a time (half the steps of one per digit).
+ */
+void
+writeHexBits(char *out, double v)
+{
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i) {
+        const auto byte = (bits >> (56 - 8 * i)) & 0xff;
+        std::memcpy(out + 2 * i, &kHexPairs[2 * byte], 2);
+    }
+}
+
+/** Each byte's value as a lowercase hex digit, or 0xff. */
+constexpr auto kHexDigit = [] {
+    std::array<std::uint8_t, 256> digit{};
+    for (int c = 0; c < 256; ++c)
+        digit[c] = c >= '0' && c <= '9'   ? c - '0'
+                   : c >= 'a' && c <= 'f' ? c - 'a' + 10
+                                          : 0xff;
+    return digit;
+}();
+
+/** The double whose bits the 16 hex digits at @p in spell; false if
+ *  any is not a lowercase hex digit. */
+bool
+readHexBits(const char *in, double &out)
+{
+    std::uint64_t bits = 0;
+    unsigned bad = 0;
+    for (std::size_t i = 0; i < kHexDigits; ++i) {
+        const unsigned d = kHexDigit[static_cast<unsigned char>(in[i])];
+        bad |= d;
+        bits = bits << 4 | (d & 15);
+    }
+    out = std::bit_cast<double>(bits);
+    return bad < 16;
+}
+
+bool
+sameTicks(const std::vector<Sample> &a, const std::vector<Sample> &b)
+{
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const Sample &x, const Sample &y) {
+                          return x.when == y.when;
+                      });
+}
+
+/**
+ * One pad-rw-v2 line read in a single pass through a JsonReader,
  * straight into an RwBatch. It accepts exactly what a JSON DOM plus
  * the schema checks would: any key order, the first of duplicate
  * keys wins, and unknown keys (or sections the batch type does not
- * use) are validated and skipped. A section met before "type" is
- * skipped and its span read once the type is known.
+ * use) are validated and skipped. A section met before "type" (or a
+ * "series" met before "ticks") is skipped and its span read once
+ * what it depends on is known. Hex values are decoded from the line
+ * itself; only a string written with JSON escapes is copied first.
  */
 class RwLineReader
 {
   public:
     explicit RwLineReader(std::string_view text)
-        : text_(text), in_(text, &syntax_)
+        : text_(text), top_(text, &syntax_), in_(&top_)
     {
     }
 
@@ -99,17 +165,17 @@ class RwLineReader
         if (readBatch(b))
             return b;
         if (error)
-            *error = message();
+            *error = syntax_.empty() ? why_ : "not a JSON object: " + syntax_;
         return std::nullopt;
     }
 
   private:
-    enum Field { kV, kType, kSource, kSeq, kTick, kSeries, kScalars,
-                 kCounters, kFieldCount };
+    enum Field { kV, kType, kSource, kSeq, kTick, kTicks, kSeries,
+                 kScalars, kCounters, kFieldCount };
 
     static constexpr std::string_view kNames[kFieldCount] = {
-        "v", "type", "source", "seq", "tick", "series", "scalars",
-        "counters"};
+        "v", "type", "source", "seq", "tick", "ticks", "series",
+        "scalars", "counters"};
     /** The error for a field that is missing or malformed. */
     static constexpr const char *kBadField[kFieldCount] = {
         "missing or unsupported schema version",
@@ -117,6 +183,7 @@ class RwLineReader
         "missing source",
         "missing or out-of-range seq",
         "missing or out-of-range tick",
+        "batch without ticks array",
         "batch without series array",
         "stats without scalars/counters objects",
         "stats without scalars/counters objects"};
@@ -134,13 +201,7 @@ class RwLineReader
     static bool
     wanted(int f, const std::string &type)
     {
-        return f < kSeries || (f == kSeries) == (type == "batch");
-    }
-
-    std::string
-    message() const
-    {
-        return in_.failed() ? "not a JSON object: " + syntax_ : why_;
+        return f < kTicks || (f <= kSeries) == (type == "batch");
     }
 
     bool
@@ -154,14 +215,31 @@ class RwLineReader
     bool
     number(double &out)
     {
-        const char c = in_.peek();
-        return (c == '-' || (c >= '0' && c <= '9')) && in_.readNumber(out);
+        const char c = in_->peek();
+        return (c == '-' || (c >= '0' && c <= '9')) && in_->readNumber(out);
     }
 
     bool
     string(std::string &out)
     {
-        return in_.peek() == '"' && in_.readString(out);
+        return in_->peek() == '"' && in_->readString(out);
+    }
+
+    /**
+     * A string at the cursor, viewed in place; one with escapes is
+     * decoded into copy_ and viewed there.
+     */
+    bool
+    stringView(std::string_view &out)
+    {
+        if (in_->peek() != '"')
+            return false;
+        if (in_->readPlainString(out))
+            return true;
+        if (!in_->readString(copy_))
+            return false;
+        out = copy_;
+        return true;
     }
 
     /** Read the header field @p f (kV..kTick) into @p b. */
@@ -171,7 +249,7 @@ class RwLineReader
         double num = 0.0;
         switch (f) {
           case kV:
-            return number(num) && num == 1.0;
+            return number(num) && num == 2.0;
           case kType:
             return string(b.type) && (b.type == "batch" || b.type == "stats");
           case kSource:
@@ -183,36 +261,43 @@ class RwLineReader
         }
     }
 
+    /** Whether section @p f must wait for a later field. */
+    bool
+    mustDefer(int f, const bool *seen) const
+    {
+        return !seen[kType] || (f == kSeries && !ticksRead_);
+    }
+
     bool
     readBatch(RwBatch &b)
     {
-        if (!in_.beginObject())
+        if (!in_->beginObject())
             return reject("not a JSON object");
         bool seen[kFieldCount] = {};
         std::string_view deferred[kFieldCount];
-        while (in_.nextKey(key_)) {
+        while (in_->nextKey(key_)) {
             const int f = fieldOf(key_);
             if (f < 0 || seen[f]) {
-                if (!in_.skipValue())
+                if (!in_->skipValue())
                     return false;
                 continue;
             }
             seen[f] = true;
-            if (f < kSeries) {
+            if (f < kTicks) {
                 if (!header(f, b))
                     return reject(kBadField[f]);
-            } else if (!seen[kType]) {
-                in_.peek();
-                const std::size_t start = in_.offset();
-                if (!in_.skipValue())
+            } else if (mustDefer(f, seen)) {
+                in_->peek();
+                const std::size_t start = in_->offset();
+                if (!in_->skipValue())
                     return false;
-                deferred[f] = text_.substr(start, in_.offset() - start);
+                deferred[f] = text_.substr(start, in_->offset() - start);
             } else if (wanted(f, b.type) ? !section(f, b)
-                                         : !in_.skipValue()) {
+                                         : !in_->skipValue()) {
                 return false;
             }
         }
-        if (in_.failed() || !in_.finish())
+        if (in_->failed() || !in_->finish())
             return false;
         for (int f = 0; f < kFieldCount; ++f) {
             if (!wanted(f, b.type))
@@ -220,27 +305,34 @@ class RwLineReader
             if (!seen[f])
                 return reject(kBadField[f]);
             if (!deferred[f].empty()) {
-                RwLineReader sub(deferred[f]);
-                if (!sub.section(f, b))
-                    return reject(sub.message());
+                JsonReader sub(deferred[f], &syntax_);
+                in_ = &sub;
+                const bool ok = section(f, b);
+                in_ = &top_;
+                if (!ok)
+                    return false;
             }
         }
         return true;
     }
 
-    /** Read the section @p f (kSeries..kCounters) into @p b. */
+    /** Read the section @p f (kTicks..kCounters) into @p b. */
     bool
     section(int f, RwBatch &b)
     {
+        if (f == kTicks)
+            return tickColumns();
         if (f == kSeries)
             return series(b.series);
-        if (!in_.beginObject())
+        if (!in_->beginObject())
             return reject(kBadField[f]);
-        while (in_.nextKey(key_)) {
+        while (in_->nextKey(key_)) {
             double v = 0.0;
             if (f == kScalars) {
-                if (!number(v))
-                    return reject("non-numeric scalar " + key_);
+                std::string_view hex;
+                if (!stringView(hex) || hex.size() != kHexDigits ||
+                    !readHexBits(hex.data(), v))
+                    return reject("malformed scalar " + key_);
                 b.scalars.emplace_back(key_, v);
             } else {
                 std::uint64_t count = 0;
@@ -250,74 +342,123 @@ class RwLineReader
                 b.counters.emplace_back(key_, count);
             }
         }
-        return !in_.failed();
+        return !in_->failed();
+    }
+
+    /**
+     * The [[first, delta, ...], ...] tick columns: each tick is the
+     * previous one plus its delta, and every tick and delta must fit
+     * a Tick.
+     */
+    bool
+    tickColumns()
+    {
+        if (!in_->beginArray())
+            return reject(kBadField[kTicks]);
+        while (in_->nextElement()) {
+            std::vector<Tick> &column = columns_.emplace_back();
+            if (!in_->beginArray())
+                return reject("malformed tick column");
+            double num = 0.0;
+            Tick step = 0;
+            while (in_->nextElement()) {
+                if (!number(num) || !tickFrom(num, step) ||
+                    (!column.empty() &&
+                     __builtin_add_overflow(column.back(), step, &step)))
+                    return reject("malformed or out-of-range tick in "
+                                  "column " +
+                                  std::to_string(columns_.size() - 1));
+                column.push_back(step);
+            }
+            if (in_->failed())
+                return false;
+        }
+        ticksRead_ = true;
+        return !in_->failed();
     }
 
     bool
     series(std::vector<RwSeriesChunk> &out)
     {
-        if (!in_.beginArray())
+        if (!in_->beginArray())
             return reject(kBadField[kSeries]);
-        while (in_.nextElement()) {
+        while (in_->nextElement()) {
             RwSeriesChunk chunk;
             if (!seriesEntry(chunk))
                 return false;
             out.push_back(std::move(chunk));
         }
-        return !in_.failed();
+        return !in_->failed();
     }
 
+    /** {"name":..., "ticks":<column>, "values":"<hex>"}. */
     bool
     seriesEntry(RwSeriesChunk &chunk)
     {
-        if (!in_.beginObject())
+        if (!in_->beginObject())
             return reject("malformed series entry");
-        bool haveName = false, haveSamples = false;
-        while (in_.nextKey(key_)) {
+        bool haveName = false, haveColumn = false, haveValues = false;
+        double column = 0.0;
+        std::uint64_t index = 0;
+        std::string_view hex;
+        while (in_->nextKey(key_)) {
             if (key_ == "name" && !haveName) {
                 haveName = true;
                 if (!string(chunk.name) || chunk.name.empty())
                     return reject("malformed series entry");
-            } else if (key_ == "samples" && !haveSamples) {
-                haveSamples = true;
-                if (!samples(chunk))
-                    return false;
-            } else if (!in_.skipValue()) {
+            } else if (key_ == "ticks" && !haveColumn) {
+                haveColumn = true;
+                if (!number(column) || !countFrom(column, index))
+                    return reject("malformed series entry");
+            } else if (key_ == "values" && !haveValues) {
+                haveValues = true;
+                if (!stringView(hex))
+                    return reject("malformed series entry");
+            } else if (!in_->skipValue()) {
                 return false;
             }
         }
-        if (in_.failed())
+        if (in_->failed())
             return false;
-        if (!haveName || !haveSamples)
+        if (!haveName || !haveColumn || !haveValues)
             return reject("malformed series entry");
-        return true;
-    }
-
-    /** The [[tick, value], ...] array of one series entry. */
-    bool
-    samples(RwSeriesChunk &chunk)
-    {
-        if (!in_.beginArray())
-            return reject("malformed series entry");
-        double when = 0.0;
-        Sample s;
-        while (in_.nextElement()) {
-            if (!in_.beginArray() || !in_.nextElement() || !number(when) ||
-                !in_.nextElement() || !number(s.value) ||
-                in_.nextElement() || in_.failed() ||
-                !tickFrom(when, s.when))
-                return reject("malformed sample in series " + chunk.name);
-            chunk.samples.push_back(s);
+        if (index >= columns_.size() ||
+            hex.size() != kHexDigits * columns_[index].size())
+            return reject("values do not match the tick column in "
+                          "series " +
+                          chunk.name);
+        const std::vector<Tick> &ticks = columns_[index];
+        chunk.samples.resize(ticks.size());
+        for (std::size_t k = 0; k < ticks.size(); ++k) {
+            chunk.samples[k].when = ticks[k];
+            if (!readHexBits(hex.data() + kHexDigits * k,
+                             chunk.samples[k].value))
+                return reject("malformed value in series " + chunk.name);
         }
-        return !in_.failed();
+        return true;
     }
 
     std::string_view text_;
     std::string syntax_;
-    JsonReader in_;
+    JsonReader top_;
+    /** The reader in use: top_, or one over a deferred section. */
+    JsonReader *in_;
     std::string why_;
     std::string key_;
+    std::string copy_; ///< an escaped string, decoded
+    std::vector<std::vector<Tick>> columns_;
+    bool ticksRead_ = false;
 };
+
+/** `pad-rw-v2 <N>\n` for a line of @p lineBytes (N counts its '\n'). */
+std::string
+frameHeader(std::size_t lineBytes)
+{
+    std::string out(kFramePrefix);
+    appendInt(out, lineBytes + 1);
+    out += '\n';
+    return out;
+}
 
 } // namespace
 
@@ -337,20 +478,37 @@ RwBatch::sampleCount() const
 std::string
 renderRwBatchLine(const RwBatch &b)
 {
+    // Group the chunks by tick vector: column[c] is chunk c's tick
+    // column, numbered in order of first use; firstUse[j] is the
+    // chunk that introduced column j.
+    std::vector<std::size_t> column(b.series.size());
+    std::vector<std::size_t> firstUse;
+    for (std::size_t c = 0; c < b.series.size(); ++c) {
+        std::size_t j = 0;
+        while (j < firstUse.size() &&
+               !sameTicks(b.series[firstUse[j]].samples, b.series[c].samples))
+            ++j;
+        if (j == firstUse.size())
+            firstUse.push_back(c);
+        column[c] = j;
+    }
+
     // Upper bounds per item, so the line is built without regrowing:
-    // a sample is at most "[" + 20-char tick + "," + 24-char double
-    // + "],".
-    std::size_t size = 96 + b.type.size() + b.source.size();
+    // a tick is at most a 20-char delta plus a comma, a value its 16
+    // hex digits.
+    std::size_t size = 128 + b.type.size() + b.source.size();
+    for (const std::size_t c : firstUse)
+        size += 4 + 21 * b.series[c].samples.size();
     for (const auto &chunk : b.series)
-        size += 32 + chunk.name.size() + 48 * chunk.samples.size();
+        size += 48 + chunk.name.size() + kHexDigits * chunk.samples.size();
     for (const auto &[name, value] : b.scalars)
-        size += 32 + name.size();
+        size += 24 + name.size();
     for (const auto &[name, value] : b.counters)
         size += 32 + name.size();
     std::string out;
     out.reserve(size);
 
-    out += "{\"v\":1,\"type\":";
+    out += "{\"v\":2,\"type\":";
     appendString(out, b.type);
     out += ",\"source\":";
     appendString(out, b.source);
@@ -359,22 +517,39 @@ renderRwBatchLine(const RwBatch &b)
     out += ",\"tick\":";
     appendInt(out, b.tick);
     if (b.type == "batch") {
-        out += ",\"series\":[";
+        out += ",\"ticks\":[";
+        for (std::size_t j = 0; j < firstUse.size(); ++j) {
+            out += j > 0 ? ",[" : "[";
+            // Deltas wrap like the two's-complement difference; a
+            // column whose running sum leaves Tick fails to parse.
+            std::uint64_t prev = 0;
+            const std::vector<Sample> &samples = b.series[firstUse[j]].samples;
+            for (std::size_t k = 0; k < samples.size(); ++k) {
+                if (k > 0)
+                    out += ',';
+                const auto when = static_cast<std::uint64_t>(samples[k].when);
+                appendInt(out, static_cast<Tick>(when - prev));
+                prev = when;
+            }
+            out += ']';
+        }
+        out += "],\"series\":[";
         for (std::size_t c = 0; c < b.series.size(); ++c) {
             if (c > 0)
                 out += ',';
             out += "{\"name\":";
             appendString(out, b.series[c].name);
-            out += ",\"samples\":[";
+            out += ",\"ticks\":";
+            appendInt(out, column[c]);
+            out += ",\"values\":\"";
             const std::vector<Sample> &samples = b.series[c].samples;
-            for (std::size_t k = 0; k < samples.size(); ++k) {
-                out += k > 0 ? ",[" : "[";
-                appendInt(out, samples[k].when);
-                out += ',';
-                JsonWriter::appendDouble(out, samples[k].value);
-                out += ']';
+            std::size_t at = out.size();
+            out.resize(at + kHexDigits * samples.size());
+            for (const Sample &s : samples) {
+                writeHexBits(out.data() + at, s.value);
+                at += kHexDigits;
             }
-            out += "]}";
+            out += "\"}";
         }
         out += ']';
     } else {
@@ -383,8 +558,11 @@ renderRwBatchLine(const RwBatch &b)
             if (k > 0)
                 out += ',';
             appendString(out, b.scalars[k].first);
-            out += ':';
-            JsonWriter::appendDouble(out, b.scalars[k].second);
+            out += ":\"";
+            const std::size_t at = out.size();
+            out.resize(at + kHexDigits);
+            writeHexBits(out.data() + at, b.scalars[k].second);
+            out += '"';
         }
         out += "},\"counters\":{";
         for (std::size_t k = 0; k < b.counters.size(); ++k) {
@@ -409,9 +587,8 @@ parseRwBatchLine(std::string_view line, std::string *error)
 std::string
 frameRwLine(const std::string &line)
 {
-    std::string out(kFramePrefix);
-    out += std::to_string(line.size() + 1);
-    out += '\n';
+    std::string out = frameHeader(line.size());
+    out.reserve(out.size() + line.size() + 1);
     out += line;
     out += '\n';
     return out;
@@ -968,7 +1145,34 @@ RemoteWriteShipper::disconnectPeer()
 bool
 RemoteWriteShipper::sendFramed(const std::string &line)
 {
-    return fd_ >= 0 && sendAll(fd_, frameRwLine(line));
+    if (fd_ < 0)
+        return false;
+    // Header, line and newline in one gather send: no framed copy.
+    std::string header = frameHeader(line.size());
+    char newline = '\n';
+    iovec parts[] = {{header.data(), header.size()},
+                     {const_cast<char *>(line.data()), line.size()},
+                     {&newline, 1}};
+    msghdr msg{};
+    msg.msg_iov = parts;
+    msg.msg_iovlen = std::size(parts);
+    while (msg.msg_iovlen > 0) {
+        const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
+        if (n <= 0)
+            return false;
+        auto left = static_cast<std::size_t>(n);
+        while (left > 0 && left >= msg.msg_iov->iov_len) {
+            left -= msg.msg_iov->iov_len;
+            ++msg.msg_iov;
+            --msg.msg_iovlen;
+        }
+        if (left > 0) {
+            msg.msg_iov->iov_base =
+                static_cast<char *>(msg.msg_iov->iov_base) + left;
+            msg.msg_iov->iov_len -= left;
+        }
+    }
+    return true;
 }
 
 bool

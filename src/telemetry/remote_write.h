@@ -1,13 +1,13 @@
 /**
  * @file
- * Push-based telemetry export: the pad-rw-v1 batch codec and the
+ * Push-based telemetry export: the pad-rw-v2 batch codec and the
  * RemoteWriteShipper.
  *
  * The pull-based scrape endpoint (telemetry/http.h) requires a
  * scraper to find every padsim/padd process; a fleet of daemons
  * instead *pushes* its telemetry to one aggregation point. The
  * shipper snapshots a TelemetryHub on a sim-time interval into
- * tick-stamped line-JSON batches ("pad-rw-v1" schema, DESIGN.md
+ * tick-stamped line-JSON batches ("pad-rw-v2" schema, DESIGN.md
  * §14) and delivers them over a persistent localhost TCP connection
  * with the full robustness envelope:
  *
@@ -53,7 +53,7 @@ class StatsRegistry;
 namespace pad::telemetry {
 
 // ---------------------------------------------------------------------------
-// pad-rw-v1 codec
+// pad-rw-v2 codec
 // ---------------------------------------------------------------------------
 
 /** One series' new samples inside a batch. */
@@ -63,12 +63,19 @@ struct RwSeriesChunk {
 };
 
 /**
- * One pad-rw-v1 batch: either a "batch" of time-series samples or a
+ * One pad-rw-v2 batch: either a "batch" of time-series samples or a
  * final "stats" dump of StatsRegistry scalars/counters. Rendered as
  * a single JSON line; on the wire each line is length-prefixed with
- * a `pad-rw-v1 <bytes>\n` header so a receiver can frame without
+ * a `pad-rw-v2 <bytes>\n` header so a receiver can frame without
  * scanning, while spool files store the bare lines (plain JSONL,
  * directly inspectable with padtrace rw).
+ *
+ * A "batch" line lists each distinct tick vector once, as a
+ * delta-encoded column in "ticks"; each series names its column and
+ * carries its values as one string of 16 lowercase hex digits per
+ * sample, the IEEE bits of the double. Stats scalars are hex bits
+ * too, counters decimal integers. Every double, NaN and infinities
+ * included, round-trips bit for bit.
  */
 struct RwBatch {
     /** "batch" (samples) or "stats" (registry dump). */
@@ -89,16 +96,22 @@ struct RwBatch {
     std::uint64_t sampleCount() const;
 };
 
-/** Render @p b as one minified JSON line (no trailing newline). */
+/**
+ * Render @p b as one minified JSON line (no trailing newline). Chunks
+ * with equal tick vectors share one column, numbered in order of
+ * first use.
+ */
 std::string renderRwBatchLine(const RwBatch &b);
 
 /**
  * Parse one JSON line previously produced by renderRwBatchLine(), in
  * one pass with no JSON tree. Keys may come in any order; for a
  * duplicate key the first wins; unknown keys are validated and
- * skipped. Ticks, seq and counters must be finite and inside their
- * integer type's range. Returns nullopt (and sets @p error) on
- * malformed input.
+ * skipped. Ticks (and each column's running sum), seq and counters
+ * must be finite and inside their integer type's range; a series'
+ * values must be 16 lowercase hex digits per tick of its column.
+ * Returns nullopt (and sets @p error) on malformed input, including
+ * any line whose "v" is not 2.
  */
 std::optional<RwBatch> parseRwBatchLine(std::string_view line,
                                         std::string *error = nullptr);
@@ -109,7 +122,7 @@ std::optional<RwBatch> parseRwBatchLine(std::string_view line,
  */
 inline constexpr std::size_t kMaxConnBuffer = 16u << 20;
 
-/** One `pad-rw-v1 <N>\n` frame header at the start of a buffer. */
+/** One `pad-rw-v2 <N>\n` frame header at the start of a buffer. */
 struct RwFrameHeader {
     enum class Status { Incomplete, Bad, Ok };
     Status status = Status::Incomplete;
@@ -128,8 +141,9 @@ RwFrameHeader parseRwFrameHeader(std::string_view buf);
 
 /**
  * Wrap a rendered batch line in the wire framing:
- * `pad-rw-v1 <N>\n<line>\n` where N counts the line plus its
- * terminating newline.
+ * `pad-rw-v2 <N>\n<line>\n` where N counts the line plus its
+ * terminating newline. (The shipper sends the same bytes with one
+ * gather send, without building this copy.)
  */
 std::string frameRwLine(const std::string &line);
 
@@ -146,8 +160,8 @@ struct RwStreamInfo {
 };
 
 /**
- * Validate a pad-rw-v1 stream: either a framed wire capture or a
- * bare JSONL spool file (auto-detected by the `pad-rw-v1 ` header).
+ * Validate a pad-rw-v2 stream: either a framed wire capture or a
+ * bare JSONL spool file (auto-detected by the `pad-rw-v2 ` header).
  * Checks every complete record parses, per-source sequence numbers
  * strictly increase, and sample ticks within each chunk are
  * non-decreasing. A crash-cut final record (missing bytes or an

@@ -1,5 +1,6 @@
 #include "util/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
@@ -227,6 +228,26 @@ JsonReader::readString(std::string &out)
         }
     }
     return fail("unterminated string");
+}
+
+bool
+JsonReader::readPlainString(std::string_view &out)
+{
+    const std::size_t begin = pos_ + 1; // past the opening quote
+    const std::size_t end = text_.find('"', begin);
+    if (end == std::string_view::npos)
+        return false;
+    // The quote found ends the string unless a backslash before it
+    // escapes it; either way a backslash means readString().
+    const std::string_view body = text_.substr(begin, end - begin);
+    if (body.find('\\') != std::string_view::npos ||
+        std::any_of(body.begin(), body.end(), [](char c) {
+            return static_cast<unsigned char>(c) < 0x20;
+        }))
+        return false;
+    out = body;
+    pos_ = end + 1;
+    return true;
 }
 
 bool

@@ -1,6 +1,6 @@
 /**
  * @file
- * Minimal JSON parser for tooling, tests and the pad-rw-v1 codec.
+ * Minimal JSON parser for tooling, tests and the pad-rw-v2 codec.
  *
  * The observability layer *writes* JSON (traces, stats exports, run
  * manifests); this parser closes the loop so tests and CLI tooling
@@ -63,7 +63,7 @@ class JsonValue
 /**
  * Pull reader over one JSON text: the repo's one JSON tokenizer.
  * parseJson() builds its DOM through it, and schema-specific parsers
- * (the pad-rw-v1 codec) walk a document with it directly, filling
+ * (the pad-rw-v2 codec) walk a document with it directly, filling
  * their own structs without a JsonValue tree.
  *
  * The first error is kept (message plus byte offset), and from then
@@ -124,6 +124,14 @@ class JsonReader
 
     /** Read the string at the cursor (must be a '"') into @p out. */
     bool readString(std::string &out);
+
+    /**
+     * Read the string at the cursor (must be a '"') as a view of the
+     * text, without copying. A string holding an escape or a raw
+     * control byte is left unread: false, with no error and the
+     * cursor unmoved, so the caller can fall back to readString().
+     */
+    bool readPlainString(std::string_view &out);
 
     /** Read the number at the cursor, saturating like strtod. */
     bool readNumber(double &out);

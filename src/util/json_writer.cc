@@ -177,13 +177,6 @@ JsonWriter::formatDouble(double v)
 }
 
 void
-JsonWriter::appendDouble(std::string &out, double v)
-{
-    char buf[kDoubleChars];
-    out.append(buf, formatDoubleInto(v, buf));
-}
-
-void
 JsonWriter::newline()
 {
     if (indent_ == 0)

@@ -89,9 +89,6 @@ class JsonWriter
      */
     static std::string formatDouble(double v);
 
-    /** Append formatDouble(@p v) to @p out without a temporary. */
-    static void appendDouble(std::string &out, double v);
-
   private:
     struct Level {
         bool object;

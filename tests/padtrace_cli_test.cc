@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -370,6 +371,58 @@ TEST(PadtraceCli, PerfCompareFlagsOnlyMovesBeyondBothIqrs)
     EXPECT_FALSE(rows->array[0].find("regressed")->boolean);
     EXPECT_EQ(rows->array[1].find("metric")->str, "single_run/soa");
     EXPECT_TRUE(rows->array[1].find("regressed")->boolean);
+    EXPECT_EQ(doc->find("regressions")->number, 1.0);
+}
+
+TEST(PadtraceCli, PerfCompareIgnoresShareGainsFromAShrinkingPhase)
+{
+    // demand_eval's seconds per lap halve, so kibam_batch's share of
+    // the pipeline rises 40% -> 50% with its own cost unchanged: not
+    // a regression. detector's share rises too, and its seconds per
+    // lap grew 50%: that one is.
+    test::ScopedTempDir tmp;
+    ASSERT_TRUE(tmp.enter());
+    {
+        std::ofstream old("ptr_old_bench.json");
+        old << R"({"schema":"pad-perfbench-v3","quick":false,
+            "benchmarks":[{"name":"single_run_profiled",
+             "unit":"runs_per_sec","higher_is_better":true,
+             "soa":{"value":20.0,"iqr":1.0,"phases":{
+               "demand_eval":{"seconds":0.0050,"laps":800},
+               "kibam_batch":{"seconds":0.0040,"laps":800},
+               "detector":{"seconds":0.0010,"laps":800}}}}]})";
+        std::ofstream cur("ptr_new_bench.json");
+        cur << R"({"schema":"pad-perfbench-v3","quick":false,
+            "benchmarks":[{"name":"single_run_profiled",
+             "unit":"runs_per_sec","higher_is_better":true,
+             "soa":{"value":20.0,"iqr":1.0,"phases":{
+               "demand_eval":{"seconds":0.0025,"laps":800},
+               "kibam_batch":{"seconds":0.0040,"laps":800},
+               "detector":{"seconds":0.0015,"laps":800}}}}]})";
+    }
+    ASSERT_EQ(WEXITSTATUS(runCmd(PADTRACE_BIN,
+                                 "perf --compare ptr_old_bench.json"
+                                 " ptr_new_bench.json --format json"
+                                 " --out ptr_compare.json")),
+              0);
+    std::string error;
+    const auto doc = parseJson(slurp("ptr_compare.json"), &error);
+    ASSERT_TRUE(doc.has_value()) << error;
+    const JsonValue *rows = doc->find("rows");
+    ASSERT_NE(rows, nullptr);
+    std::map<std::string, const JsonValue *> byMetric;
+    for (const JsonValue &row : rows->array)
+        byMetric[row.find("metric")->str] = &row;
+    const JsonValue *kibam =
+        byMetric["single_run_profiled/soa:kibam_batch"];
+    ASSERT_NE(kibam, nullptr);
+    EXPECT_GT(kibam->find("worse_by")->number, 0.05);
+    EXPECT_FALSE(kibam->find("regressed")->boolean);
+    const JsonValue *detector =
+        byMetric["single_run_profiled/soa:detector"];
+    ASSERT_NE(detector, nullptr);
+    EXPECT_GT(detector->find("worse_by")->number, 0.05);
+    EXPECT_TRUE(detector->find("regressed")->boolean);
     EXPECT_EQ(doc->find("regressions")->number, 1.0);
 }
 

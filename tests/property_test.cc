@@ -62,8 +62,9 @@ TEST_P(VdebProperty, ConservationAndCaps)
     EXPECT_NEAR(sum, want, 1e-6 * std::max(want, 1.0));
     for (double p : plan.power) {
         EXPECT_GE(p, -1e-9);
-        if (!plan.even)
+        if (!plan.even) {
             EXPECT_LE(p, cfg.idealDischargePower + 1e-9);
+        }
     }
 }
 
@@ -181,9 +182,10 @@ TEST_P(PolicyProperty, RandomInputsKeepAutomatonSane)
         const int lv = static_cast<int>(level);
         EXPECT_GE(lv, 1);
         EXPECT_LE(lv, 3);
-        if (prev >= 0)
+        if (prev >= 0) {
             EXPECT_LE(std::abs(lv - prev), 1)
                 << "levels must move one step at a time";
+        }
         // Both backups live and no VP must never keep us in L3.
         prev = lv;
     }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Push-pipeline tests: the pad-rw-v1 codec, the RemoteWriteShipper's
+ * Push-pipeline tests: the pad-rw-v2 codec, the RemoteWriteShipper's
  * failure envelope (bounded queue, backoff, disk spool, drain
  * deadline), the ReceiverServer merge semantics, and the PR's
  * headline guarantee — a replayed padd session ships the exact batch
@@ -8,6 +8,7 @@
  * dump byte-identically.
  */
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cfloat>
@@ -144,11 +145,11 @@ sendFrameForAck(int fd, const std::string &frame)
 }
 
 /**
- * The pinned pad-rw-v1 pair: a batch whose samples cover the number
- * formatter's edge cases (both signs of zero, fixed/exponent form
- * switches, subnormals, the extremes, and a power of two whose
- * shortest digits do not round-trip at their own precision) and a
- * stats dump.
+ * The pinned pad-rw-v2 pair: a batch of two series on two tick
+ * columns whose values cover the edge cases of the receiver dump's
+ * number formatter (both signs of zero, fixed/exponent form switches,
+ * subnormals, the extremes, and a power of two whose shortest digits
+ * do not round-trip at their own precision) and a stats dump.
  */
 std::vector<RwBatch>
 goldenBatches()
@@ -198,11 +199,27 @@ goldenBatches()
 constexpr double kTwoPow63 = 9223372036854775808.0;
 constexpr double kTwoPow64 = 18446744073709551616.0;
 
+/** The double spelled by 16 lowercase hex digits of its bits. */
+std::optional<double>
+referenceHex(const std::string &hex)
+{
+    if (hex.size() != 16)
+        return std::nullopt;
+    std::uint64_t bits = 0;
+    for (const char c : hex) {
+        if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')))
+            return std::nullopt;
+        bits = bits * 16 + static_cast<std::uint64_t>(
+                               c <= '9' ? c - '0' : c - 'a' + 10);
+    }
+    return std::bit_cast<double>(bits);
+}
+
 /**
- * The pad-rw-v1 parser as it was before the codec stopped building a
- * JSON tree: parseJson, then JsonValue::find for each field (so the
- * first of duplicate keys wins and unknown keys are only
- * syntax-checked), plus the range rule for every integer field. The
+ * The pad-rw-v2 schema read through a JSON tree: parseJson, then
+ * JsonValue::find for each field (so the first of duplicate keys wins
+ * and unknown keys are only syntax-checked), plus the range rule for
+ * every integer field and the running sum of each tick column. The
  * one-pass parser must accept exactly the lines this accepts, with
  * bit-equal results.
  */
@@ -217,7 +234,7 @@ referenceParse(std::string_view line)
     };
 
     const JsonValue *v = doc->find("v");
-    if (!v || !v->isNumber() || v->number != 1.0)
+    if (!v || !v->isNumber() || v->number != 2.0)
         return std::nullopt;
     RwBatch b;
     const JsonValue *type = doc->find("type");
@@ -239,27 +256,50 @@ referenceParse(std::string_view line)
     b.tick = static_cast<Tick>(tick->number);
 
     if (b.type == "batch") {
+        const JsonValue *ticks = doc->find("ticks");
+        if (!ticks || !ticks->isArray())
+            return std::nullopt;
+        std::vector<std::vector<Tick>> columns;
+        for (const JsonValue &col : ticks->array) {
+            if (!col.isArray())
+                return std::nullopt;
+            std::vector<Tick> &column = columns.emplace_back();
+            for (const JsonValue &step : col.array) {
+                if (!inRange(&step, -kTwoPow63, kTwoPow63))
+                    return std::nullopt;
+                Tick t = static_cast<Tick>(step.number);
+                if (!column.empty() &&
+                    __builtin_add_overflow(column.back(), t, &t))
+                    return std::nullopt;
+                column.push_back(t);
+            }
+        }
         const JsonValue *series = doc->find("series");
         if (!series || !series->isArray())
             return std::nullopt;
         for (const JsonValue &entry : series->array) {
             const JsonValue *name =
                 entry.isObject() ? entry.find("name") : nullptr;
-            const JsonValue *samples =
-                entry.isObject() ? entry.find("samples") : nullptr;
+            const JsonValue *col =
+                entry.isObject() ? entry.find("ticks") : nullptr;
+            const JsonValue *values =
+                entry.isObject() ? entry.find("values") : nullptr;
             if (!name || !name->isString() || name->str.empty() ||
-                !samples || !samples->isArray())
+                !inRange(col, 0.0, kTwoPow64) || !values ||
+                !values->isString())
+                return std::nullopt;
+            const auto index = static_cast<std::uint64_t>(col->number);
+            if (index >= columns.size() ||
+                values->str.size() != 16 * columns[index].size())
                 return std::nullopt;
             RwSeriesChunk chunk;
             chunk.name = name->str;
-            for (const JsonValue &pair : samples->array) {
-                if (!pair.isArray() || pair.array.size() != 2 ||
-                    !inRange(&pair.array[0], -kTwoPow63, kTwoPow63) ||
-                    !pair.array[1].isNumber())
+            for (std::size_t k = 0; k < columns[index].size(); ++k) {
+                const auto value =
+                    referenceHex(values->str.substr(16 * k, 16));
+                if (!value)
                     return std::nullopt;
-                chunk.samples.push_back(
-                    Sample{static_cast<Tick>(pair.array[0].number),
-                           pair.array[1].number});
+                chunk.samples.push_back(Sample{columns[index][k], *value});
             }
             b.series.push_back(std::move(chunk));
         }
@@ -270,9 +310,11 @@ referenceParse(std::string_view line)
             !counters->isObject())
             return std::nullopt;
         for (const auto &[name, value] : scalars->members) {
-            if (!value.isNumber())
+            const auto bits =
+                value.isString() ? referenceHex(value.str) : std::nullopt;
+            if (!bits)
                 return std::nullopt;
-            b.scalars.emplace_back(name, value.number);
+            b.scalars.emplace_back(name, *bits);
         }
         for (const auto &[name, value] : counters->members) {
             if (!inRange(&value, 0.0, kTwoPow64))
@@ -336,7 +378,7 @@ twoPow64Plus(unsigned n)
 } // namespace
 
 // ---------------------------------------------------------------------
-// pad-rw-v1 codec
+// pad-rw-v2 codec
 // ---------------------------------------------------------------------
 
 TEST(RwCodec, BatchLineRoundTrip)
@@ -392,17 +434,29 @@ TEST(RwCodec, ParserRejectsMalformedLines)
     const char *cases[] = {
         "not json at all",
         "{}",
+        "{\"v\":3,\"type\":\"batch\",\"source\":\"a\",\"seq\":0,"
+        "\"tick\":0,\"ticks\":[],\"series\":[]}",
+        "{\"v\":2,\"type\":\"frob\",\"source\":\"a\",\"seq\":0,"
+        "\"tick\":0}",
+        "{\"v\":2,\"type\":\"batch\",\"source\":\"\",\"seq\":0,"
+        "\"tick\":0}",
+        "{\"v\":2,\"type\":\"batch\",\"source\":\"a\",\"seq\":-1,"
+        "\"tick\":0}",
         "{\"v\":2,\"type\":\"batch\",\"source\":\"a\",\"seq\":0,"
-        "\"tick\":0}",
-        "{\"v\":1,\"type\":\"frob\",\"source\":\"a\",\"seq\":0,"
-        "\"tick\":0}",
-        "{\"v\":1,\"type\":\"batch\",\"source\":\"\",\"seq\":0,"
-        "\"tick\":0}",
-        "{\"v\":1,\"type\":\"batch\",\"source\":\"a\",\"seq\":-1,"
-        "\"tick\":0}",
-        "{\"v\":1,\"type\":\"batch\",\"source\":\"a\",\"seq\":0,"
-        "\"tick\":0,\"series\":[{\"name\":\"x\","
-        "\"samples\":[[1]]}]}",
+        "\"tick\":0,\"series\":[]}",
+        // One value for a two-tick column; a column that is not there.
+        "{\"v\":2,\"type\":\"batch\",\"source\":\"a\",\"seq\":0,"
+        "\"tick\":0,\"ticks\":[[1,1]],\"series\":[{\"name\":\"x\","
+        "\"ticks\":0,\"values\":\"3ff0000000000000\"}]}",
+        "{\"v\":2,\"type\":\"batch\",\"source\":\"a\",\"seq\":0,"
+        "\"tick\":0,\"ticks\":[[1]],\"series\":[{\"name\":\"x\","
+        "\"ticks\":1,\"values\":\"3ff0000000000000\"}]}",
+        // Upper-case hex, and a scalar as a JSON number.
+        "{\"v\":2,\"type\":\"batch\",\"source\":\"a\",\"seq\":0,"
+        "\"tick\":0,\"ticks\":[[1]],\"series\":[{\"name\":\"x\","
+        "\"ticks\":0,\"values\":\"3FF0000000000000\"}]}",
+        "{\"v\":2,\"type\":\"stats\",\"source\":\"a\",\"seq\":0,"
+        "\"tick\":0,\"scalars\":{\"m\":1.5},\"counters\":{}}",
     };
     for (const char *bad : cases) {
         std::string error;
@@ -412,28 +466,31 @@ TEST(RwCodec, ParserRejectsMalformedLines)
     }
 }
 
-// Pinned pad-rw-v1 bytes for goldenBatches(): any change to them is
+// Pinned pad-rw-v2 bytes for goldenBatches(): any change to them is
 // a wire format change, which receivers and spool files depend on.
 constexpr const char *kGoldenBatchLine =
-    "{\"v\":1,\"type\":\"batch\",\"source\":\"golden\","
+    "{\"v\":2,\"type\":\"batch\",\"source\":\"golden\","
     "\"seq\":0,\"tick\":86400000,"
-    "\"series\":[{\"name\":\"pdu.power\",\"samples\":[[86399050,50125.5],"
-    "[86399100,0],[86399150,-0],[86399200,0.1],[86399250,"
-    "0.3333333333333333],[86399300,0.30000000000000004],[86399350,"
-    "1e-05],[86399400,0.000125],[86399450,123456],[86399500,1e+16],"
-    "[86399550,1e+17],[86399600,9007199254740992],[86399650,"
-    "-2.5e-300],[86399700,1.7976931348623157e+308],[86399750,"
-    "-1.7976931348623157e+308],[86399800,2.2250738585072014e-308],"
-    "[86399850,5e-324],[86399900,7.1202363472230444e-307],[86399950,"
-    "740.0625],[86400000,1e+02]]},{\"name\":\"rack0.soc\","
-    "\"samples\":[[86399500,0.87654321],[86400000,"
-    "0.8765432099999999]]}]}";
+    "\"ticks\":[[86399050,50,50,50,50,50,50,50,50,50,50,50,50,50,50,50,50,"
+    "50,50,50],[86399500,500]],"
+    "\"series\":[{\"name\":\"pdu.power\",\"ticks\":0,\"values\":\""
+    "40e879b000000000" "0000000000000000" "8000000000000000"
+    "3fb999999999999a" "3fd5555555555555" "3fd3333333333334"
+    "3ee4f8b588e368f1" "3f20624dd2f1a9fc" "40fe240000000000"
+    "4341c37937e08000" "4376345785d8a000" "4340000000000000"
+    "81bac9a7b3b7302f" "7fefffffffffffff" "ffefffffffffffff"
+    "0010000000000000" "0000000000000001" "0060000000000000"
+    "4087208000000000" "4059000000000000"
+    "\"},{\"name\":\"rack0.soc\",\"ticks\":1,\"values\":\""
+    "3fec0ca4588f6335" "3fec0ca4588f6334" "\"}]}";
 constexpr const char *kGoldenStatsLine =
-    "{\"v\":1,\"type\":\"stats\",\"source\":\"golden\","
+    "{\"v\":2,\"type\":\"stats\",\"source\":\"golden\","
     "\"seq\":1,\"tick\":86400000,"
-    "\"scalars\":{\"attack.survival_sec\":1.6e+03,"
-    "\"deb.min_soc\":0.12345678901234568,\"edge.neg_zero\":-0,"
-    "\"edge.tiny\":5e-324},\"counters\":{\"attack.spikes_launched\":17,"
+    "\"scalars\":{\"attack.survival_sec\":\"4099000000000000\","
+    "\"deb.min_soc\":\"3fbf9add3746f65f\","
+    "\"edge.neg_zero\":\"8000000000000000\","
+    "\"edge.tiny\":\"0000000000000001\"},"
+    "\"counters\":{\"attack.spikes_launched\":17,"
     "\"edge.two_pow_53\":9007199254740992}}";
 constexpr const char *kGoldenDump =
     "pad-rx-dump v1\n"
@@ -484,6 +541,84 @@ TEST(RwCodec, GoldenWireBytesAndBitExactRoundTrip)
         EXPECT_EQ(back->counters, batches[i].counters);
         EXPECT_EQ(renderRwBatchLine(*back), line);
     }
+}
+
+TEST(RwCodec, MixedClocksShareOneTickColumnAndRoundTrip)
+{
+    // Two series on one tick vector share a column; a sparse series
+    // and an empty chunk each get their own.
+    RwBatch b;
+    b.source = "mixed";
+    b.seq = 4;
+    b.tick = 9000;
+    for (const char *name : {"rack0.power", "rack0.soc"}) {
+        RwSeriesChunk chunk;
+        chunk.name = name;
+        for (Tick t = 1000; t <= 9000; t += 2000)
+            chunk.samples.push_back({t, t * 0.5 + name[5]});
+        b.series.push_back(chunk);
+    }
+    b.series.insert(b.series.begin() + 1,
+                    RwSeriesChunk{"policy.level", {{3000, 2.0}, {8500, 3.0}}});
+    b.series.push_back(RwSeriesChunk{"quiet", {}});
+
+    const std::string line = renderRwBatchLine(b);
+    EXPECT_NE(line.find("\"ticks\":[[1000,2000,2000,2000,2000],"
+                        "[3000,5500],[]]"),
+              std::string::npos)
+        << line;
+    EXPECT_NE(line.find("\"name\":\"rack0.soc\",\"ticks\":0,"),
+              std::string::npos)
+        << line;
+    std::string error;
+    const auto back = parseRwBatchLine(line, &error);
+    ASSERT_TRUE(back.has_value()) << error;
+    EXPECT_TRUE(sameBatch(*back, b));
+    EXPECT_TRUE(sameBatch(*back, *referenceParse(line)));
+    EXPECT_EQ(renderRwBatchLine(*back), line);
+}
+
+TEST(RwCodec, RejectsV1Lines)
+{
+    // The decimal pad-rw-v1 encoding of the golden batch: v1 lines,
+    // including spooled ones, are not read.
+    const std::string v1 =
+        "{\"v\":1,\"type\":\"batch\",\"source\":\"golden\",\"seq\":0,"
+        "\"tick\":86400000,\"series\":[{\"name\":\"rack0.soc\","
+        "\"samples\":[[86399500,0.87654321],[86400000,"
+        "0.8765432099999999]]}]}";
+    std::string error;
+    EXPECT_FALSE(parseRwBatchLine(v1, &error).has_value());
+    EXPECT_EQ(error, "missing or unsupported schema version");
+    EXPECT_FALSE(validateRwStream(v1 + "\n", &error));
+    EXPECT_EQ(error, "record 1: missing or unsupported schema version");
+}
+
+TEST(RwCodec, HexValuesAreExactlySixteenLowercaseDigits)
+{
+    // Every byte value at every digit position: the parser accepts
+    // it exactly when the reference does ('0'-'9', 'a'-'f').
+    const std::string head =
+        "{\"v\":2,\"type\":\"batch\",\"source\":\"h\",\"seq\":0,\"tick\":0,"
+        "\"ticks\":[[5]],\"series\":[{\"name\":\"x\",\"ticks\":0,"
+        "\"values\":\"";
+    std::uint64_t accepted = 0;
+    for (int pos = 0; pos < 16; ++pos) {
+        for (int c = 1; c < 256; ++c) {
+            std::string digits = "0123456789abcdef";
+            digits[static_cast<std::size_t>(pos)] = static_cast<char>(c);
+            const std::string line = head + digits + "\"}]}";
+            const auto got = parseRwBatchLine(line);
+            const auto want = referenceParse(line);
+            ASSERT_EQ(got.has_value(), want.has_value())
+                << "byte " << c << " at digit " << pos;
+            if (got) {
+                ++accepted;
+                EXPECT_TRUE(sameBatch(*got, *want));
+            }
+        }
+    }
+    EXPECT_EQ(accepted, 16u * 16u);
 }
 
 TEST(RemoteWrite, GoldenReceiverDump)
@@ -582,22 +717,34 @@ TEST(RwCodec, ParseHostPortValidation)
 TEST(RwCodec, RejectsNonFiniteAndOutOfRangeIntegers)
 {
     // Each integer field is cast from a JSON number; a value outside
-    // the target type's range must be rejected before the cast.
-    const std::string head = "{\"v\":1,\"type\":\"batch\",\"source\":\"a\",";
-    const std::string stats = "{\"v\":1,\"type\":\"stats\",\"source\":\"a\","
+    // the target type's range must be rejected before the cast, and a
+    // tick column whose running sum leaves the Tick range is rejected
+    // too.
+    const std::string head = "{\"v\":2,\"type\":\"batch\",\"source\":\"a\",";
+    const std::string empty = ",\"ticks\":[],\"series\":[]}";
+    const std::string stats = "{\"v\":2,\"type\":\"stats\",\"source\":\"a\","
                               "\"seq\":0,\"tick\":0,\"scalars\":{},";
+    const auto oneSample = [&](const std::string &column,
+                               const std::string &index) {
+        return head + "\"seq\":0,\"tick\":0,\"ticks\":[" + column +
+               "],\"series\":[{\"name\":\"x\",\"ticks\":" + index +
+               ",\"values\":\"3ff0000000000000\"}]}";
+    };
     const std::string bad[] = {
-        head + "\"seq\":1e999,\"tick\":0,\"series\":[]}",
-        head + "\"seq\":18446744073709551616,\"tick\":0,\"series\":[]}",
-        head + "\"seq\":1e20,\"tick\":0,\"series\":[]}",
-        head + "\"seq\":0,\"tick\":1e300,\"series\":[]}",
-        head + "\"seq\":0,\"tick\":-1e999,\"series\":[]}",
-        head + "\"seq\":0,\"tick\":9223372036854775808,\"series\":[]}",
-        head + "\"seq\":0,\"tick\":-9.3e18,\"series\":[]}",
-        head + "\"seq\":0,\"tick\":0,\"series\":[{\"name\":\"x\","
-               "\"samples\":[[1e300,1]]}]}",
-        head + "\"seq\":0,\"tick\":0,\"series\":[{\"name\":\"x\","
-               "\"samples\":[[-1e999,1]]}]}",
+        head + "\"seq\":1e999,\"tick\":0" + empty,
+        head + "\"seq\":18446744073709551616,\"tick\":0" + empty,
+        head + "\"seq\":1e20,\"tick\":0" + empty,
+        head + "\"seq\":0,\"tick\":1e300" + empty,
+        head + "\"seq\":0,\"tick\":-1e999" + empty,
+        head + "\"seq\":0,\"tick\":9223372036854775808" + empty,
+        head + "\"seq\":0,\"tick\":-9.3e18" + empty,
+        oneSample("[1e300]", "0"),
+        oneSample("[-1e999]", "0"),
+        oneSample("[1]", "1e999"),
+        oneSample("[1]", "-1"),
+        // 2^62 + 2^62 + 2^62 overflows on the last delta.
+        head + "\"seq\":0,\"tick\":0,\"ticks\":[[4611686018427387904,"
+               "4611686018427387904,4611686018427387904]],\"series\":[]}",
         stats + "\"counters\":{\"c\":1e999}}",
         stats + "\"counters\":{\"c\":18446744073709551616}}",
     };
@@ -608,51 +755,69 @@ TEST(RwCodec, RejectsNonFiniteAndOutOfRangeIntegers)
         EXPECT_FALSE(referenceParse(line).has_value()) << line;
     }
 
-    // The largest in-range values still parse; values stay doubles.
+    // The largest in-range values still parse.
     const std::string edge =
         head + "\"seq\":18446744073709549568,"
-               "\"tick\":-9223372036854775808,\"series\":[{\"name\":"
-               "\"x\",\"samples\":[[9223372036854774784,1e999]]}]}";
+               "\"tick\":-9223372036854775808,\"ticks\":[["
+               "9223372036854774784,-9223372036854774784]],"
+               "\"series\":[{\"name\":\"x\",\"ticks\":0.5,\"values\":"
+               "\"7ff00000000000007ff8000000000001\"}]}";
     std::string error;
     const auto b = parseRwBatchLine(edge, &error);
     ASSERT_TRUE(b.has_value()) << error;
     EXPECT_EQ(b->seq, 18446744073709549568ULL);
     EXPECT_EQ(b->tick, std::numeric_limits<Tick>::min());
+    ASSERT_EQ(b->series[0].samples.size(), 2u);
     EXPECT_EQ(b->series[0].samples[0].when, 9223372036854774784LL);
+    EXPECT_EQ(b->series[0].samples[1].when, 0);
     EXPECT_EQ(b->series[0].samples[0].value, HUGE_VAL);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(b->series[0].samples[1].value),
+              0x7ff8000000000001ULL);
+    EXPECT_TRUE(sameBatch(*b, *referenceParse(edge)));
 }
 
 TEST(RwCodec, ValidateRejectsOutOfRangeSeqAndTick)
 {
     std::string error;
     EXPECT_FALSE(validateRwStream(
-        "{\"v\":1,\"type\":\"batch\",\"source\":\"a\",\"seq\":1e999,"
-        "\"tick\":0,\"series\":[]}\n",
+        "{\"v\":2,\"type\":\"batch\",\"source\":\"a\",\"seq\":1e999,"
+        "\"tick\":0,\"ticks\":[],\"series\":[]}\n",
         &error));
     EXPECT_NE(error.find("record 1"), std::string::npos) << error;
     EXPECT_FALSE(validateRwStream(
-        "{\"v\":1,\"type\":\"batch\",\"source\":\"a\",\"seq\":0,"
-        "\"tick\":1e300,\"series\":[]}\n",
+        "{\"v\":2,\"type\":\"batch\",\"source\":\"a\",\"seq\":0,"
+        "\"tick\":1e300,\"ticks\":[],\"series\":[]}\n",
         &error));
 }
 
 TEST(RwCodec, AcceptsAnyKeyOrderDuplicatesAndForeignKeys)
 {
     const RwBatch want = sampleBatch("a", 3, 5000);
+    // Keys out of order, an escaped (but still hex) values string, a
+    // foreign key and a duplicate that loses.
+    const std::string ticks = "[[4000,1000],[5000]]";
     const std::string series =
-        "[{\"samples\":[[4000,50000],[5000,50125.5]],\"name\":"
-        "\"rack0.power\",\"extra\":{\"deep\":[1,[2]]}},{\"name\":"
-        "\"rack1.power\",\"samples\":[[5000,49000.25]],\"samples\":7}]";
+        "[{\"values\":\"40e86a000000000040e879b000000000\",\"name\":"
+        "\"rack0.power\",\"extra\":{\"deep\":[1,[2]]},\"ticks\":0},"
+        "{\"name\":\"rack1.power\",\"ticks\":1,\"values\":"
+        "\"\\u0034\\u0030e7ed0800000000\",\"values\":7,\"ticks\":0}]";
     const std::string lines[] = {
-        // Sections before "type", fields in reverse order.
-        "{\"series\":" + series + ",\"tick\":5000,\"seq\":3,"
-        "\"source\":\"a\",\"type\":\"batch\",\"v\":1}",
+        // Sections before "type" and "series" before "ticks", fields
+        // in reverse order.
+        "{\"series\":" + series + ",\"ticks\":" + ticks +
+        ",\"tick\":5000,\"seq\":3,\"source\":\"a\",\"type\":\"batch\","
+        "\"v\":2}",
+        // "series" after "type" but before "ticks".
+        "{\"v\":2,\"type\":\"batch\",\"source\":\"a\",\"seq\":3,"
+        "\"tick\":5000,\"series\":" + series + ",\"ticks\":" + ticks +
+        "}",
         // Duplicates: the first wins, later ones are only checked as
         // JSON; foreign keys and the other type's sections likewise.
-        " {\"v\":1.0,\"v\":\"two\",\"type\":\"batch\",\"type\":\"stats\","
+        " {\"v\":2.0,\"v\":\"two\",\"type\":\"batch\",\"type\":\"stats\","
         "\"source\":\"\\u0061\",\"source\":\"\",\"seq\":3,\"seq\":-1,"
         "\"tick\":5000,\"tick\":1e999,\"scalars\":\"ignored\","
-        "\"counters\":[true,false,null],\"series\":" + series +
+        "\"counters\":[true,false,null],\"ticks\":" + ticks +
+        ",\"ticks\":{},\"series\":" + series +
         ",\"series\":{},\"x\":{}} \n",
     };
     for (const std::string &line : lines) {
@@ -665,16 +830,17 @@ TEST(RwCodec, AcceptsAnyKeyOrderDuplicatesAndForeignKeys)
         EXPECT_TRUE(sameBatch(*got, *ref)) << line;
     }
 
-    // A stats dump ignores a malformed "series" in either position.
+    // A stats dump ignores a malformed "series" or "ticks" in either
+    // position.
     for (const std::string &line :
-         {std::string("{\"series\":[1],\"v\":1,\"type\":\"stats\","
-                      "\"source\":\"s\",\"seq\":0,\"tick\":0,"
-                      "\"counters\":{\"c\":2},\"scalars\":{\"x\":0.5,"
-                      "\"x\":-0}}"),
-          std::string("{\"v\":1,\"type\":\"stats\",\"source\":\"s\","
-                      "\"seq\":0,\"tick\":0,\"series\":[1],"
-                      "\"scalars\":{\"x\":0.5,\"x\":-0},"
-                      "\"counters\":{\"c\":2}}")}) {
+         {std::string("{\"series\":[1],\"ticks\":7,\"v\":2,\"type\":"
+                      "\"stats\",\"source\":\"s\",\"seq\":0,\"tick\":0,"
+                      "\"counters\":{\"c\":2},\"scalars\":{\"x\":"
+                      "\"3fe0000000000000\",\"x\":\"8000000000000000\"}}"),
+          std::string("{\"v\":2,\"type\":\"stats\",\"source\":\"s\","
+                      "\"seq\":0,\"tick\":0,\"series\":[1],\"ticks\":7,"
+                      "\"scalars\":{\"x\":\"3fe0000000000000\",\"x\":"
+                      "\"8000000000000000\"},\"counters\":{\"c\":2}}")}) {
         std::string error;
         const auto got = parseRwBatchLine(line, &error);
         ASSERT_TRUE(got.has_value()) << error << "\n" << line;
@@ -682,11 +848,16 @@ TEST(RwCodec, AcceptsAnyKeyOrderDuplicatesAndForeignKeys)
         EXPECT_TRUE(std::signbit(got->scalars[1].second));
         EXPECT_TRUE(sameBatch(*got, *referenceParse(line)));
     }
-    // ...but a batch does not ignore a malformed first "series".
-    EXPECT_FALSE(parseRwBatchLine(
-                     "{\"series\":[1],\"series\":[],\"v\":1,\"type\":"
-                     "\"batch\",\"source\":\"s\",\"seq\":0,\"tick\":0}")
-                     .has_value());
+    // ...but a batch does not ignore a malformed first "series" or
+    // "ticks".
+    for (const char *line :
+         {"{\"series\":[1],\"series\":[],\"v\":2,\"type\":\"batch\","
+          "\"source\":\"s\",\"seq\":0,\"tick\":0,\"ticks\":[]}",
+          "{\"ticks\":[1],\"ticks\":[],\"v\":2,\"type\":\"batch\","
+          "\"source\":\"s\",\"seq\":0,\"tick\":0,\"series\":[]}"}) {
+        EXPECT_FALSE(parseRwBatchLine(line).has_value()) << line;
+        EXPECT_FALSE(referenceParse(line).has_value()) << line;
+    }
 }
 
 namespace {
@@ -702,8 +873,8 @@ constexpr double kHostileNumbers[] = {
 
 /** Keys a mutation adds: real field names and foreign ones. */
 constexpr const char *kMutationKeys[] = {
-    "v", "type", "source", "seq", "tick", "series", "scalars",
-    "counters", "name", "samples", "zz", "v\\u0000", "\\u0074ype"};
+    "v", "type", "source", "seq", "tick", "ticks", "series", "scalars",
+    "counters", "name", "values", "zz", "v\\u0000", "\\u0074ype"};
 
 /** Every node of @p v, pre-order. */
 void
@@ -783,7 +954,8 @@ randomValue(CounterRng &rng, const JsonValue &like)
         break;
       case 1:
         v.kind = JsonValue::Kind::String;
-        v.str = rng.next() % 2 ? "batch" : "";
+        v.str = std::array<const char *, 3>{
+            "batch", "", "bff0000000000000"}[rng.next() % 3];
         break;
       case 2:
         v.kind = JsonValue::Kind::Array;
@@ -867,12 +1039,14 @@ mutateBytes(std::string &text, CounterRng &rng)
 
 TEST(RwCodec, MutatedLinesParseLikeTheReferenceParser)
 {
-    // Corpus: the golden pair plus a rendered snapshot of a small hub.
+    // Corpus: the golden pair plus a rendered snapshot of a small hub
+    // with two series on one clock and a sparse third.
     TelemetryHub hub;
     for (int t = 0; t < 4; ++t) {
         hub.record("rack0.power", t * 1000, 50000.0 + t * 0.1);
         hub.record("rack1.soc", t * 1000, 1.0 - t / 3.0);
     }
+    hub.record("policy.level", 2500, 2.0);
     RwBatch snap;
     snap.source = "fuzz";
     snap.seq = 9;
@@ -931,20 +1105,20 @@ TEST(RwCodec, FrameHeaderParserCapsTheLength)
     };
     EXPECT_EQ(status(""), Status::Incomplete);
     EXPECT_EQ(status("pad-r"), Status::Incomplete);
-    EXPECT_EQ(status("pad-rw-v1 1234"), Status::Incomplete);
-    EXPECT_EQ(status("pad-rw-v1 16777216\n"), Status::Ok);
-    EXPECT_EQ(parseRwFrameHeader("pad-rw-v1 42\nxyz").headerBytes, 13u);
-    EXPECT_EQ(parseRwFrameHeader("pad-rw-v1 42\nxyz").payloadBytes, 42u);
+    EXPECT_EQ(status("pad-rw-v2 1234"), Status::Incomplete);
+    EXPECT_EQ(status("pad-rw-v2 16777216\n"), Status::Ok);
+    EXPECT_EQ(parseRwFrameHeader("pad-rw-v2 42\nxyz").headerBytes, 13u);
+    EXPECT_EQ(parseRwFrameHeader("pad-rw-v2 42\nxyz").payloadBytes, 42u);
     for (const std::string bad :
-         {"pad-rx", "pad\n", "pad-rw-v1 \n", "pad-rw-v1 0\n",
-          "pad-rw-v1 12x", "pad-rw-v1 -1\n", "pad-rw-v1 16777217\n",
-          "pad-rw-v1 123456789", "pad-rw-v1 000000001\n"}) {
+         {"pad-rx", "pad\n", "pad-rw-v1 42\n", "pad-rw-v2 \n", "pad-rw-v2 0\n",
+          "pad-rw-v2 12x", "pad-rw-v2 -1\n", "pad-rw-v2 16777217\n",
+          "pad-rw-v2 123456789", "pad-rw-v2 000000001\n"}) {
         const RwFrameHeader h = parseRwFrameHeader(bad);
         EXPECT_EQ(h.status, Status::Bad) << bad;
         EXPECT_NE(std::string(h.error), "") << bad;
     }
     // A length that would wrap a size_t back to a small number.
-    EXPECT_EQ(status("pad-rw-v1 " + twoPow64Plus(66) + "\n"), Status::Bad);
+    EXPECT_EQ(status("pad-rw-v2 " + twoPow64Plus(66) + "\n"), Status::Bad);
 }
 
 TEST(RwCodec, ValidateRejectsWrappingFrameLength)
@@ -952,7 +1126,7 @@ TEST(RwCodec, ValidateRejectsWrappingFrameLength)
     // 2^64 + N: a size_t accumulator wraps to exactly N, the size of
     // the record that follows, and the stream would look valid.
     const std::string line = renderRwBatchLine(sampleBatch("a", 0, 1000));
-    const std::string wrapped = "pad-rw-v1 " +
+    const std::string wrapped = "pad-rw-v2 " +
                                 twoPow64Plus(static_cast<unsigned>(
                                     line.size() + 1)) +
                                 "\n" + line + "\n";
@@ -1044,6 +1218,78 @@ TEST(RemoteWrite, ShipsToReceiverAndMerges)
               std::string::npos);
 }
 
+TEST(RemoteWrite, NonFiniteValuesRoundTripBitExact)
+{
+    // Values a decimal encoding cannot carry or easily mangles ship as
+    // samples and as stats scalars, and come back bit for bit.
+    const double values[] = {std::numeric_limits<double>::quiet_NaN(),
+                             HUGE_VAL,
+                             -HUGE_VAL,
+                             -0.0,
+                             DBL_TRUE_MIN,
+                             9007199254740992.0};
+    ReceiverServer rx(0);
+    std::string error;
+    ASSERT_TRUE(rx.start(&error)) << error;
+
+    TelemetryHub hub;
+    RemoteWriteOptions opts;
+    opts.port = rx.port();
+    opts.source = "edge";
+    RemoteWriteShipper shipper(opts, &hub);
+    ASSERT_TRUE(shipper.start(&error)) << error;
+    shipper.observe(0);
+    sim::StatsRegistry stats;
+    for (std::size_t k = 0; k < std::size(values); ++k) {
+        hub.record("pdu.power", static_cast<Tick>(1000 * (k + 1)),
+                   values[k]);
+        stats.registerScalar("edge.s" + std::to_string(k), "edge")
+            .set(values[k]);
+    }
+    shipper.finish(10000, &stats);
+
+    const auto sc = shipper.counters();
+    EXPECT_EQ(sc.batchesDropped, 0u);
+    EXPECT_EQ(sc.batchesSent, 2u);
+    const auto rc = rx.counters();
+    EXPECT_EQ(rc.protocolErrors, 0u);
+    EXPECT_EQ(rc.samples, std::size(values));
+    EXPECT_EQ(rc.statsBatches, 1u);
+    rx.stop();
+
+    const auto merged = rx.hub().rawSnapshot();
+    ASSERT_EQ(merged.size(), 1u);
+    EXPECT_EQ(merged[0].name, "fleet.edge.pdu.power");
+    ASSERT_EQ(merged[0].raw.size(), std::size(values));
+    for (std::size_t k = 0; k < std::size(values); ++k) {
+        EXPECT_EQ(merged[0].raw[k].when, static_cast<Tick>(1000 * (k + 1)));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(merged[0].raw[k].value),
+                  std::bit_cast<std::uint64_t>(values[k]))
+            << k;
+    }
+    const std::string dump = rx.dumpMerged();
+    for (std::size_t k = 0; k < std::size(values); ++k)
+        EXPECT_NE(dump.find("scalar fleet.edge.edge.s" + std::to_string(k) +
+                            " " + JsonWriter::formatDouble(values[k]) +
+                            "\n"),
+                  std::string::npos)
+            << dump;
+    EXPECT_NE(dump.find(" last_value " +
+                        JsonWriter::formatDouble(values[5]) + "\n"),
+              std::string::npos)
+        << dump;
+
+    // The stats line itself carries every scalar's bits.
+    RwBatch b;
+    b.type = "stats";
+    b.source = "edge";
+    for (std::size_t k = 0; k < std::size(values); ++k)
+        b.scalars.emplace_back("s" + std::to_string(k), values[k]);
+    const auto back = parseRwBatchLine(renderRwBatchLine(b), &error);
+    ASSERT_TRUE(back.has_value()) << error;
+    EXPECT_TRUE(sameBatch(*back, b));
+}
+
 TEST(RemoteWrite, ReceiverSkipsButAcksDuplicateSeq)
 {
     ReceiverServer rx(0);
@@ -1083,7 +1329,7 @@ TEST(RemoteWrite, ReceiverDropsWrappingFrameLength)
     const std::string line =
         renderRwBatchLine(sampleBatch("wrap", 0, 1000));
     const std::string frame =
-        "pad-rw-v1 " +
+        "pad-rw-v2 " +
         twoPow64Plus(static_cast<unsigned>(line.size() + 1)) + "\n" +
         line + "\n";
     EXPECT_EQ(sendFrameForAck(fd, frame).find("\"ok\":true"),
@@ -1315,7 +1561,7 @@ TEST(RemoteWrite, SpoolsAcrossOutageAndReplaysInOrder)
         [&] { return shipper.counters().batchesSpooled == 3; }));
     const auto files = spoolListing(spool);
     ASSERT_FALSE(files.empty());
-    // The spool is a valid bare pad-rw-v1 stream (what padtrace rw
+    // The spool is a valid bare pad-rw-v2 stream (what padtrace rw
     // checks), with the outage batches in sequence order.
     std::string spooled;
     for (const auto &f : files)

@@ -1,10 +1,10 @@
 /**
  * @file
  * Unit tests for the telemetry subsystem: bounded time series, the
- * TelemetryHub, the tracer-event feed, Prometheus exposition (writer
- * and grammar validator), the scrape HTTP
- * endpoint, the JSONL trace reader, and the StatsRegistry
- * histogram-quantile boundary contract the exposition relies on.
+ * TelemetryHub, Prometheus exposition (writer and grammar
+ * validator), the scrape HTTP endpoint, the JSONL trace reader, and
+ * the StatsRegistry histogram-quantile boundary contract the
+ * exposition relies on.
  */
 
 #include <arpa/inet.h>
@@ -22,14 +22,11 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/trace_sink.h"
-#include "obs/tracer.h"
 #include "sim/stats_registry.h"
 #include "telemetry/http.h"
 #include "telemetry/hub.h"
 #include "telemetry/prom.h"
 #include "telemetry/time_series.h"
-#include "telemetry/trace_feed.h"
 #include "telemetry/trace_reader.h"
 
 using namespace pad;
@@ -363,91 +360,6 @@ TEST(TelemetryHub, RecordRowRacesWithReaders)
         EXPECT_EQ(s.count, static_cast<std::uint64_t>(kRows));
         EXPECT_EQ(s.last.when, (kRows - 1) * kTicksPerSecond);
     }
-}
-
-// ---------------------------------------------------------------------
-// TelemetryTraceSink
-// ---------------------------------------------------------------------
-
-TEST(TraceFeed, NameHelpers)
-{
-    EXPECT_EQ(securityLevelFromName("L1-Normal"), 1);
-    EXPECT_EQ(securityLevelFromName("L2-MinorIncident"), 2);
-    EXPECT_EQ(securityLevelFromName("L3-Emergency"), 3);
-    EXPECT_EQ(securityLevelFromName("garbage"), 0);
-    EXPECT_EQ(securityLevelFromName(""), 0);
-
-    EXPECT_EQ(attackerPhaseFromName("Prepare"), 0);
-    EXPECT_EQ(attackerPhaseFromName("Drain"), 1);
-    EXPECT_EQ(attackerPhaseFromName("Recover"), 2);
-    EXPECT_EQ(attackerPhaseFromName("Spike"), 3);
-    EXPECT_EQ(attackerPhaseFromName("???"), -1);
-}
-
-TEST(TraceFeed, CuratedEventsBecomeSeries)
-{
-    TelemetryHub hub;
-    obs::CountingTraceSink inner;
-    TelemetryTraceSink sink(hub, &inner);
-    const obs::TraceScope scope(&sink);
-    obs::setTraceClock(kTicksPerSecond);
-
-    obs::emit("policy", "policy.transition",
-              {obs::TraceField::str("from", "L1-Normal"),
-               obs::TraceField::str("to", "L3-Emergency"),
-               obs::TraceField::integer("transitions", 1)});
-    obs::emit("detector", "detector.anomaly",
-              {obs::TraceField::integer("rack", 3)});
-    obs::emit("detector", "detector.anomaly",
-              {obs::TraceField::integer("rack", 4)});
-    obs::emit("rack3.udeb", "udeb.shave",
-              {obs::TraceField::num("excess_w", 50.0),
-               obs::TraceField::num("shaved_w", 42.0),
-               obs::TraceField::num("soc", 0.8),
-               obs::TraceField::num("engaged_sec", 1.0)});
-    obs::emit("attacker", "attacker.phase",
-              {obs::TraceField::str("from", "Drain"),
-               obs::TraceField::str("to", "Spike"),
-               obs::TraceField::num("at_sec", 1.0)});
-    obs::emit("attacker", "attacker.spike_launch",
-              {obs::TraceField::integer("index", 0)});
-    obs::emit("telemetry", "soc.sample",
-              {obs::TraceField::integer("rack", 7),
-               obs::TraceField::num("soc", 0.9),
-               obs::TraceField::num("udeb_soc", 0.7),
-               obs::TraceField::num("power_w", 1000.0),
-               obs::TraceField::num("draw_w", 1100.0),
-               obs::TraceField::integer("level", 2)});
-    obs::emit("other", "unrelated.event", {});
-
-    ASSERT_NE(hub.find("policy.level"), nullptr);
-    EXPECT_DOUBLE_EQ(hub.find("policy.level")->last().value, 3.0);
-    EXPECT_EQ(hub.find("policy.level")->last().when, kTicksPerSecond);
-
-    ASSERT_NE(hub.find("detector.anomalies"), nullptr);
-    EXPECT_DOUBLE_EQ(hub.find("detector.anomalies")->last().value,
-                     2.0);
-
-    ASSERT_NE(hub.find("rack3.udeb.soc"), nullptr);
-    EXPECT_DOUBLE_EQ(hub.find("rack3.udeb.soc")->last().value, 0.8);
-    ASSERT_NE(hub.find("rack3.udeb.shaved_w"), nullptr);
-    EXPECT_DOUBLE_EQ(hub.find("rack3.udeb.shaved_w")->last().value,
-                     42.0);
-
-    ASSERT_NE(hub.find("attacker.phase"), nullptr);
-    EXPECT_DOUBLE_EQ(hub.find("attacker.phase")->last().value, 3.0);
-    ASSERT_NE(hub.find("attacker.spikes"), nullptr);
-    EXPECT_DOUBLE_EQ(hub.find("attacker.spikes")->last().value, 1.0);
-
-    ASSERT_NE(hub.find("rack7.soc"), nullptr);
-    ASSERT_NE(hub.find("rack7.udeb_soc"), nullptr);
-    ASSERT_NE(hub.find("rack7.power"), nullptr);
-    ASSERT_NE(hub.find("rack7.draw"), nullptr);
-    EXPECT_DOUBLE_EQ(hub.find("rack7.draw")->last().value, 1100.0);
-
-    // The unrelated event produced no series but passed through.
-    EXPECT_EQ(hub.find("unrelated.event"), nullptr);
-    EXPECT_EQ(inner.count(), 8u);
 }
 
 // ---------------------------------------------------------------------

@@ -71,8 +71,9 @@ TEST(VoltageModel, CutoffConsistentWithTerminalVoltage)
     b.step(300.0, 15.0);
     VoltageModel vm;
     const double p = vm.powerAtCellCutoff(b, 1.80);
-    if (p > 0.0)
+    if (p > 0.0) {
         EXPECT_NEAR(vm.cellVoltage(b, p), 1.80, 1e-9);
+    }
 }
 
 TEST(AgingModel, ReferenceRateConsumesOneCycleLifePerThroughput)
